@@ -130,7 +130,7 @@ def rank1_approx_error(oracle: GaussianMixtureOracle, x, t) -> float:
     if float(eps @ eps) == 0.0:
         return hs_norm(exact)
     _, sigma = oracle.schedule.alpha_sigma(t)
-    return hs_error(exact, low_rank_hessian(eps, float(sigma)).dense())
+    return hs_error(exact, low_rank_hessian(eps, float(sigma)))
 
 
 @dataclass(frozen=True)

@@ -27,11 +27,12 @@ from typing import Optional
 
 import numpy as np
 
+from .oracle import DENSE_DIM_CAP
+
 __all__ = [
     "DegenerateDirectionError",
     "DampedGeometryConfig",
     "GeometryState",
-    "Rank1Hessian",
     "ema_mix",
     "sm_apply",
     "normalize_to",
@@ -41,8 +42,6 @@ __all__ = [
     "damped_inverse_apply",
     "damped_inverse_sqrt_apply",
 ]
-
-_DENSE_CAP = 64
 
 
 class DegenerateDirectionError(ValueError):
@@ -136,29 +135,17 @@ def lm_guided_eps(cur, state: GeometryState, cfg: DampedGeometryConfig):
     return guided, GeometryState(prev_eps=cur)
 
 
-@dataclass(frozen=True)
-class Rank1Hessian:
-    """Lazy scale * direction direction^T representation of the curvature proxy."""
-
-    scale: float
-    direction: np.ndarray
-
-    def dense(self):
-        d = self.direction
-        if d.size > _DENSE_CAP:
-            raise ValueError(f"dense materialization capped at d <= {_DENSE_CAP}")
-        return self.scale * np.outer(d, d)
-
-
-def low_rank_hessian(eps, sigma_t: float) -> Rank1Hessian:
-    """Rank-1 proxy eps eps^T / (sigma_t^2 ||eps||^2) for -grad^2 log p_t."""
+def low_rank_hessian(eps, sigma_t: float):
+    """Dense rank-1 proxy eps eps^T / (sigma_t^2 ||eps||^2) for -grad^2 log p_t, d <= DENSE_DIM_CAP."""
     eps = np.asarray(eps, dtype=np.float64)
     if eps.ndim != 1:
         raise ValueError("low_rank_hessian expects a single (d,) vector")
+    if eps.size > DENSE_DIM_CAP:
+        raise ValueError(f"dense materialization capped at d <= {DENSE_DIM_CAP}")
     n2 = float(eps @ eps)
     if n2 == 0.0 or sigma_t <= 0.0:
         raise DegenerateDirectionError("zero eps or non-positive sigma_t")
-    return Rank1Hessian(scale=1.0 / (sigma_t * sigma_t * n2), direction=eps)
+    return (1.0 / (sigma_t * sigma_t * n2)) * np.outer(eps, eps)
 
 
 def damped_inverse_dense(eps, sigma_t: float, lam: float):
@@ -171,8 +158,8 @@ def damped_inverse_dense(eps, sigma_t: float, lam: float):
     eps = np.asarray(eps, dtype=np.float64)
     if eps.ndim != 1:
         raise ValueError("damped_inverse_dense expects a single (d,) vector")
-    if eps.size > _DENSE_CAP:
-        raise ValueError(f"dense inverse capped at d <= {_DENSE_CAP}")
+    if eps.size > DENSE_DIM_CAP:
+        raise ValueError(f"dense inverse capped at d <= {DENSE_DIM_CAP}")
     if not lam > 0.0:
         raise ValueError("lam must be > 0")
     n2 = float(eps @ eps)

@@ -7,9 +7,23 @@ Two families live here.
   its order-2 multistep refinement, optionally passing every noise prediction
   through the damped rank-1 geometry of :mod:`.geometry` first.
 * Fixed-level runs (:func:`fixed_level_run`): Langevin-type chains targeting
-  the diffused marginal at one frozen noise level, with plain, Newton,
-  damped-exact, divergence-corrected, and damped rank-1 preconditioners.
-  These probe stationarity and convergence-rate claims directly.
+  the diffused marginal at one frozen noise level.  These probe stationarity
+  and convergence-rate claims directly.  Every variant takes the one update
+
+      x' = x + h (P s + div P) + sqrt(2h) P^{1/2} xi,
+
+  with s the score and xi standard normal:
+
+  - ``plain-langevin``: P = I, inline;
+  - ``newton``: P = (-H)^{-1}, through :func:`newton_langevin_step`;
+  - ``damped-exact``: P = (-H + lam I)^{-1} without div P, through
+    :func:`damped_step` in mode ``"exact"``; ``damped-exact-corrected`` keeps
+    div P (``corrected=True``);
+  - ``damped-lm``: P the damped rank-1 proxy without div P, through
+    :func:`damped_step` in mode ``"rank1"``.
+
+  On a single-component 1-d target the Newton and exact damped variants
+  reduce to a closed-form OU update, which the kernel takes directly.
 
 Chain ensembles draw their randomness from the block streams of :mod:`.rng`,
 so results are bit-identical regardless of thread count.
@@ -32,7 +46,7 @@ from .geometry import (
     damped_inverse_sqrt_apply,
     lm_guided_eps,
 )
-from .oracle import GaussianMixtureOracle, ScoreProvider
+from .oracle import DENSE_DIM_CAP, GaussianMixtureOracle, ScoreProvider
 from .schedule import NoiseSchedule, TimestepGrid, make_grid
 
 __all__ = [
@@ -42,7 +56,6 @@ __all__ = [
     "SamplerRun",
     "FixedLevelConfig",
     "FixedLevelRun",
-    "langevin_step",
     "newton_langevin_step",
     "damped_step",
     "ddim_step",
@@ -52,8 +65,6 @@ __all__ = [
     "fixed_level_run",
     "FIXED_LEVEL_VARIANTS",
 ]
-
-_DENSE_CAP = 64
 
 FIXED_LEVEL_VARIANTS = (
     "plain-langevin",
@@ -76,70 +87,62 @@ class DampingTooSmallError(ValueError):
 # single steps
 
 
-def langevin_step(x, score_fn, h: float, rng: np.random.Generator):
-    """Unadjusted Langevin: x + h * score + sqrt(2h) * xi."""
-    if not h > 0.0:
-        raise ValueError("step size h must be > 0")
-    x = np.asarray(x, dtype=np.float64)
-    return x + h * score_fn(x) + np.sqrt(2.0 * h) * rng.standard_normal(x.shape)
-
-
-def _eig_neg_hessian(hess):
-    """Eigendecomposition of -H for a (d,d) or (m,d,d) Hessian stack."""
-    hess = np.asarray(hess, dtype=np.float64)
-    if hess.shape[-1] > _DENSE_CAP:
-        raise ValueError(f"dense preconditioning capped at d <= {_DENSE_CAP}")
-    w, v = np.linalg.eigh(-hess)
-    return w, v
-
-
 def _eig_apply(w, v, vec, power: float):
     """(V diag(w^power) V^T) vec for stacked eigensystems."""
     coef = np.einsum("...ij,...i->...j", v, vec)
     return np.einsum("...ij,...j->...i", v, coef * np.power(w, power))
 
 
+def _metric_drift_noise(hess, score, xi, lam: float, newton: bool, third=None):
+    """Drift P s (+ div P) and noise P^{1/2} xi for the exact metric P = (-H + lam I)^{-1}.
+
+    ``hess`` is a (d, d) or (m, d, d) Hessian stack; ``third`` is its gradient
+    and adds the divergence term when given.  A d == 1 metric is a scalar and
+    is applied by division; larger ones go through ``eigh``.  A metric that is
+    not positive definite raises NotLogConcaveError (``newton``) or
+    DampingTooSmallError naming the damping it would need.
+    """
+    neg = -np.asarray(hess, dtype=np.float64)
+    d = neg.shape[-1]
+    if d > DENSE_DIM_CAP:
+        raise ValueError(f"dense preconditioning capped at d <= {DENSE_DIM_CAP}")
+    if d == 1:
+        g = neg[..., 0, 0] + lam
+    else:
+        w, v = np.linalg.eigh(neg)
+        g = w + lam
+    gmin = float(g.min())
+    if gmin <= 0.0:
+        if newton:
+            raise NotLogConcaveError(f"-hessian has min eigenvalue {gmin:.3e} <= 0; Newton step undefined")
+        raise DampingTooSmallError(
+            f"lam={lam:g} leaves the damped curvature indefinite; need lam > {lam - gmin:.6g}"
+        )
+    if d == 1:
+        drift = score[..., 0] / g
+        if third is not None:
+            drift = drift + third[..., 0, 0, 0] / (g * g)
+        return drift[..., None], (xi[..., 0] / np.sqrt(g))[..., None]
+    drift = _eig_apply(g, v, score, -1.0)
+    if third is not None:
+        # div(P)_i = sum_j [P (dH/dx_j) P]_{ij}; dP = P dH P for P = (-H + lam I)^{-1}.
+        p = np.einsum("...ij,...j,...kj->...ik", v, 1.0 / g, v)
+        drift = drift + np.einsum("...ia,...abj,...bj->...i", p, third, p)
+    return drift, _eig_apply(g, v, xi, -0.5)
+
+
 def newton_langevin_step(x, score_fn, hessian_fn, h: float, rng: np.random.Generator):
     """Langevin preconditioned by P = (-grad^2 log p)^{-1}.
 
     Requires the target to be log-concave at x; noise enters through the
-    symmetric square root P^{1/2}.
+    symmetric square root P^{1/2}.  This is the exact metric of
+    :func:`damped_step` at lam = 0, for any score and Hessian callables.
     """
     if not h > 0.0:
         raise ValueError("step size h must be > 0")
     x = np.asarray(x, dtype=np.float64)
-    w, v = _eig_neg_hessian(hessian_fn(x))
-    if np.any(w <= 0.0):
-        raise NotLogConcaveError(
-            f"-hessian has min eigenvalue {float(w.min()):.3e} <= 0; Newton step undefined"
-        )
-    s = score_fn(x)
-    xi = rng.standard_normal(x.shape)
-    drift = _eig_apply(w, v, s, -1.0)
-    noise = _eig_apply(w, v, xi, -0.5)
+    drift, noise = _metric_drift_noise(hessian_fn(x), score_fn(x), rng.standard_normal(x.shape), 0.0, newton=True)
     return x + h * drift + np.sqrt(2.0 * h) * noise
-
-
-def _damped_exact_parts(oracle: GaussianMixtureOracle, x, t: float, lam: float, corrected: bool):
-    """Drift pieces P*score (+ div P) and a noise map for G = -H + lam*I."""
-    w, v = _eig_neg_hessian(oracle.hessian(x, t))
-    g = w + lam
-    if np.any(g <= 0.0):
-        needed = lam - float(g.min())
-        raise DampingTooSmallError(
-            f"lam={lam:g} leaves the damped curvature indefinite; need lam > {needed:.6g}"
-        )
-    s = oracle.score(x, t)
-    drift = _eig_apply(g, v, s, -1.0)
-    if corrected:
-        # div(P)_i = sum_j [P (dH/dx_j) P]_{ij}; dP = P dH P for P = (-H + lam I)^{-1}.
-        third = oracle.hessian_grad(x, t)
-        if third.ndim == 3:
-            third = third[None]
-        p = np.einsum("...ij,...j,...kj->...ik", v, 1.0 / g, v)
-        div_p = np.einsum("mia,mabj,mbj->mi", p, third, p)
-        drift = drift + (div_p[0] if drift.ndim == 1 else div_p)
-    return drift, lambda xi: _eig_apply(g, v, xi, -0.5)
 
 
 def damped_step(
@@ -154,12 +157,20 @@ def damped_step(
 ):
     """Langevin step under the damped curvature metric G = curvature + lam*I.
 
-    mode ``"exact"`` builds G from the oracle's exact Hessian (lam = 0 is pure
-    Newton); mode ``"rank1"`` uses the O(d) damped rank-1 proxy built from the
-    oracle's noise prediction, with its closed-form square root.  With
-    ``corrected=True`` the drift gains the analytic divergence term h*div(P)
-    that removes the bias a state-dependent preconditioner induces on the
-    Euler chain (exact mode only).
+    Every preconditioned variant takes the one update
+    x' = x + h (P s + div P) + sqrt(2h) P^{1/2} xi with P = G^{-1}:
+
+    * mode ``"exact"`` builds G from the oracle's exact Hessian; fixed-level
+      ``damped-exact`` and ``damped-exact-corrected`` run here.  lam = 0 is
+      pure Newton, the metric :func:`newton_langevin_step` uses (which raises
+      NotLogConcaveError where this raises DampingTooSmallError).
+    * mode ``"rank1"`` uses the O(d) damped rank-1 proxy built from the
+      oracle's noise prediction, with its closed-form square root; fixed-level
+      ``damped-lm`` runs here.
+
+    With ``corrected=True`` the drift gains the analytic divergence term
+    div(P) that removes the bias a state-dependent preconditioner induces on
+    the Euler chain (exact mode only); otherwise div P is dropped.
     """
     if not h > 0.0:
         raise ValueError("step size h must be > 0")
@@ -168,9 +179,10 @@ def damped_step(
     x = np.asarray(x, dtype=np.float64)
     xi = rng.standard_normal(x.shape)
     if mode == "exact":
-        drift, noise_map = _damped_exact_parts(oracle, x, t, lam, corrected)
-        return x + h * drift + np.sqrt(2.0 * h) * noise_map(xi)
-    if mode == "rank1":
+        hess, s = oracle.hessian(x, t), oracle.score(x, t)
+        third = oracle.hessian_grad(x, t) if corrected else None
+        drift, noise = _metric_drift_noise(hess, s, xi, lam, newton=False, third=third)
+    elif mode == "rank1":
         if corrected:
             raise ValueError("divergence correction is implemented for exact mode only")
         if not lam > 0.0:
@@ -180,8 +192,9 @@ def damped_step(
         s = oracle.score(x, t)
         drift = damped_inverse_apply(eps, float(sigma), lam, s)
         noise = damped_inverse_sqrt_apply(eps, float(sigma), lam, xi)
-        return x + h * drift + np.sqrt(2.0 * h) * noise
-    raise ValueError(f"unknown damped mode {mode!r}")
+    else:
+        raise ValueError(f"unknown damped mode {mode!r}")
+    return x + h * drift + np.sqrt(2.0 * h) * noise
 
 
 def _step_scalars(schedule: NoiseSchedule, grid: TimestepGrid, i: int):
@@ -234,6 +247,30 @@ def multistep2_step(x, eps_hat, prev_eps_hat, i: int, grid: TimestepGrid, schedu
 
 
 # ---------------------------------------------------------------------------
+# chain-block driver
+
+
+def _run_chain_blocks(seed: int, chains: int, threads: int, run_block) -> np.ndarray:
+    """Run ``run_block(gen, rows)`` once per chain block and join the results along axis 1.
+
+    Each block draws from its own stream of :mod:`.rng`, and the partition
+    depends only on chain index, so the result does not depend on ``threads``.
+    """
+    bounds = _rng.block_bounds(chains)
+
+    def one(b: int) -> np.ndarray:
+        lo, hi = bounds[b]
+        return run_block(_rng.stream(seed, b), hi - lo)
+
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            results = list(pool.map(one, range(len(bounds))))
+    else:
+        results = [one(b) for b in range(len(bounds))]
+    return np.concatenate(results, axis=1)
+
+
+# ---------------------------------------------------------------------------
 # denoising runs
 
 
@@ -277,15 +314,15 @@ class SamplerRun:
         return self.states[-1]
 
 
-def lml_sample(cfg: SamplerConfig, provider: ScoreProvider, threads: int = 1) -> SamplerRun:
+def lml_sample(cfg: SamplerConfig, provider: ScoreProvider) -> SamplerRun:
     """Run the guided (or baseline) denoiser over a fresh uniform grid.
 
     Starts from x ~ N(0, sigma(t_max)^2 I).  When cfg.geometry is set, every
     raw prediction is passed through lm_guided_eps and the solver consumes the
     guided value, which also becomes the multistep history; the guided
     prediction keeps the raw prediction's norm at every step by construction.
-    ``threads`` never changes results; stepping is deterministic given the
-    initial draw, which is block-split by chain index.
+    Stepping is deterministic given the initial draw, which is block-split by
+    chain index.
     """
     grid = make_grid(cfg.schedule, cfg.n_steps, cfg.eps_clip)
     d = provider.dim
@@ -358,13 +395,9 @@ def annealed_langevin_sample(
     _, sigma_top = cfg.schedule.alpha_sigma(grid.level_time(n))
     sigma_top = float(sigma_top)
 
-    states = np.empty((n + 1, m, d), dtype=np.float64)
-    step_times = np.empty(n, dtype=np.float64)
-
-    def run_block(b: int, lo: int, hi: int) -> np.ndarray:
-        gen = _rng.stream(cfg.seed, b)
-        xb = sigma_top * gen.standard_normal((hi - lo, d))
-        out = np.empty((n + 1, hi - lo, d), dtype=np.float64)
+    def run_block(gen, rows: int) -> np.ndarray:
+        xb = sigma_top * gen.standard_normal((rows, d))
+        out = np.empty((n + 1, rows, d), dtype=np.float64)
         out[0] = xb
         for k, level in enumerate(range(n, 0, -1)):
             # Langevin targets the *next* (less noisy) level, annealing downward.
@@ -379,16 +412,9 @@ def annealed_langevin_sample(
             out[k + 1] = xb
         return out
 
-    bounds = _rng.block_bounds(m)
     tic = time.perf_counter()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda args: run_block(*args), [(b, lo, hi) for b, (lo, hi) in enumerate(bounds)]))
-    else:
-        results = [run_block(b, lo, hi) for b, (lo, hi) in enumerate(bounds)]
-    for (lo, hi), res in zip(bounds, results):
-        states[:, lo:hi] = res
-    step_times[:] = (time.perf_counter() - tic) / n
+    states = _run_chain_blocks(cfg.seed, m, threads, run_block)
+    step_times = np.full(n, (time.perf_counter() - tic) / n)
     return SamplerRun(grid=grid, states=states, seed=cfg.seed, step_times=step_times)
 
 
@@ -461,9 +487,6 @@ def _fixed_level_kernel(cfg: FixedLevelConfig, oracle: GaussianMixtureOracle):
     """Build the per-step transition closure for the configured variant."""
     t, lam, h = cfg.t, cfg.lam, cfg.h
     root = np.sqrt(2.0 * h)
-    d = oracle.dim
-    _, sigma = oracle.schedule.alpha_sigma(t)
-    sigma = float(sigma)
 
     if cfg.variant == "plain-langevin":
 
@@ -472,25 +495,14 @@ def _fixed_level_kernel(cfg: FixedLevelConfig, oracle: GaussianMixtureOracle):
 
         return kernel
 
-    if cfg.variant == "damped-lm":
-
-        def kernel(x, gen):
-            eps = oracle.eps(x, t)
-            drift = damped_inverse_apply(eps, sigma, lam, oracle.score(x, t))
-            noise = damped_inverse_sqrt_apply(eps, sigma, lam, gen.standard_normal(x.shape))
-            return x + h * drift + root * noise
-
-        return kernel
-
-    corrected = cfg.variant == "damped-exact-corrected"
     newton = cfg.variant == "newton"
-
-    if d == 1 and oracle.n_components == 1:
+    if oracle.dim == 1 and oracle.n_components == 1 and cfg.variant != "damped-lm":
         # Single-component marginal: curvature is the constant 1/sigma^2 and
         # the third derivative vanishes, so the whole step contracts to an
         # exact OU update.  Big ensembles would otherwise pay the generic
         # posterior machinery per step for no change in output distribution.
-        alpha, _ = oracle.schedule.alpha_sigma(t)
+        alpha, sigma = oracle.schedule.alpha_sigma(t)
+        sigma = float(sigma)
         mu = float(alpha) * float(oracle.centers[0, 0])
         g = 1.0 / (sigma * sigma) + (0.0 if newton else lam)
         c1 = h / (sigma * sigma * g)
@@ -501,36 +513,13 @@ def _fixed_level_kernel(cfg: FixedLevelConfig, oracle: GaussianMixtureOracle):
 
         return kernel
 
-    if d == 1:
-        # Scalar fast path: dense eigenwork would dominate the big 1-d ensembles.
-        def kernel(x, gen):
-            neg_h = -oracle.hessian(x, t)[..., 0, 0]
-            g = neg_h if newton else neg_h + lam
-            gmin = float(g.min()) if g.ndim else float(g)
-            if gmin <= 0.0:
-                if newton:
-                    raise NotLogConcaveError(f"-hessian min eigenvalue {gmin:.3e} <= 0")
-                raise DampingTooSmallError(
-                    f"lam={lam:g} leaves the damped curvature indefinite; need lam > {lam - gmin:.6g}"
-                )
-            drift = oracle.score(x, t)[..., 0] / g
-            if corrected:
-                third = oracle.hessian_grad(x, t)[..., 0, 0, 0]
-                drift = drift + third / (g * g)
-            sd = gen.standard_normal(x.shape[:-1]) / np.sqrt(g)
-            return x + (h * drift + root * sd)[..., None]
-
-        return kernel
-
-    if newton:
-
-        def kernel(x, gen):
-            return newton_langevin_step(x, lambda y: oracle.score(y, t), lambda y: oracle.hessian(y, t), h, gen)
-
-        return kernel
+    mode = "rank1" if cfg.variant == "damped-lm" else "exact"
+    corrected = cfg.variant == "damped-exact-corrected"
 
     def kernel(x, gen):
-        return damped_step(x, oracle, t, lam, h, gen, mode="exact", corrected=corrected)
+        if newton:
+            return newton_langevin_step(x, lambda y: oracle.score(y, t), lambda y: oracle.hessian(y, t), h, gen)
+        return damped_step(x, oracle, t, lam, h, gen, mode=mode, corrected=corrected)
 
     return kernel
 
@@ -545,12 +534,10 @@ def fixed_level_run(cfg: FixedLevelConfig, oracle: GaussianMixtureOracle, thread
     d = oracle.dim
     snap = _snapshot_steps(cfg)
     kernel = _fixed_level_kernel(cfg, oracle)
-    states = np.empty((snap.size, cfg.chains, d), dtype=np.float64)
 
-    def run_block(b: int, lo: int, hi: int) -> np.ndarray:
-        gen = _rng.stream(cfg.seed, b)
-        xb = cfg.init_mean + cfg.init_std * gen.standard_normal((hi - lo, d))
-        out = np.empty((snap.size, hi - lo, d), dtype=np.float64)
+    def run_block(gen, rows: int) -> np.ndarray:
+        xb = cfg.init_mean + cfg.init_std * gen.standard_normal((rows, d))
+        out = np.empty((snap.size, rows, d), dtype=np.float64)
         cursor = 0
         if snap[0] == 0:
             out[0] = xb
@@ -562,16 +549,7 @@ def fixed_level_run(cfg: FixedLevelConfig, oracle: GaussianMixtureOracle, thread
                 cursor += 1
         return out
 
-    bounds = _rng.block_bounds(cfg.chains)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(
-                pool.map(lambda args: run_block(*args), [(b, lo, hi) for b, (lo, hi) in enumerate(bounds)])
-            )
-    else:
-        results = [run_block(b, lo, hi) for b, (lo, hi) in enumerate(bounds)]
-    for (lo, hi), res in zip(bounds, results):
-        states[:, lo:hi] = res
+    states = _run_chain_blocks(cfg.seed, cfg.chains, threads, run_block)
     if not np.all(np.isfinite(states)):
         raise FloatingPointError("fixed-level run produced non-finite states")
     return FixedLevelRun(config=cfg, snapshot_steps=snap, times=snap * cfg.h, states=states)

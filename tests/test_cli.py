@@ -108,6 +108,15 @@ def test_assert_threshold_failure_is_exit_4(tmp_path) -> None:
     assert (out / "meta.json").exists()  # results are still written for inspection
 
 
+def test_bench_assert_without_threshold_passes(tmp_path) -> None:
+    # bench has no default ratio_max, so --assert gates only on a configured one.
+    doc = {"d": 256, "reps": 10}
+    out = tmp_path / "out"
+    rc = main(["bench", "--config", _write(tmp_path, "c.json", doc), "--out", str(out), "--assert"])
+    assert rc == 0
+    assert (out / "meta.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # sample command
 

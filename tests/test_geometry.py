@@ -164,10 +164,9 @@ def test_low_rank_hessian_dense() -> None:
     eps = np.array([3.0, 4.0])
     h = low_rank_hessian(eps, sigma_t=2.0)
     # scale = 1 / (sigma^2 ||eps||^2) = 1 / (4 * 25)
-    assert h.scale == pytest.approx(0.01)
-    np.testing.assert_allclose(h.dense(), 0.01 * np.outer(eps, eps))
+    np.testing.assert_allclose(h, 0.01 * np.outer(eps, eps))
     # eigenvalue along eps is 1/sigma^2, the Gaussian reference curvature
-    evals = np.linalg.eigvalsh(h.dense())
+    evals = np.linalg.eigvalsh(h)
     assert evals[-1] == pytest.approx(0.25)
     with pytest.raises(DegenerateDirectionError):
         low_rank_hessian(np.zeros(2), 1.0)
@@ -179,7 +178,7 @@ def test_damped_inverse_dense_is_true_inverse() -> None:
         eps = rng.normal(size=d)
         sigma, lam = 0.8, 0.05
         dense = damped_inverse_dense(eps, sigma, lam)
-        target = low_rank_hessian(eps, sigma).dense() + lam * np.eye(d)
+        target = low_rank_hessian(eps, sigma) + lam * np.eye(d)
         np.testing.assert_allclose(dense @ target, np.eye(d), atol=1e-12)
 
 

@@ -183,22 +183,6 @@ def test_guided_huge_lam_matches_kappa_zero() -> None:
     assert np.abs(a.states - b.states).max() / scale < 1e-6
 
 
-def test_threads_do_not_change_results() -> None:
-    sch = NoiseSchedule.vp_linear()
-    orc = _mixture2d(sch)
-    cfg = SamplerConfig(
-        n_steps=10,
-        solver_order=2,
-        geometry=DampedGeometryConfig(lam=1e-3, kappa=1e-4),
-        schedule=sch,
-        seed=1,
-        chains=5000,  # spans two rng blocks
-    )
-    a = lml_sample(cfg, orc, threads=1)
-    b = lml_sample(cfg, orc, threads=2)
-    assert np.array_equal(a.states, b.states)
-
-
 def test_float32_run() -> None:
     sch = NoiseSchedule.vp_linear()
     orc = _mixture2d(sch)
@@ -346,6 +330,19 @@ def test_newton_gaussian_stationary() -> None:
     assert xs.var(ddof=1) == pytest.approx(v_fix, rel=5 * math.sqrt(2.0 / (chains - 1)))
 
 
+def test_newton_equals_damped_exact_at_zero_lam() -> None:
+    # Newton is the exact damped metric at lam = 0: on a duplicated-center
+    # oracle (log-concave, and off the single-component OU shortcut) both
+    # variants must take bit-identical steps, on the scalar and the eigh path.
+    sch = _unit_sigma_schedule()
+    for centers in ([[0.4], [0.4]], [[0.4, -0.2], [0.4, -0.2]]):
+        orc = GaussianMixtureOracle(centers, None, sch)
+        kw = dict(t=0.5, h=0.02, n_steps=40, lam=0.0, chains=500, snapshot_every=10, seed=14)
+        a = fixed_level_run(FixedLevelConfig(variant="newton", **kw), orc)
+        b = fixed_level_run(FixedLevelConfig(variant="damped-exact", **kw), orc)
+        assert np.array_equal(a.states, b.states)
+
+
 def test_newton_rejects_nonconcave_region() -> None:
     sch = NoiseSchedule.ve(0.01, 100.0)
     orc = GaussianMixtureOracle([[1.0], [-1.0]], None, sch)
@@ -402,6 +399,9 @@ def test_corrected_drift_matches_fd_divergence() -> None:
         pm = np.linalg.inv(-orc.hessian(x - e, t) + lam * np.eye(2))
         fd += (pp[:, :, j] - pm[:, :, j]) / (2 * step)
     np.testing.assert_allclose(div_impl, fd, rtol=1e-5, atol=1e-8)
+    # a single (d,) point takes the same corrected step as its row of a batch
+    single = damped_step(x[0], orc, t, lam, h, stream(99), mode="exact", corrected=True)
+    np.testing.assert_array_equal(single, run_once(True)[0])
 
 
 def test_fixed_level_snapshots() -> None:
