@@ -7,6 +7,10 @@ the canonical config hash and seed in every file.  Reruns with the same
 config and seed are byte-identical except for the meta.json "timing" object,
 regardless of --threads.
 
+Each command returns its report, its timing fields and its --assert failure
+(or None); :func:`main` times the whole invocation, writes meta.json and turns
+a failure under --assert into exit 4.
+
 Exit codes: 0 success, 2 invalid config, 3 numeric or I/O failure while
 running, 4 threshold violated under --assert.
 """
@@ -24,10 +28,7 @@ import numpy as np
 from . import rng as _rng
 from .config import (
     COMMAND_SCHEMAS,
-    COMPARE_VARIANTS,
-    DEFAULT_GEOMETRY_GRID,
     ConfigError,
-    build_geometry,
     build_oracle,
     build_schedule,
     config_hash,
@@ -54,10 +55,9 @@ from .samplers import (
     fixed_level_run,
     lml_sample,
 )
+from .schedule import make_grid
 
 __all__ = ["main"]
-
-_COMMANDS = ("sample", "compare", "stationarity", "convergence", "hessian-error", "bench")
 
 
 # ---------------------------------------------------------------------------
@@ -79,60 +79,6 @@ def _write_csv(path: Path, comment: str, header: list, rows: list) -> None:
     lines = [comment, ",".join(header)]
     lines += [",".join(cells) for cells in rows]
     path.write_text("\n".join(lines) + "\n")
-
-
-def _write_meta(path: Path, report: DiagnosticsReport, timing: dict) -> None:
-    doc = report.as_dict()
-    doc["timing"] = timing  # the one rerun-variable section
-    path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
-
-
-# ---------------------------------------------------------------------------
-# defaults: materialized into the document before hashing, so spelled-out
-# defaults and omitted keys produce the same effective config and hash
-
-
-def _setdefaults(block: dict, **defaults) -> dict:
-    for key, val in defaults.items():
-        block.setdefault(key, val)
-    return block
-
-
-def _apply_defaults(command: str, doc: dict) -> dict:
-    if command == "sample":
-        _setdefaults(
-            doc["sampler"], order=1, geometry=None, chains=1, seed=0, eps_clip=1e-3, dtype="float64"
-        )
-        geo = doc["sampler"]["geometry"]
-        if geo is not None:
-            _setdefaults(geo, kappa=1e-8)
-        _setdefaults(doc.setdefault("diagnostics", {}), n_projections=64)
-    elif command == "compare":
-        _setdefaults(
-            doc,
-            variants=list(COMPARE_VARIANTS),
-            geometry_grid=[dict(g) for g in DEFAULT_GEOMETRY_GRID],
-            eps_clip=1e-3,
-        )
-        for item in doc["geometry_grid"]:
-            _setdefaults(item, kappa=1e-8)
-        _setdefaults(doc.setdefault("annealed", {}), inner_steps=1, step_scale=0.1)
-        _setdefaults(doc.setdefault("diagnostics", {}), n_projections=64)
-        _setdefaults(doc.setdefault("assert", {}), lml_not_worse=True)
-    elif command == "stationarity":
-        _setdefaults(doc, lam=0.0, burn_in=0, seed=0, histogram_bins=64)
-        _setdefaults(doc.setdefault("init", {}), mean=0.0, std=1.0)
-        _setdefaults(doc.setdefault("assert", {}), ks_max=0.02)
-    elif command == "convergence":
-        _setdefaults(doc, seed=0, snapshot_every=max(1, doc["n_steps"] // 200), fit_window=[3e-3, 0.2])
-        _setdefaults(doc.setdefault("init", {}), mean=0.5, std=1.0)
-        _setdefaults(doc.setdefault("assert", {}), rate_rel_tol=0.15, r2_min=0.95)
-    elif command == "hessian-error":
-        _setdefaults(doc, fd_step=1e-4, seed=0)
-        _setdefaults(doc.setdefault("assert", {}), max_violations=0)
-    elif command == "bench":
-        _setdefaults(doc, reps=200, seed=0)
-    return doc
 
 
 def _apply_seed_override(command: str, doc: dict, seed) -> dict:
@@ -163,6 +109,10 @@ def _build_context(command: str, doc: dict) -> dict:
         if command == "hessian-error":
             for t in doc["ts"]:
                 ctx["schedule"].alpha_sigma(t)
+        if command == "sample":
+            make_grid(ctx["schedule"], 1, doc["sampler"]["eps_clip"])
+        if command == "compare":
+            make_grid(ctx["schedule"], 1, doc["eps_clip"])
     except ValueError as exc:
         raise ConfigError(f"config: time out of schedule range: {exc}") from exc
     if command in ("stationarity", "convergence") and ctx["oracle"].dim != 1:
@@ -173,9 +123,10 @@ def _build_context(command: str, doc: dict) -> dict:
             raise ConfigError("config.lams: damped-lm requires every lam > 0")
         if variant in ("newton", "plain-langevin") and any(l != 0.0 for l in doc["lams"]):
             raise ConfigError(f"config.lams: {variant} takes no damping; use lams=[0]")
-        lo, hi = doc["fit_window"]
-        if not lo < hi:
+        window = doc["fit_window"]
+        if len(window) != 2 or not window[0] < window[1]:
             raise ConfigError("config.fit_window: must be [low, high] with low < high")
+        doc.setdefault("snapshot_every", max(1, doc["n_steps"] // 200))
     if command == "stationarity" and doc["variant"] == "damped-lm" and doc["lam"] == 0.0:
         raise ConfigError("config.lam: damped-lm requires lam > 0")
     if command == "compare":
@@ -185,20 +136,6 @@ def _build_context(command: str, doc: dict) -> dict:
                 f"config.nfe: smallest NFE {min(doc['nfe'])} cannot fund one annealed level "
                 f"of {inner} inner steps"
             )
-    if command == "sample":
-        try:
-            ctx["sampler_config"] = SamplerConfig(
-                n_steps=doc["sampler"]["n_steps"],
-                solver_order=doc["sampler"]["order"],
-                geometry=build_geometry(doc["sampler"]["geometry"]),
-                schedule=ctx["schedule"],
-                seed=doc["sampler"]["seed"],
-                chains=doc["sampler"]["chains"],
-                eps_clip=doc["sampler"]["eps_clip"],
-                dtype=doc["sampler"]["dtype"],
-            )
-        except ValueError as exc:
-            raise ConfigError(f"config.sampler: {exc}") from exc
     return ctx
 
 
@@ -206,12 +143,20 @@ def _build_context(command: str, doc: dict) -> dict:
 # commands
 
 
-def _cmd_sample(doc, ctx, chash, out: Path, threads: int, do_assert: bool) -> int:
-    scfg = ctx["sampler_config"]
+def _cmd_sample(doc, ctx, chash, out: Path, threads: int):
     oracle = ctx["oracle"]
-    tic = time.perf_counter()
+    block = doc["sampler"]
+    scfg = SamplerConfig(
+        n_steps=block["n_steps"],
+        solver_order=block["order"],
+        geometry=None if block["geometry"] is None else DampedGeometryConfig(**block["geometry"]),
+        schedule=ctx["schedule"],
+        seed=block["seed"],
+        chains=block["chains"],
+        eps_clip=block["eps_clip"],
+        dtype=block["dtype"],
+    )
     run = lml_sample(scfg, oracle)
-    total = time.perf_counter() - tic
     finals = np.atleast_2d(run.final_states)
 
     header = ["chain_id"] + [f"x{j}" for j in range(oracle.dim)]
@@ -241,8 +186,7 @@ def _cmd_sample(doc, ctx, chash, out: Path, threads: int, do_assert: bool) -> in
             "files": ["samples.csv"],
         },
     )
-    _write_meta(out / "meta.json", report, {"total_s": total, "per_step_s": list(run.step_times)})
-    return 0
+    return report, {"per_step_s": list(run.step_times)}, None
 
 
 def _compare_run(variant, geo, nfe, seed, doc, ctx, threads):
@@ -266,11 +210,10 @@ def _compare_run(variant, geo, nfe, seed, doc, ctx, threads):
     return lml_sample(scfg, oracle).final_states
 
 
-def _cmd_compare(doc, ctx, chash, out: Path, threads: int, do_assert: bool) -> int:
+def _cmd_compare(doc, ctx, chash, out: Path, threads: int):
     oracle = ctx["oracle"]
     nfe_list, seeds, variants = doc["nfe"], doc["seeds"], doc["variants"]
     n_proj = doc["diagnostics"]["n_projections"]
-    tic = time.perf_counter()
 
     truths = {s: oracle.sample_data(_rng.stream(s, _rng.GT_STREAM_OFFSET), doc["chains"]) for s in seeds}
 
@@ -282,7 +225,7 @@ def _cmd_compare(doc, ctx, chash, out: Path, threads: int, do_assert: bool) -> i
         else:
             plan.append((variant, None))
     for variant, gdict in plan:
-        geo = None if gdict is None else DampedGeometryConfig(lam=gdict["lam"], kappa=gdict["kappa"])
+        geo = None if gdict is None else DampedGeometryConfig(**gdict)
         cells = {}
         for nfe in nfe_list:
             vals = np.array(
@@ -342,16 +285,9 @@ def _cmd_compare(doc, ctx, chash, out: Path, threads: int, do_assert: bool) -> i
             "files": ["compare.csv"],
         },
     )
-    _write_meta(out / "meta.json", report, {"total_s": time.perf_counter() - tic})
-
-    if do_assert and doc["assert"]["lml_not_worse"] and failed_orders:
-        print(
-            f"assert failed: no (lam, kappa) matches or beats baseline at every NFE "
-            f"for order(s) {failed_orders}",
-            file=sys.stderr,
-        )
-        return 4
-    return 0
+    failed = doc["assert"]["lml_not_worse"] and bool(failed_orders)
+    msg = f"no (lam, kappa) matches or beats baseline at every NFE for order(s) {failed_orders}"
+    return report, {}, msg if failed else None
 
 
 def _fixed_cfg(doc, lam: float, snapshot_every) -> FixedLevelConfig:
@@ -362,7 +298,6 @@ def _fixed_cfg(doc, lam: float, snapshot_every) -> FixedLevelConfig:
         variant=doc["variant"],
         lam=lam,
         chains=doc["chains"],
-        burn_in=doc["burn_in"] if "burn_in" in doc else 0,
         snapshot_every=snapshot_every,
         init_mean=doc["init"]["mean"],
         init_std=doc["init"]["std"],
@@ -370,10 +305,9 @@ def _fixed_cfg(doc, lam: float, snapshot_every) -> FixedLevelConfig:
     )
 
 
-def _cmd_stationarity(doc, ctx, chash, out: Path, threads: int, do_assert: bool) -> int:
+def _cmd_stationarity(doc, ctx, chash, out: Path, threads: int):
     oracle = ctx["oracle"]
     t = doc["t"]
-    tic = time.perf_counter()
     run = fixed_level_run(_fixed_cfg(doc, doc["lam"], None), oracle, threads=threads)
     retained = run.final_states[:, 0]
 
@@ -406,12 +340,8 @@ def _cmd_stationarity(doc, ctx, chash, out: Path, threads: int, do_assert: bool)
             "files": ["histogram.csv"],
         },
     )
-    _write_meta(out / "meta.json", report, {"total_s": time.perf_counter() - tic})
-
-    if do_assert and ks > doc["assert"]["ks_max"]:
-        print(f"assert failed: ks={ks:.5f} > {doc['assert']['ks_max']}", file=sys.stderr)
-        return 4
-    return 0
+    ks_max = doc["assert"]["ks_max"]
+    return report, {}, f"ks={ks:.5f} > {ks_max}" if ks > ks_max else None
 
 
 def _gaussian_chi2_stderr(m: float, s: float, m2: float, s2: float, n: int) -> float:
@@ -439,13 +369,12 @@ def _reference_rate(variant: str, lam: float, sigma: float):
     return None  # damped-lm: state-dependent preconditioner, no closed form
 
 
-def _cmd_convergence(doc, ctx, chash, out: Path, threads: int, do_assert: bool) -> int:
+def _cmd_convergence(doc, ctx, chash, out: Path, threads: int):
     oracle = ctx["oracle"]
     t = doc["t"]
     alpha, sigma = (float(v) for v in oracle.schedule.alpha_sigma(t))
     single = oracle.n_components == 1
     lo, hi = doc["fit_window"]
-    tic = time.perf_counter()
 
     if not single:
         edges = equal_mass_edges(lambda q: oracle.marginal_quantile(q, t), 64)
@@ -508,17 +437,11 @@ def _cmd_convergence(doc, ctx, chash, out: Path, threads: int, do_assert: bool) 
         metrics=metrics,
         extra={"variant": doc["variant"], "t": t, "h": doc["h"], "per_lam": details, "files": files},
     )
-    _write_meta(out / "meta.json", report, {"total_s": time.perf_counter() - tic})
-
-    if do_assert and not ok:
-        print("assert failed: fitted rate or fit quality outside tolerance; see meta.json", file=sys.stderr)
-        return 4
-    return 0
+    return report, {}, None if ok else "fitted rate or fit quality outside tolerance; see meta.json"
 
 
-def _cmd_hessian_error(doc, ctx, chash, out: Path, threads: int, do_assert: bool) -> int:
+def _cmd_hessian_error(doc, ctx, chash, out: Path, threads: int):
     oracle = ctx["oracle"]
-    tic = time.perf_counter()
     rows = []
     per_t = []
     violations = 0
@@ -551,14 +474,11 @@ def _cmd_hessian_error(doc, ctx, chash, out: Path, threads: int, do_assert: bool
         metrics={"violations": float(violations)},
         extra={"per_t": per_t, "n_points": doc["n_points"], "files": ["bound_check.csv"]},
     )
-    _write_meta(out / "meta.json", report, {"total_s": time.perf_counter() - tic})
-    if do_assert and violations > doc["assert"]["max_violations"]:
-        print(f"assert failed: {violations} bound violations", file=sys.stderr)
-        return 4
-    return 0
+    failed = violations > doc["assert"]["max_violations"]
+    return report, {}, f"{violations} bound violations" if failed else None
 
 
-def _cmd_bench(doc, ctx, chash, out: Path, threads: int, do_assert: bool) -> int:
+def _cmd_bench(doc, ctx, chash, out: Path, threads: int):
     res = overhead_benchmark(d=doc["d"], reps=doc["reps"], seed=doc["seed"])
     report = DiagnosticsReport(
         command="bench",
@@ -566,18 +486,12 @@ def _cmd_bench(doc, ctx, chash, out: Path, threads: int, do_assert: bool) -> int
         seed=doc["seed"],
         extra={"d": res.d, "reps": res.reps},
     )
-    _write_meta(
-        out / "meta.json",
-        report,
-        {"baseline_ns": res.baseline_ns, "lml_ns": res.lml_ns, "ratio": res.ratio},
-    )
+    timing = {"baseline_ns": res.baseline_ns, "lml_ns": res.lml_ns, "ratio": res.ratio}
     # bench gates only on a threshold the config sets: no default is reachable
     # on every machine, and the guided update always costs more than the axpy.
     ratio_max = doc.get("assert", {}).get("ratio_max")
-    if do_assert and ratio_max is not None and res.ratio > ratio_max:
-        print(f"assert failed: overhead ratio {res.ratio:.4f} > {ratio_max}", file=sys.stderr)
-        return 4
-    return 0
+    failed = ratio_max is not None and res.ratio > ratio_max
+    return report, timing, f"overhead ratio {res.ratio:.4f} > {ratio_max}" if failed else None
 
 
 _DISPATCH = {
@@ -608,12 +522,13 @@ def _parser() -> argparse.ArgumentParser:
     )
     parser = argparse.ArgumentParser(prog="lmlangevin", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name in _DISPATCH:
         sub.add_parser(name, parents=[shared])
     return parser
 
 
 def main(argv=None) -> int:
+    tic = time.perf_counter()
     args = _parser().parse_args(argv)
     try:
         raw = Path(args.config).read_text()
@@ -627,7 +542,6 @@ def main(argv=None) -> int:
         return 2
     try:
         validate_config(doc, COMMAND_SCHEMAS[args.command])
-        doc = _apply_defaults(args.command, doc)
         doc = _apply_seed_override(args.command, doc, args.seed)
         ctx = _build_context(args.command, doc)
     except ConfigError as exc:
@@ -640,7 +554,10 @@ def main(argv=None) -> int:
     out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
-        return _DISPATCH[args.command](doc, ctx, chash, out, args.threads, args.do_assert)
+        report, timing, failure = _DISPATCH[args.command](doc, ctx, chash, out, args.threads)
+        meta = report.as_dict()
+        meta["timing"] = {"total_s": time.perf_counter() - tic, **timing}  # the one rerun-variable section
+        (out / "meta.json").write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
     except (
         FloatingPointError,
         NotLogConcaveError,
@@ -654,6 +571,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o failure: {exc}", file=sys.stderr)
         return 3
+    if args.do_assert and failure is not None:
+        print(f"assert failed: {failure}", file=sys.stderr)
+        return 4
+    return 0
 
 
 if __name__ == "__main__":

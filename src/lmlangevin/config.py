@@ -3,19 +3,21 @@
 Configs are plain JSON documents, one per command invocation.  Validation is
 total and happens before any computation: unknown keys anywhere in the tree
 are rejected, as are wrong types and out-of-range values, so a typo can never
-silently fall back to a default.  A canonical hash of the effective config is
-embedded in every output file, which makes rerun comparisons trivial.
+silently fall back to a default.  Every default is declared once, on its node
+in the command's schema, and validation writes it into the document, so an
+omitted key and the same key spelled out at its default give one effective
+config.  A canonical hash of that effective config is embedded in every
+output file, which makes rerun comparisons trivial.
 """
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
-from typing import Optional
 
 import numpy as np
 
-from .geometry import DampedGeometryConfig
 from .oracle import GaussianMixtureOracle
 from .schedule import COSINE, VE, VP_LINEAR, NoiseSchedule
 from .samplers import FIXED_LEVEL_VARIANTS
@@ -27,10 +29,8 @@ __all__ = [
     "canonical_json",
     "build_schedule",
     "build_oracle",
-    "build_geometry",
     "COMMAND_SCHEMAS",
     "COMPARE_VARIANTS",
-    "DEFAULT_GEOMETRY_GRID",
 ]
 
 
@@ -40,11 +40,6 @@ class ConfigError(ValueError):
 
 # Matrix rows understood by the compare command.
 COMPARE_VARIANTS = ("baseline-o1", "baseline-o2", "annealed", "LML-o1", "LML-o2")
-
-# Default damping/EMA tuning grid swept by compare's guided variants.
-DEFAULT_GEOMETRY_GRID = tuple(
-    {"lam": lam, "kappa": kappa} for lam in (1e-4, 1e-3, 1e-2) for kappa in (1e-8, 1e-4, 1e-2)
-)
 
 
 # ---------------------------------------------------------------------------
@@ -56,7 +51,10 @@ DEFAULT_GEOMETRY_GRID = tuple(
 #   string: choices
 #   array: items node, min_len
 #   bool
-# Any node may set nullable: true.  Objects reject unknown keys.
+# Any node may set nullable: true.  Objects reject unknown keys.  A node under
+# an object key may set "default": when the key is omitted, validation writes
+# a copy of the default into the document and validates it like a supplied
+# value, which in turn fills the defaults nested inside it.
 
 
 def _type_ok(value, kind: str) -> bool:
@@ -76,7 +74,10 @@ def _type_ok(value, kind: str) -> bool:
 
 
 def validate_config(value, schema: dict, path: str = "config") -> None:
-    """Recursively check value against schema; raise ConfigError on any mismatch."""
+    """Recursively check value against schema, filling omitted defaults in place.
+
+    Raises ConfigError on any mismatch.
+    """
     if value is None:
         if schema.get("nullable"):
             return
@@ -85,7 +86,10 @@ def validate_config(value, schema: dict, path: str = "config") -> None:
     if not _type_ok(value, kind):
         raise ConfigError(f"{path}: expected {kind}, got {type(value).__name__}")
     if kind in ("number", "int"):
-        val = float(value)
+        try:
+            val = float(value)
+        except OverflowError:  # an integer beyond float range
+            val = np.inf
         if not np.isfinite(val):
             raise ConfigError(f"{path}: must be finite")
         if "min" in schema and val < schema["min"]:
@@ -110,6 +114,8 @@ def validate_config(value, schema: dict, path: str = "config") -> None:
             if name not in value:
                 raise ConfigError(f"{path}: missing required key {name!r}")
         for name, sub in keys.items():
+            if name not in value and "default" in sub:
+                value[name] = copy.deepcopy(sub["default"])
             if name in value:
                 validate_config(value[name], sub, f"{path}.{name}")
 
@@ -155,51 +161,51 @@ _ORACLE_SCHEMA = {
     },
 }
 
-_GEOMETRY_SCHEMA = {
+# One damped-geometry setting: a compare grid item, or sample's geometry block,
+# which may also be null (the default) for the unguided baseline.
+_GRID_ITEM = {
     "type": "object",
-    "nullable": True,
     "keys": {
         "lam": {"type": "number", "exclusive_min": 0.0},
-        "kappa": {"type": "number", "min": 0.0, "max": 1.0 - 1e-12},
+        "kappa": {"type": "number", "min": 0.0, "max": 1.0 - 1e-12, "default": 1e-8},
     },
     "required": ["lam"],
 }
+_GEOMETRY_SCHEMA = {**_GRID_ITEM, "nullable": True, "default": None}
 
 _SAMPLER_SCHEMA = {
     "type": "object",
     "keys": {
         "n_steps": {"type": "int", "min": 1},
-        "order": {"type": "int", "min": 1, "max": 2},
+        "order": {"type": "int", "min": 1, "max": 2, "default": 1},
         "geometry": _GEOMETRY_SCHEMA,
-        "chains": {"type": "int", "min": 1},
-        "seed": {"type": "int", "min": 0},
-        "eps_clip": {"type": "number", "exclusive_min": 0.0},
-        "dtype": {"type": "string", "choices": ["float64", "float32"]},
+        "chains": {"type": "int", "min": 1, "default": 1},
+        "seed": {"type": "int", "min": 0, "default": 0},
+        "eps_clip": {"type": "number", "exclusive_min": 0.0, "default": 1e-3},
+        "dtype": {"type": "string", "choices": ["float64", "float32"], "default": "float64"},
     },
     "required": ["n_steps"],
 }
 
-_INIT_SCHEMA = {
-    "type": "object",
-    "keys": {
-        "mean": {"type": "number"},
-        "std": {"type": "number", "exclusive_min": 0.0},
-    },
-}
+
+def _init_schema(mean: float) -> dict:
+    return {
+        "type": "object",
+        "default": {},
+        "keys": {
+            "mean": {"type": "number", "default": mean},
+            "std": {"type": "number", "exclusive_min": 0.0, "default": 1.0},
+        },
+    }
+
 
 _DIAG_SCHEMA = {
     "type": "object",
-    "keys": {"n_projections": {"type": "int", "min": 1}},
+    "default": {},
+    "keys": {"n_projections": {"type": "int", "min": 1, "default": 64}},
 }
 
-_GRID_ITEM = {
-    "type": "object",
-    "keys": {
-        "lam": {"type": "number", "exclusive_min": 0.0},
-        "kappa": {"type": "number", "min": 0.0, "max": 1.0 - 1e-12},
-    },
-    "required": ["lam"],
-}
+_SEED = {"type": "int", "min": 0, "default": 0}
 
 
 # ---------------------------------------------------------------------------
@@ -227,22 +233,33 @@ COMMAND_SCHEMAS = {
                 "type": "array",
                 "min_len": 1,
                 "items": {"type": "string", "choices": list(COMPARE_VARIANTS)},
+                "default": list(COMPARE_VARIANTS),
             },
             "chains": {"type": "int", "min": 2},
             "seeds": {"type": "array", "min_len": 1, "items": {"type": "int", "min": 0}},
-            "geometry_grid": {"type": "array", "min_len": 1, "items": _GRID_ITEM},
+            # the damping/EMA tuning grid swept by the guided variants
+            "geometry_grid": {
+                "type": "array",
+                "min_len": 1,
+                "items": _GRID_ITEM,
+                "default": [
+                    {"lam": lam, "kappa": kappa} for lam in (1e-4, 1e-3, 1e-2) for kappa in (1e-8, 1e-4, 1e-2)
+                ],
+            },
             "annealed": {
                 "type": "object",
+                "default": {},
                 "keys": {
-                    "inner_steps": {"type": "int", "min": 1},
-                    "step_scale": {"type": "number", "exclusive_min": 0.0},
+                    "inner_steps": {"type": "int", "min": 1, "default": 1},
+                    "step_scale": {"type": "number", "exclusive_min": 0.0, "default": 0.1},
                 },
             },
-            "eps_clip": {"type": "number", "exclusive_min": 0.0},
+            "eps_clip": {"type": "number", "exclusive_min": 0.0, "default": 1e-3},
             "diagnostics": _DIAG_SCHEMA,
             "assert": {
                 "type": "object",
-                "keys": {"lml_not_worse": {"type": "bool"}},
+                "default": {},
+                "keys": {"lml_not_worse": {"type": "bool", "default": True}},
             },
         },
         "required": ["schedule", "oracle", "nfe", "chains", "seeds"],
@@ -254,17 +271,17 @@ COMMAND_SCHEMAS = {
             "oracle": _ORACLE_SCHEMA,
             "t": {"type": "number", "exclusive_min": 0.0},
             "variant": {"type": "string", "choices": list(FIXED_LEVEL_VARIANTS)},
-            "lam": {"type": "number", "min": 0.0},
+            "lam": {"type": "number", "min": 0.0, "default": 0.0},
             "h": {"type": "number", "exclusive_min": 0.0},
             "n_steps": {"type": "int", "min": 1},
             "chains": {"type": "int", "min": 1},
-            "burn_in": {"type": "int", "min": 0},
-            "init": _INIT_SCHEMA,
-            "seed": {"type": "int", "min": 0},
-            "histogram_bins": {"type": "int", "min": 2},
+            "init": _init_schema(0.0),
+            "seed": _SEED,
+            "histogram_bins": {"type": "int", "min": 2, "default": 64},
             "assert": {
                 "type": "object",
-                "keys": {"ks_max": {"type": "number", "exclusive_min": 0.0}},
+                "default": {},
+                "keys": {"ks_max": {"type": "number", "exclusive_min": 0.0, "default": 0.02}},
             },
         },
         "required": ["schedule", "oracle", "t", "variant", "h", "n_steps", "chains"],
@@ -280,19 +297,22 @@ COMMAND_SCHEMAS = {
             "h": {"type": "number", "exclusive_min": 0.0},
             "n_steps": {"type": "int", "min": 1},
             "chains": {"type": "int", "min": 2},
+            # no default here: it depends on n_steps and is set by the CLI
             "snapshot_every": {"type": "int", "min": 1},
-            "init": _INIT_SCHEMA,
-            "seed": {"type": "int", "min": 0},
+            "init": _init_schema(0.5),
+            "seed": _SEED,
             "fit_window": {
                 "type": "array",
                 "min_len": 2,
                 "items": {"type": "number", "exclusive_min": 0.0},
+                "default": [3e-3, 0.2],
             },
             "assert": {
                 "type": "object",
+                "default": {},
                 "keys": {
-                    "rate_rel_tol": {"type": "number", "exclusive_min": 0.0},
-                    "r2_min": {"type": "number", "min": 0.0, "max": 1.0},
+                    "rate_rel_tol": {"type": "number", "exclusive_min": 0.0, "default": 0.15},
+                    "r2_min": {"type": "number", "min": 0.0, "max": 1.0, "default": 0.95},
                 },
             },
         },
@@ -305,11 +325,12 @@ COMMAND_SCHEMAS = {
             "oracle": _ORACLE_SCHEMA,
             "ts": {"type": "array", "min_len": 1, "items": {"type": "number", "exclusive_min": 0.0}},
             "n_points": {"type": "int", "min": 1},
-            "fd_step": {"type": "number", "exclusive_min": 0.0},
-            "seed": {"type": "int", "min": 0},
+            "fd_step": {"type": "number", "exclusive_min": 0.0, "default": 1e-4},
+            "seed": _SEED,
             "assert": {
                 "type": "object",
-                "keys": {"max_violations": {"type": "int", "min": 0}},
+                "default": {},
+                "keys": {"max_violations": {"type": "int", "min": 0, "default": 0}},
             },
         },
         "required": ["schedule", "oracle", "ts", "n_points"],
@@ -318,8 +339,9 @@ COMMAND_SCHEMAS = {
         "type": "object",
         "keys": {
             "d": {"type": "int", "min": 1},
-            "reps": {"type": "int", "min": 1},
-            "seed": {"type": "int", "min": 0},
+            "reps": {"type": "int", "min": 1, "default": 200},
+            "seed": _SEED,
+            # no default: bench gates only on a threshold the config sets
             "assert": {
                 "type": "object",
                 "keys": {"ratio_max": {"type": "number", "exclusive_min": 0.0}},
@@ -374,8 +396,3 @@ def build_oracle(block: dict, schedule: NoiseSchedule) -> GaussianMixtureOracle:
     except ValueError as exc:
         raise ConfigError(f"config.oracle: {exc}") from exc
 
-
-def build_geometry(block: Optional[dict]) -> Optional[DampedGeometryConfig]:
-    if block is None:
-        return None
-    return DampedGeometryConfig(lam=float(block["lam"]), kappa=float(block.get("kappa", 1e-8)))

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import json
+import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -79,6 +81,41 @@ def test_semantic_config_errors(tmp_path) -> None:
     bad_type = _sample_doc()
     bad_type["sampler"]["n_steps"] = "ten"
     assert main(["sample", "--config", _write(tmp_path, "c.json", bad_type), "--out", str(tmp_path / "o3")]) == 2
+
+
+def test_malformed_fit_window_is_config_error(tmp_path) -> None:
+    doc = {
+        "schedule": {"kind": "ve", "sigma_min": 0.01, "sigma_max": 100.0},
+        "oracle": {"centers": [[0.0]]},
+        "t": 0.5,
+        "variant": "damped-exact",
+        "lams": [0.0],
+        "h": 0.01,
+        "n_steps": 100,
+        "chains": 16,
+        "fit_window": [0.001, 0.1, 0.2],
+    }
+    out = tmp_path / "out"
+    assert main(["convergence", "--config", _write(tmp_path, "c.json", doc), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_huge_integer_is_config_error(tmp_path, capsys) -> None:
+    p = tmp_path / "c.json"
+    p.write_text('{"d": ' + "9" * 400 + "}")
+    out = tmp_path / "out"
+    assert main(["bench", "--config", str(p), "--out", str(out)]) == 2
+    assert "config.d: must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_eps_clip_outside_schedule_is_config_error(tmp_path) -> None:
+    sample = _sample_doc(eps_clip=2.0)
+    compare = dict(_compare_doc(), eps_clip=2.0)
+    for command, doc in (("sample", sample), ("compare", compare)):
+        out = tmp_path / command
+        assert main([command, "--config", _write(tmp_path, f"{command}.json", doc), "--out", str(out)]) == 2
+        assert not out.exists()
 
 
 def test_numeric_blowup_is_exit_3(tmp_path) -> None:
@@ -339,6 +376,17 @@ def test_bench_outputs(tmp_path) -> None:
 
 # ---------------------------------------------------------------------------
 # console entry point
+
+
+def test_module_help_lists_every_command() -> None:
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "lmlangevin.cli", "--help"], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    for command in ("sample", "compare", "stationarity", "convergence", "hessian-error", "bench"):
+        assert command in proc.stdout
 
 
 @pytest.mark.skipif(shutil.which("lmlangevin") is None, reason="console script not installed")
