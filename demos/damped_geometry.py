@@ -1,36 +1,40 @@
 """Show the damped rank-one geometry acting on noise predictions.
 
-The guided update deflects a raw noise prediction away from the carried
-direction using an exact rank-one solve, then restores its norm.  The
-rank-one inverse costs two dot products; no matrix is ever formed.
+The damped inverse of the rank-one curvature proxy is applied with two dot
+products, and agrees with a dense solve.  The guided update deflects a raw
+noise prediction away from the carried direction in closed form,
+a*c - b*(prev - c), then restores its norm; no matrix is ever formed.
 """
 import numpy as np
 
 from lmlangevin import (
     DampedGeometryConfig,
     GeometryState,
+    damped_inverse_apply,
     hs_norm,
     lm_guided_eps,
-    sm_apply,
+    low_rank_hessian,
 )
 
-# sm_apply(v; e, lam) = lam * (e e^T + lam I)^{-1} v, done with dot products.
+# damped_inverse_apply(e, sigma, lam, v) = (e e^T / (sigma^2 |e|^2) + lam I)^{-1} v,
+# done with dot products.
 e = np.array([1.0, 1.0]) / np.sqrt(2.0)
 v = np.array([1.0, 0.0])
-print("sm_apply:", sm_apply(e, v, lam=1.0), "(component along e shrinks)")
+print("damped_inverse_apply:", damped_inverse_apply(e, 1.0, 1.0, v), "(component along e shrinks)")
 
 # Check it against the dense solve.
 d = 6
 rng = np.random.default_rng(3)
 e6, v6 = rng.normal(size=d), rng.normal(size=d)
-dense = 1.0 * np.linalg.solve(np.outer(e6, e6) + 1.0 * np.eye(d), v6)
-print("dense-solve agreement:", np.abs(sm_apply(e6, v6, 1.0) - dense).max())
+sigma, lam = 0.8, 0.05
+dense = np.linalg.solve(low_rank_hessian(e6, sigma) + lam * np.eye(d), v6)
+print("dense-solve agreement:", np.abs(damped_inverse_apply(e6, sigma, lam, v6) - dense).max())
 
-# The identity behind it, in Hilbert-Schmidt norm.
+# The Sherman-Morrison identity behind it, in Hilbert-Schmidt norm.
 lhs = (np.outer(e6, e6) + np.eye(d)) @ (np.eye(d) - np.outer(e6, e6) / (1.0 + e6 @ e6))
 print("rank-one inverse identity residual:", hs_norm(lhs - np.eye(d)))
 
-# The guided step: EMA the carried direction, deflect, renormalize.
+# The guided step: deflect along the mix of the carried and current directions, renormalize.
 cfg = DampedGeometryConfig(lam=0.1, kappa=0.1)
 state = GeometryState()
 cur = np.array([[0.8, 0.6]])

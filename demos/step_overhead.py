@@ -1,10 +1,10 @@
 """Time the guided update's arithmetic against a bare solver update.
 
 The geometry pass adds a fixed number of O(d) vector operations per step
-(EMA mix, two dot products, the deflection, the renormalization) on top of
-the solver's single fused multiply-add.  This script reports the absolute
-extra time per step across dimensions; in a real pipeline the score-network
-evaluation dwarfs both.
+(four row dot products and the closed-form update a*c - b*(prev - c) with
+its rescale) on top of the solver's single fused multiply-add.  This script
+reports the absolute extra time per step across dimensions; in a real
+pipeline the score-network evaluation dwarfs both.
 """
 from lmlangevin import overhead_benchmark
 

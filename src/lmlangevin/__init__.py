@@ -24,13 +24,9 @@ from .geometry import (
     DegenerateDirectionError,
     GeometryState,
     damped_inverse_apply,
-    damped_inverse_dense,
     damped_inverse_sqrt_apply,
-    ema_mix,
     lm_guided_eps,
     low_rank_hessian,
-    normalize_to,
-    sm_apply,
 )
 from .samplers import (
     FIXED_LEVEL_VARIANTS,
@@ -90,13 +86,9 @@ __all__ = [
     "DegenerateDirectionError",
     "GeometryState",
     "damped_inverse_apply",
-    "damped_inverse_dense",
     "damped_inverse_sqrt_apply",
-    "ema_mix",
     "lm_guided_eps",
     "low_rank_hessian",
-    "normalize_to",
-    "sm_apply",
     "FIXED_LEVEL_VARIANTS",
     "DampingTooSmallError",
     "FixedLevelConfig",

@@ -84,6 +84,8 @@ def _write_csv(path: Path, comment: str, header: list, rows: list) -> None:
 def _apply_seed_override(command: str, doc: dict, seed) -> dict:
     if seed is None:
         return doc
+    if seed < 0:
+        raise ConfigError("--seed: must be >= 0")
     if command == "sample":
         doc["sampler"]["seed"] = seed
     elif command == "compare":

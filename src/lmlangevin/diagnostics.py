@@ -337,8 +337,8 @@ def overhead_benchmark(d: int = 16384, reps: int = 200, seed: int = 0) -> Overhe
 
     Times only sampler arithmetic on preallocated vectors: the baseline is
     one exponential-integrator update x' = c1*x - c2*eps; the guided variant
-    additionally runs the production EMA + damped-deflection + renormalize
-    pipeline.  Score-provider cost is excluded on both sides by construction.
+    first passes eps through the production ``lm_guided_eps``.  Score-provider
+    cost is excluded on both sides by construction.
     """
     if d < 1 or reps < 1:
         raise ValueError("d and reps must be >= 1")

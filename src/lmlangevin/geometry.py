@@ -10,11 +10,12 @@ identity give an O(d) application of the damped inverse:
 
     (eps~ eps~^T + lam I)^{-1} v  propto  v - eps~ <eps~, v> / (lam + ||eps~||^2).
 
-``lm_guided_eps`` composes the full per-step pipeline used by the sampler:
-EMA-mix the previous prediction into the current one, apply the damped
-inverse to the current prediction, and rescale the result back to the
-current prediction's norm (scalar prefactors only affect the norm, so they
-are absorbed by the rescale).
+``lm_guided_eps`` deflects the current prediction c along the mix
+m = kappa p + (1 - kappa) c with the previous one p, and rescales the result
+to |c|.  Scalar prefactors drop out under the rescale, so with delta = p - c
+the step is a c - b delta, rescaled, where a = lam + kappa <c,delta> +
+kappa^2 |delta|^2 and b = kappa (|c|^2 + kappa <c,delta>): four row dot
+products and no mixed vector, so no difference of nearly equal vectors.
 
 All vector routines accept a single vector ``(d,)`` or a row batch ``(m, d)``
 and treat rows independently.
@@ -33,12 +34,8 @@ __all__ = [
     "DegenerateDirectionError",
     "DampedGeometryConfig",
     "GeometryState",
-    "ema_mix",
-    "sm_apply",
-    "normalize_to",
     "lm_guided_eps",
     "low_rank_hessian",
-    "damped_inverse_dense",
     "damped_inverse_apply",
     "damped_inverse_sqrt_apply",
 ]
@@ -53,7 +50,7 @@ class DampedGeometryConfig:
     """Damping strength lam > 0 and EMA mixing weight kappa in [0, 1).
 
     kappa is the weight on the *previous* prediction; kappa = 0 switches the
-    whole pipeline off (the guided prediction equals the raw one).
+    guided update off (the guided prediction equals the raw one).
     """
 
     lam: float = 0.001
@@ -83,56 +80,35 @@ def _row_dot(a, b):
     return np.einsum("...i,...i->...", a, b)[..., None]
 
 
-def ema_mix(prev, cur, kappa: float):
-    """kappa * prev + (1 - kappa) * cur; with no previous value, cur itself."""
-    if prev is None:
-        return np.asarray(cur, dtype=np.float64)
-    return kappa * np.asarray(prev, dtype=np.float64) + (1.0 - kappa) * np.asarray(cur, dtype=np.float64)
-
-
-def sm_apply(eps_tilde, v, lam: float):
-    """Sherman-Morrison application of the damped inverse direction.
-
-    Returns v - eps~ <eps~, v> / (lam + ||eps~||^2) row-wise in O(d).
-    A zero eps~ row degrades gracefully to the identity.
-    """
-    if not lam > 0.0:
-        raise ValueError("lam must be > 0")
-    e, single = _rows(eps_tilde)
-    w, _ = _rows(v)
-    if e.shape != w.shape:
-        raise ValueError("eps_tilde and v must have matching shapes")
-    out = w - e * (_row_dot(e, w) / (lam + _row_dot(e, e)))
-    return out[0] if single else out
-
-
-def normalize_to(ref, v):
-    """Rescale v to carry the norm of ref: v * ||ref|| / ||v||, row-wise."""
-    r, single = _rows(ref)
-    w, _ = _rows(v)
-    if r.shape != w.shape:
-        raise ValueError("ref and v must have matching shapes")
-    vn = np.sqrt(_row_dot(w, w))
-    if np.any(vn == 0.0):
-        raise DegenerateDirectionError("cannot normalize a zero vector")
-    rn = np.sqrt(_row_dot(r, r))
-    out = w * (rn / vn)
-    return out[0] if single else out
-
-
 def lm_guided_eps(cur, state: GeometryState, cfg: DampedGeometryConfig):
-    """One geometry pass: EMA mix, damped-inverse deflection, norm restore.
+    """The guided prediction in closed form, and the successor state.
 
-    Returns the guided prediction and the successor state (which carries the
-    raw ``cur`` forward).  With kappa = 0 the output equals ``cur`` up to
-    float roundoff: the deflection collapses to a positive scalar shrink that
-    the normalization undoes.
+    With c = cur, delta = prev - c and the mix m = c + kappa delta, the
+    deflection c - m <m, c> / (lam + |m|^2) equals (a c - b delta) / (lam + |m|^2),
+    where, from cc = <c,c>, cd = <c,delta> and dd = <delta,delta>,
+
+        a = lam + kappa cd + kappa^2 dd,    b = kappa (cc + kappa cd).
+
+    The positive factor drops out under the rescale to |c|, which is measured
+    on the output rather than expanded from the scalars.  With no previous
+    prediction ``cur`` is returned unchanged; a zero row of ``cur`` raises
+    DegenerateDirectionError.  The state carries the raw ``cur`` forward.
     """
     cur = np.asarray(cur, dtype=np.float64)
-    mixed = ema_mix(state.prev_eps, cur, cfg.kappa)
-    deflected = sm_apply(mixed, cur, cfg.lam)
-    guided = normalize_to(cur, deflected)
-    return guided, GeometryState(prev_eps=cur)
+    cc = _row_dot(cur, cur)
+    if np.any(cc == 0.0):
+        raise DegenerateDirectionError("cannot guide a zero prediction")
+    if state.prev_eps is None:
+        return cur, GeometryState(prev_eps=cur)
+    delta = np.asarray(state.prev_eps, dtype=np.float64) - cur
+    cd = _row_dot(cur, delta)
+    dd = _row_dot(delta, delta)
+    kappa = cfg.kappa
+    out = (cfg.lam + kappa * cd + kappa * kappa * dd) * cur
+    delta *= kappa * (cc + kappa * cd)
+    out -= delta
+    out *= np.sqrt(cc / _row_dot(out, out))
+    return out, GeometryState(prev_eps=cur)
 
 
 def low_rank_hessian(eps, sigma_t: float):
@@ -146,28 +122,6 @@ def low_rank_hessian(eps, sigma_t: float):
     if n2 == 0.0 or sigma_t <= 0.0:
         raise DegenerateDirectionError("zero eps or non-positive sigma_t")
     return (1.0 / (sigma_t * sigma_t * n2)) * np.outer(eps, eps)
-
-
-def damped_inverse_dense(eps, sigma_t: float, lam: float):
-    """Dense damped inverse of the rank-1 proxy, for diagnostics only.
-
-    With lam' = sigma_t^2 ||eps||^2 lam this is
-    (1 / lam) * (I - eps eps^T / (lam' + ||eps||^2)),
-    the exact inverse of rank1(eps, sigma_t) + lam I.
-    """
-    eps = np.asarray(eps, dtype=np.float64)
-    if eps.ndim != 1:
-        raise ValueError("damped_inverse_dense expects a single (d,) vector")
-    if eps.size > DENSE_DIM_CAP:
-        raise ValueError(f"dense inverse capped at d <= {DENSE_DIM_CAP}")
-    if not lam > 0.0:
-        raise ValueError("lam must be > 0")
-    n2 = float(eps @ eps)
-    if n2 == 0.0 or sigma_t <= 0.0:
-        raise DegenerateDirectionError("zero eps or non-positive sigma_t")
-    lam_p = sigma_t * sigma_t * n2 * lam
-    inner = np.eye(eps.size) - np.outer(eps, eps) / (lam_p + n2)
-    return inner / lam
 
 
 def _rank1_factors(eps, sigma_t: float, lam: float):

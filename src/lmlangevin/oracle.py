@@ -226,7 +226,7 @@ class GaussianMixtureOracle:
     def marginal_quantile(self, q, t):
         """Quantiles of the 1-d diffused marginal, by bracketed root finding."""
         self._require_1d("marginal_quantile")
-        q = np.atleast_1d(np.asarray(q, dtype=np.float64))
+        q = np.asarray(q, dtype=np.float64)
         if np.any((q <= 0.0) | (q >= 1.0)):
             raise ValueError("quantiles must lie strictly in (0, 1)")
         alpha, sigma = self.schedule.alpha_sigma(t)
@@ -236,6 +236,7 @@ class GaussianMixtureOracle:
         # Bracket: each mixture quantile lies between the extreme component quantiles.
         lo = float(locs.min() + sigma * ndtri(q.min())) - 1e-9
         hi = float(locs.max() + sigma * ndtri(q.max())) + 1e-9
-        return np.array(
-            [brentq(lambda x, qq=qq: float(self.marginal_cdf(x, t)) - qq, lo, hi, xtol=1e-12) for qq in q]
-        )
+        roots = [
+            brentq(lambda x, qq=qq: float(self.marginal_cdf(x, t)) - qq, lo, hi, xtol=1e-12) for qq in q.flat
+        ]
+        return np.reshape(roots, q.shape)

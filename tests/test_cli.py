@@ -208,6 +208,14 @@ def test_sample_seed_override(tmp_path) -> None:
     assert not np.allclose(r1, r2)
 
 
+def test_negative_seed_override_is_config_error(tmp_path, capsys) -> None:
+    cfg = _write(tmp_path, "c.json", _sample_doc())
+    out = tmp_path / "out"
+    assert main(["sample", "--config", cfg, "--out", str(out), "--seed", "-1"]) == 2
+    assert "--seed: must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sample_kappa_zero_matches_no_geometry(tmp_path) -> None:
     # Configs differ (so hashes differ) but the sampled states must agree to
     # float precision: kappa = 0 disables the geometry by construction.

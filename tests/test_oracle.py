@@ -198,6 +198,19 @@ def test_marginal_quantile_roundtrip() -> None:
         orc.marginal_quantile(np.array([0.0]), t)
 
 
+def test_marginal_quantile_keeps_the_shape_of_q() -> None:
+    # like marginal_cdf for x: a scalar q gives a 0-d result, an array q its own shape
+    sch = NoiseSchedule.vp_linear()
+    orc = GaussianMixtureOracle([[1.2], [-0.5]], [0.6, 0.4], sch)
+    t = 0.55
+    assert orc.marginal_quantile(0.3, t).shape == ()
+    assert float(orc.marginal_quantile(0.3, t)) == orc.marginal_quantile(np.array([0.3]), t)[0]
+    grid = np.array([[0.1, 0.4], [0.6, 0.9]])
+    xs = orc.marginal_quantile(grid, t)
+    assert xs.shape == grid.shape
+    np.testing.assert_allclose(orc.marginal_cdf(xs, t), grid, atol=1e-10)
+
+
 def test_marginal_helpers_require_1d() -> None:
     sch = NoiseSchedule.vp_linear()
     orc = GaussianMixtureOracle([[1.0, 0.0], [-1.0, 0.0]], None, sch)
