@@ -2,14 +2,13 @@
 
 The damped inverse of the rank-one curvature proxy is applied with two dot
 products, and agrees with a dense solve.  The guided update deflects a raw
-noise prediction away from the carried direction in closed form,
+noise prediction away from the previous raw prediction in closed form,
 a*c - b*(prev - c), then restores its norm; no matrix is ever formed.
 """
 import numpy as np
 
 from lmlangevin import (
     DampedGeometryConfig,
-    GeometryState,
     damped_inverse_apply,
     hs_norm,
     lm_guided_eps,
@@ -34,24 +33,21 @@ print("dense-solve agreement:", np.abs(damped_inverse_apply(e6, sigma, lam, v6) 
 lhs = (np.outer(e6, e6) + np.eye(d)) @ (np.eye(d) - np.outer(e6, e6) / (1.0 + e6 @ e6))
 print("rank-one inverse identity residual:", hs_norm(lhs - np.eye(d)))
 
-# The guided step: deflect along the mix of the carried and current directions, renormalize.
+# The guided step: deflect along the mix of the previous and current predictions, renormalize.
 cfg = DampedGeometryConfig(lam=0.1, kappa=0.1)
-state = GeometryState()
 cur = np.array([[0.8, 0.6]])
-out1, state = lm_guided_eps(cur, state, cfg)
-print("first step has no memory yet:", out1)
+out1 = lm_guided_eps(cur, None, cfg)
+print("first step has no previous prediction:", out1)
 
 nxt = np.array([[0.6, 0.8]])
-out2, state = lm_guided_eps(nxt, state, cfg)
-print("second step deflects away from the carried direction:", out2)
+out2 = lm_guided_eps(nxt, cur, cfg)
+print("second step deflects away from the previous prediction:", out2)
 print("norm preserved:", np.linalg.norm(out2), "=", np.linalg.norm(nxt))
 
 # kappa = 0 disables the memory entirely.
-state0 = GeometryState()
-a, state0 = lm_guided_eps(cur, state0, DampedGeometryConfig(lam=0.1, kappa=0.0))
-b, state0 = lm_guided_eps(nxt, state0, DampedGeometryConfig(lam=0.1, kappa=0.0))
+b = lm_guided_eps(nxt, cur, DampedGeometryConfig(lam=0.1, kappa=0.0))
 print("kappa=0 is the identity:", np.abs(b - nxt).max())
 
 # Huge damping also collapses to the identity: the deflection scales as 1/lam.
-big, _ = lm_guided_eps(nxt, GeometryState(prev_eps=cur[0]), DampedGeometryConfig(lam=1e12, kappa=0.1))
+big = lm_guided_eps(nxt, cur[0], DampedGeometryConfig(lam=1e12, kappa=0.1))
 print("lam=1e12 deflection:", np.abs(big - nxt).max())

@@ -41,7 +41,7 @@ for lam in (1.0, 4.0):
 for lam, n_steps in ((0.0, 3000), (1.0, 6000), (4.0, 15_000)):
     cfg = FixedLevelConfig(
         t=0.5, h=1e-3, n_steps=n_steps, variant="damped-exact", lam=lam,
-        chains=20_000, burn_in=0, snapshot_every=25,
+        chains=20_000, snapshot_every=25,
         init_mean=0.5, init_std=1.0, seed=8,
     )
     run = fixed_level_run(cfg, orc)

@@ -22,7 +22,6 @@ from .oracle import DENSE_DIM_CAP, GaussianMixtureOracle, ScoreProvider
 from .geometry import (
     DampedGeometryConfig,
     DegenerateDirectionError,
-    GeometryState,
     damped_inverse_apply,
     damped_inverse_sqrt_apply,
     lm_guided_eps,
@@ -84,7 +83,6 @@ __all__ = [
     "ScoreProvider",
     "DampedGeometryConfig",
     "DegenerateDirectionError",
-    "GeometryState",
     "damped_inverse_apply",
     "damped_inverse_sqrt_apply",
     "lm_guided_eps",

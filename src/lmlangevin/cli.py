@@ -120,17 +120,18 @@ def _build_context(command: str, doc: dict) -> dict:
     if command in ("stationarity", "convergence") and ctx["oracle"].dim != 1:
         raise ConfigError(f"config.oracle: {command} needs a 1-d oracle (got dim={ctx['oracle'].dim})")
     if command == "convergence":
-        variant = doc["variant"]
-        if variant == "damped-lm" and any(l == 0.0 for l in doc["lams"]):
-            raise ConfigError("config.lams: damped-lm requires every lam > 0")
-        if variant in ("newton", "plain-langevin") and any(l != 0.0 for l in doc["lams"]):
-            raise ConfigError(f"config.lams: {variant} takes no damping; use lams=[0]")
         window = doc["fit_window"]
         if len(window) != 2 or not window[0] < window[1]:
             raise ConfigError("config.fit_window: must be [low, high] with low < high")
         doc.setdefault("snapshot_every", max(1, doc["n_steps"] // 200))
-    if command == "stationarity" and doc["variant"] == "damped-lm" and doc["lam"] == 0.0:
-        raise ConfigError("config.lam: damped-lm requires lam > 0")
+    if command in ("stationarity", "convergence"):
+        # The run's configs, one per lam, built here so that their rules
+        # reject the document before anything is written.
+        lams = doc["lams"] if command == "convergence" else [doc["lam"]]
+        try:
+            ctx["fixed"] = [_fixed_cfg(doc, lam, doc.get("snapshot_every")) for lam in lams]
+        except ValueError as exc:
+            raise ConfigError(f"config: {exc}") from exc
     if command == "compare":
         inner = doc["annealed"]["inner_steps"]
         if "annealed" in doc["variants"] and min(doc["nfe"]) < inner:
@@ -310,7 +311,7 @@ def _fixed_cfg(doc, lam: float, snapshot_every) -> FixedLevelConfig:
 def _cmd_stationarity(doc, ctx, chash, out: Path, threads: int):
     oracle = ctx["oracle"]
     t = doc["t"]
-    run = fixed_level_run(_fixed_cfg(doc, doc["lam"], None), oracle, threads=threads)
+    run = fixed_level_run(ctx["fixed"][0], oracle, threads=threads)
     retained = run.final_states[:, 0]
 
     ks = ks_statistic(retained, lambda x: oracle.marginal_cdf(x, t))
@@ -385,8 +386,9 @@ def _cmd_convergence(doc, ctx, chash, out: Path, threads: int):
     metrics = {}
     details = []
     ok = True
-    for li, lam in enumerate(doc["lams"]):
-        run = fixed_level_run(_fixed_cfg(doc, lam, doc["snapshot_every"]), oracle, threads=threads)
+    for li, fixed in enumerate(ctx["fixed"]):
+        lam = fixed.lam
+        run = fixed_level_run(fixed, oracle, threads=threads)
         times = run.times
         vals = np.empty(times.size)
         errs = np.empty(times.size)

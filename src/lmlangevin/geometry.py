@@ -11,11 +11,12 @@ identity give an O(d) application of the damped inverse:
     (eps~ eps~^T + lam I)^{-1} v  propto  v - eps~ <eps~, v> / (lam + ||eps~||^2).
 
 ``lm_guided_eps`` deflects the current prediction c along the mix
-m = kappa p + (1 - kappa) c with the previous one p, and rescales the result
-to |c|.  Scalar prefactors drop out under the rescale, so with delta = p - c
-the step is a c - b delta, rescaled, where a = lam + kappa <c,delta> +
-kappa^2 |delta|^2 and b = kappa (|c|^2 + kappa <c,delta>): four row dot
-products and no mixed vector, so no difference of nearly equal vectors.
+m = kappa p + (1 - kappa) c with the previous raw prediction p, which the
+caller keeps, and rescales the result to |c|.  Scalar prefactors drop out
+under the rescale, so with delta = p - c the step is a c - b delta,
+rescaled, where a = lam + kappa <c,delta> + kappa^2 |delta|^2 and
+b = kappa (|c|^2 + kappa <c,delta>): four row dot products and no mixed
+vector, so no difference of nearly equal vectors.
 
 All vector routines accept a single vector ``(d,)`` or a row batch ``(m, d)``
 and treat rows independently.
@@ -24,7 +25,6 @@ and treat rows independently.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -33,7 +33,6 @@ from .oracle import DENSE_DIM_CAP
 __all__ = [
     "DegenerateDirectionError",
     "DampedGeometryConfig",
-    "GeometryState",
     "lm_guided_eps",
     "low_rank_hessian",
     "damped_inverse_apply",
@@ -63,13 +62,6 @@ class DampedGeometryConfig:
             raise ValueError("kappa must lie in [0, 1)")
 
 
-@dataclass(frozen=True)
-class GeometryState:
-    """Carried across sampler steps; holds the previous raw prediction."""
-
-    prev_eps: Optional[np.ndarray] = None
-
-
 def _rows(v):
     v = np.asarray(v, dtype=np.float64)
     return (v[None, :], True) if v.ndim == 1 else (v, False)
@@ -80,8 +72,8 @@ def _row_dot(a, b):
     return np.einsum("...i,...i->...", a, b)[..., None]
 
 
-def lm_guided_eps(cur, state: GeometryState, cfg: DampedGeometryConfig):
-    """The guided prediction in closed form, and the successor state.
+def lm_guided_eps(cur, prev, cfg: DampedGeometryConfig):
+    """The guided prediction in closed form, from the raw ``cur`` and the previous raw ``prev``.
 
     With c = cur, delta = prev - c and the mix m = c + kappa delta, the
     deflection c - m <m, c> / (lam + |m|^2) equals (a c - b delta) / (lam + |m|^2),
@@ -90,17 +82,17 @@ def lm_guided_eps(cur, state: GeometryState, cfg: DampedGeometryConfig):
         a = lam + kappa cd + kappa^2 dd,    b = kappa (cc + kappa cd).
 
     The positive factor drops out under the rescale to |c|, which is measured
-    on the output rather than expanded from the scalars.  With no previous
-    prediction ``cur`` is returned unchanged; a zero row of ``cur`` raises
-    DegenerateDirectionError.  The state carries the raw ``cur`` forward.
+    on the output rather than expanded from the scalars.  With ``prev=None``
+    (the first step) ``cur`` is returned unchanged; a zero row of ``cur``
+    raises DegenerateDirectionError.
     """
     cur = np.asarray(cur, dtype=np.float64)
     cc = _row_dot(cur, cur)
     if np.any(cc == 0.0):
         raise DegenerateDirectionError("cannot guide a zero prediction")
-    if state.prev_eps is None:
-        return cur, GeometryState(prev_eps=cur)
-    delta = np.asarray(state.prev_eps, dtype=np.float64) - cur
+    if prev is None:
+        return cur
+    delta = np.asarray(prev, dtype=np.float64) - cur
     cd = _row_dot(cur, delta)
     dd = _row_dot(delta, delta)
     kappa = cfg.kappa
@@ -108,7 +100,7 @@ def lm_guided_eps(cur, state: GeometryState, cfg: DampedGeometryConfig):
     delta *= kappa * (cc + kappa * cd)
     out -= delta
     out *= np.sqrt(cc / _row_dot(out, out))
-    return out, GeometryState(prev_eps=cur)
+    return out
 
 
 def low_rank_hessian(eps, sigma_t: float):

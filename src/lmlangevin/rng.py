@@ -1,7 +1,7 @@
 """Deterministic, splittable random streams for chain ensembles.
 
 Randomness is organized as one PCG64 stream per fixed-size block of chains,
-derived as ``SeedSequence(entropy=seed, spawn_key=(offset + block,))``.  The
+derived as ``SeedSequence(entropy=seed, spawn_key=(block,))``.  The
 block partition depends only on chain index, never on worker count, so a run
 produces bit-identical results whether blocks execute sequentially or on a
 thread pool.
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["BLOCK", "stream", "block_bounds", "block_streams", "ensemble_normal"]
+__all__ = ["BLOCK", "stream", "block_bounds", "ensemble_normal"]
 
 BLOCK = 4096
 
@@ -32,15 +32,9 @@ def block_bounds(n_chains: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + BLOCK, n_chains)) for lo in range(0, n_chains, BLOCK)]
 
 
-def block_streams(seed: int, n_chains: int, offset: int = 0) -> list[np.random.Generator]:
-    """One generator per chain block."""
-    return [stream(seed, offset + b) for b in range(len(block_bounds(n_chains)))]
-
-
-def ensemble_normal(seed: int, n_chains: int, cols: int, offset: int = 0) -> np.ndarray:
-    """(n_chains, cols) standard normals drawn block-wise from split streams."""
+def ensemble_normal(seed: int, n_chains: int, cols: int) -> np.ndarray:
+    """(n_chains, cols) standard normals, each chain block drawn from its own stream."""
     out = np.empty((n_chains, cols), dtype=np.float64)
-    gens = block_streams(seed, n_chains, offset)
-    for (lo, hi), gen in zip(block_bounds(n_chains), gens):
-        out[lo:hi] = gen.standard_normal((hi - lo, cols))
+    for b, (lo, hi) in enumerate(block_bounds(n_chains)):
+        out[lo:hi] = stream(seed, b).standard_normal((hi - lo, cols))
     return out

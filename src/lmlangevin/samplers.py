@@ -5,7 +5,8 @@ Two families live here.
 * Denoising runs (:func:`lml_sample`): walk a timestep grid from t_max down to
   the terminal clamp with the order-1 exponential integrator (DDIM form) or
   its order-2 multistep refinement, optionally passing every noise prediction
-  through the damped rank-1 geometry of :mod:`.geometry` first.
+  through the damped rank-1 geometry of :mod:`.geometry` first.  The solver
+  steps read alpha, sigma and log-SNR from the grid's tables.
 * Fixed-level runs (:func:`fixed_level_run`): Langevin-type chains targeting
   the diffused marginal at one frozen noise level.  These probe stationarity
   and convergence-rate claims directly.  Every variant takes the one update
@@ -20,7 +21,8 @@ Two families live here.
     :func:`damped_step` in mode ``"exact"``; ``damped-exact-corrected`` keeps
     div P (``corrected=True``);
   - ``damped-lm``: P the damped rank-1 proxy without div P, through
-    :func:`damped_step` in mode ``"rank1"``.
+    :func:`damped_step` in mode ``"rank1"``, which takes s = -eps/sigma
+    from its one noise prediction.
 
   On a single-component 1-d target the Newton and exact damped variants
   reduce to a closed-form OU update, which the kernel takes directly.
@@ -41,7 +43,6 @@ import numpy as np
 from . import rng as _rng
 from .geometry import (
     DampedGeometryConfig,
-    GeometryState,
     damped_inverse_apply,
     damped_inverse_sqrt_apply,
     lm_guided_eps,
@@ -165,7 +166,8 @@ def damped_step(
       pure Newton, the metric :func:`newton_langevin_step` uses (which raises
       NotLogConcaveError where this raises DampingTooSmallError).
     * mode ``"rank1"`` uses the O(d) damped rank-1 proxy built from the
-      oracle's noise prediction, with its closed-form square root; fixed-level
+      oracle's noise prediction, with its closed-form square root, and takes
+      the score s = -eps/sigma from that same prediction; fixed-level
       ``damped-lm`` runs here.
 
     With ``corrected=True`` the drift gains the analytic divergence term
@@ -188,41 +190,39 @@ def damped_step(
         if not lam > 0.0:
             raise ValueError("rank1 mode requires lam > 0")
         _, sigma = oracle.schedule.alpha_sigma(t)
+        sigma = float(sigma)
         eps = oracle.eps(x, t)
-        s = oracle.score(x, t)
-        drift = damped_inverse_apply(eps, float(sigma), lam, s)
-        noise = damped_inverse_sqrt_apply(eps, float(sigma), lam, xi)
+        # s = -eps / sigma: one posterior evaluation gives both
+        drift = damped_inverse_apply(eps, sigma, lam, -eps / sigma)
+        noise = damped_inverse_sqrt_apply(eps, sigma, lam, xi)
     else:
         raise ValueError(f"unknown damped mode {mode!r}")
     return x + h * drift + np.sqrt(2.0 * h) * noise
 
 
-def _step_scalars(schedule: NoiseSchedule, grid: TimestepGrid, i: int):
-    """Coefficients shared by the exponential-integrator updates at level i."""
+def _step_scalars(grid: TimestepGrid, i: int):
+    """Coefficients shared by the exponential-integrator updates at level i, from the grid's tables."""
     if i < 1 or i > grid.n_steps:
         raise ValueError(f"step level must lie in [1, {grid.n_steps}]")
-    t_cur = grid.level_time(i)
-    t_next = grid.level_time(i - 1)
-    a_cur, _ = schedule.alpha_sigma(t_cur)
-    a_next, s_next = schedule.alpha_sigma(t_next)
-    h = float(schedule.log_snr(t_next) - schedule.log_snr(t_cur))
-    return float(a_next) / float(a_cur), float(s_next), h
+    k = grid.n_steps - i  # table index of level i; level i - 1 sits at k + 1
+    h = float(grid.log_snr[k + 1] - grid.log_snr[k])
+    return float(grid.alpha[k + 1]) / float(grid.alpha[k]), float(grid.sigma[k + 1]), h
 
 
-def ddim_step(x, eps_hat, i: int, grid: TimestepGrid, schedule: NoiseSchedule):
+def ddim_step(x, eps_hat, i: int, grid: TimestepGrid):
     """Order-1 exponential-integrator update from level i to level i-1.
 
     x_{i-1} = (alpha_{i-1}/alpha_i) x_i - sigma_{i-1} (e^{h_i} - 1) eps_hat
     with h_i the log-SNR gap; algebraically identical to the DDIM update
     through x0-prediction.
     """
-    ratio, s_next, h = _step_scalars(schedule, grid, i)
+    ratio, s_next, h = _step_scalars(grid, i)
     x = np.asarray(x)
     dt = x.dtype.type
     return dt(ratio) * x - dt(s_next * np.expm1(h)) * np.asarray(eps_hat, dtype=x.dtype)
 
 
-def multistep2_step(x, eps_hat, prev_eps_hat, i: int, grid: TimestepGrid, schedule: NoiseSchedule):
+def multistep2_step(x, eps_hat, prev_eps_hat, i: int, grid: TimestepGrid):
     """Order-2 multistep update: order-1 form on an extrapolated prediction.
 
     With r = h_{i+1}/h_i (previous over current log-SNR gap),
@@ -232,10 +232,9 @@ def multistep2_step(x, eps_hat, prev_eps_hat, i: int, grid: TimestepGrid, schedu
         raise ValueError("multistep2_step needs the previous prediction; take an order-1 step first")
     if i + 1 > grid.n_steps:
         raise ValueError("no level above i: the first step has no history")
-    ratio, s_next, h_cur = _step_scalars(schedule, grid, i)
-    t_cur = grid.level_time(i)
-    t_prev = grid.level_time(i + 1)
-    h_prev = float(schedule.log_snr(t_cur) - schedule.log_snr(t_prev))
+    ratio, s_next, h_cur = _step_scalars(grid, i)
+    k = grid.n_steps - i  # table index of level i; level i + 1 sits at k - 1
+    h_prev = float(grid.log_snr[k] - grid.log_snr[k - 1])
     r = h_prev / h_cur
     x = np.asarray(x)
     dt = x.dtype.type
@@ -318,40 +317,37 @@ def lml_sample(cfg: SamplerConfig, provider: ScoreProvider) -> SamplerRun:
     """Run the guided (or baseline) denoiser over a fresh uniform grid.
 
     Starts from x ~ N(0, sigma(t_max)^2 I).  When cfg.geometry is set, every
-    raw prediction is passed through lm_guided_eps and the solver consumes the
-    guided value, which also becomes the multistep history; the guided
-    prediction keeps the raw prediction's norm at every step by construction.
+    raw prediction is passed through lm_guided_eps together with the previous
+    raw prediction, and the solver consumes the guided value, which also
+    becomes the multistep history; the guided prediction keeps the raw
+    prediction's norm at every step by construction.
     Stepping is deterministic given the initial draw, which is block-split by
     chain index.
     """
     grid = make_grid(cfg.schedule, cfg.n_steps, cfg.eps_clip)
     d = provider.dim
     n, m = cfg.n_steps, cfg.chains
-    _, sigma_top = cfg.schedule.alpha_sigma(grid.level_time(n))
     dt = np.dtype(cfg.dtype)
 
-    x = (float(sigma_top) * _rng.ensemble_normal(cfg.seed, m, d)).astype(dt)
+    x = (float(grid.sigma[0]) * _rng.ensemble_normal(cfg.seed, m, d)).astype(dt)
     states = np.empty((n + 1, m, d), dtype=dt)
     eps_raw = np.empty((n, m, d), dtype=dt)
     eps_used = np.empty((n, m, d), dtype=dt)
     step_times = np.empty(n, dtype=np.float64)
     states[0] = x
 
-    geo_state = GeometryState()
     work = x.astype(np.float64)
-    prev_used = None
+    prev_raw = prev_used = None
     for k, level in enumerate(range(n, 0, -1)):
         t_level = grid.level_time(level)
         tic = time.perf_counter()
         raw = np.asarray(provider.eps(work, t_level), dtype=np.float64)
-        if cfg.geometry is not None:
-            used, geo_state = lm_guided_eps(raw, geo_state, cfg.geometry)
-        else:
-            used = raw
+        used = raw if cfg.geometry is None else lm_guided_eps(raw, prev_raw, cfg.geometry)
+        prev_raw = raw  # drops the older prediction before the solver allocates
         if cfg.solver_order == 2 and prev_used is not None:
-            work = multistep2_step(work, used, prev_used, level, grid, cfg.schedule)
+            work = multistep2_step(work, used, prev_used, level, grid)
         else:
-            work = ddim_step(work, used, level, grid, cfg.schedule)
+            work = ddim_step(work, used, level, grid)
         step_times[k] = time.perf_counter() - tic
         prev_used = used
         eps_raw[k] = raw
@@ -374,7 +370,7 @@ def annealed_langevin_sample(
     cfg: SamplerConfig,
     provider: ScoreProvider,
     inner_steps: int,
-    step_scale: float = 2e-5,
+    step_scale: float,
     threads: int = 1,
 ) -> SamplerRun:
     """Annealed Langevin dynamics over the same grid as the denoisers.
@@ -392,18 +388,15 @@ def annealed_langevin_sample(
     grid = make_grid(cfg.schedule, cfg.n_steps, cfg.eps_clip)
     d = provider.dim
     n, m = cfg.n_steps, cfg.chains
-    _, sigma_top = cfg.schedule.alpha_sigma(grid.level_time(n))
-    sigma_top = float(sigma_top)
+    sigma_top = float(grid.sigma[0])
 
     def run_block(gen, rows: int) -> np.ndarray:
         xb = sigma_top * gen.standard_normal((rows, d))
         out = np.empty((n + 1, rows, d), dtype=np.float64)
         out[0] = xb
-        for k, level in enumerate(range(n, 0, -1)):
+        for k in range(n):
             # Langevin targets the *next* (less noisy) level, annealing downward.
-            t_level = grid.level_time(level - 1)
-            _, sig = cfg.schedule.alpha_sigma(t_level)
-            sig = float(sig)
+            t_level, sig = float(grid.times[k + 1]), float(grid.sigma[k + 1])
             h = step_scale * sig * sig / (sigma_top * sigma_top)
             root = np.sqrt(2.0 * h)
             for _ in range(inner_steps):
@@ -427,7 +420,9 @@ class FixedLevelConfig:
     """A Langevin study at one frozen noise level t.
 
     ``snapshot_every=None`` records only the final state; otherwise snapshots
-    are taken at steps burn_in, burn_in + snapshot_every, ... up to n_steps.
+    are taken at steps 0, snapshot_every, ... up to n_steps.  ``lam`` is the
+    damping of the ``damped-*`` variants and must be 0 for ``newton`` and
+    ``plain-langevin``, which take none.
     ``init_mean``/``init_std`` define the Gaussian initialization of every
     chain coordinate.
     """
@@ -438,7 +433,6 @@ class FixedLevelConfig:
     variant: str
     lam: float = 0.0
     chains: int = 1
-    burn_in: int = 0
     snapshot_every: Optional[int] = None
     init_mean: float = 0.0
     init_std: float = 1.0
@@ -455,8 +449,8 @@ class FixedLevelConfig:
             raise ValueError("lam must be >= 0")
         if self.variant == "damped-lm" and not self.lam > 0.0:
             raise ValueError("damped-lm requires lam > 0")
-        if not 0 <= self.burn_in <= self.n_steps:
-            raise ValueError("burn_in must lie in [0, n_steps]")
+        if self.variant in ("newton", "plain-langevin") and self.lam != 0.0:
+            raise ValueError(f"{self.variant} takes no damping; use lam=0")
         if self.snapshot_every is not None and self.snapshot_every < 1:
             raise ValueError("snapshot_every must be >= 1")
         if not self.init_std >= 0.0:
@@ -480,7 +474,7 @@ class FixedLevelRun:
 def _snapshot_steps(cfg: FixedLevelConfig) -> np.ndarray:
     if cfg.snapshot_every is None:
         return np.array([cfg.n_steps], dtype=np.int64)
-    return np.arange(cfg.burn_in, cfg.n_steps + 1, cfg.snapshot_every, dtype=np.int64)
+    return np.arange(0, cfg.n_steps + 1, cfg.snapshot_every, dtype=np.int64)
 
 
 def _fixed_level_kernel(cfg: FixedLevelConfig, oracle: GaussianMixtureOracle):
@@ -504,7 +498,7 @@ def _fixed_level_kernel(cfg: FixedLevelConfig, oracle: GaussianMixtureOracle):
         alpha, sigma = oracle.schedule.alpha_sigma(t)
         sigma = float(sigma)
         mu = float(alpha) * float(oracle.centers[0, 0])
-        g = 1.0 / (sigma * sigma) + (0.0 if newton else lam)
+        g = 1.0 / (sigma * sigma) + lam
         c1 = h / (sigma * sigma * g)
         sd = root / np.sqrt(g)
 

@@ -16,6 +16,10 @@ are supported:
 
 All derived quantities (log-SNR, drift/diffusion coefficients) are exposed in
 closed form; finite-difference agreement is enforced by the test suite.
+
+A :class:`TimestepGrid` tabulates alpha, sigma and log-SNR at its times when
+it is built, so a sampler step indexes those tables and calls no schedule
+method.
 """
 
 from __future__ import annotations
@@ -192,10 +196,17 @@ class TimestepGrid:
     """Strictly decreasing times t_N > ... > t_0 > 0 visited by a sampler.
 
     ``times[k]`` holds t_{N-k}; :meth:`level_time` converts a level subscript
-    i (N = first, 0 = last) into its time.
+    i (N = first, 0 = last) into its time.  ``alpha``, ``sigma`` and
+    ``log_snr`` tabulate the schedule at ``times``, index for index; they are
+    computed here, once, by the vectorized schedule calls, which also check
+    that every time lies in the schedule's range.
     """
 
+    schedule: NoiseSchedule
     times: np.ndarray
+    alpha: np.ndarray = field(init=False, repr=False)
+    sigma: np.ndarray = field(init=False, repr=False)
+    log_snr: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         ts = np.asarray(self.times, dtype=np.float64)
@@ -205,7 +216,11 @@ class TimestepGrid:
             raise ValueError("grid times must be strictly decreasing")
         if ts[-1] <= 0.0:
             raise ValueError("final grid time must stay positive")
+        alpha, sigma = self.schedule.alpha_sigma(ts)
         object.__setattr__(self, "times", ts)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "log_snr", self.schedule.log_snr(ts))
 
     @property
     def n_steps(self) -> int:
@@ -228,4 +243,4 @@ def make_grid(schedule: NoiseSchedule, n_steps: int, eps_clip: float = 1e-3) -> 
         raise ValueError("n_steps must be >= 1")
     if not (max(schedule.t_min, 0.0) < eps_clip < schedule.t_max):
         raise ValueError(f"eps_clip must lie in ({schedule.t_min}, {schedule.t_max})")
-    return TimestepGrid(np.linspace(schedule.t_max, eps_clip, n_steps + 1))
+    return TimestepGrid(schedule, np.linspace(schedule.t_max, eps_clip, n_steps + 1))

@@ -27,7 +27,6 @@ from lmlangevin import (
     DampedGeometryConfig,
     FixedLevelConfig,
     GaussianMixtureOracle,
-    GeometryState,
     NoiseSchedule,
     SamplerConfig,
     bound_check,
@@ -354,12 +353,12 @@ def _guided_update_peak_vectors(d: int) -> float:
     """Peak traced allocation of one lm_guided_eps call, in length-d float64 vectors."""
     gen = np.random.default_rng(d)
     cur = gen.standard_normal(d)
-    state = GeometryState(prev_eps=gen.standard_normal(d))
+    prev = gen.standard_normal(d)
     cfg = DampedGeometryConfig()
-    lm_guided_eps(cur, state, cfg)  # warm-up: first-call allocations are not the update's
+    lm_guided_eps(cur, prev, cfg)  # warm-up: first-call allocations are not the update's
     tracemalloc.start()
     try:
-        lm_guided_eps(cur, state, cfg)
+        lm_guided_eps(cur, prev, cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

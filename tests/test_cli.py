@@ -302,6 +302,16 @@ def test_stationarity_outputs_and_assert(tmp_path) -> None:
     assert first[1] == "-inf" and last[2] == "inf"
 
 
+def test_undamped_variant_with_lam_is_config_error(tmp_path, capsys) -> None:
+    # newton and plain-langevin take no damping; a lam they would ignore
+    # must not reach histogram.csv and meta.json as if it had been applied.
+    doc = dict(_stationarity_doc(), variant="newton", lam=5.0)
+    out = tmp_path / "out"
+    assert main(["stationarity", "--config", _write(tmp_path, "c.json", doc), "--out", str(out)]) == 2
+    assert "newton takes no damping" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_stationarity_assert_failure(tmp_path) -> None:
     doc = _stationarity_doc()
     doc["chains"] = 2000

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from lmlangevin import (
     DampedGeometryConfig,
     DegenerateDirectionError,
-    GeometryState,
     damped_inverse_apply,
     damped_inverse_sqrt_apply,
     hs_norm,
@@ -47,21 +46,20 @@ def test_deflection_min_eigenvalue() -> None:
 def test_guided_eps_preserves_norm() -> None:
     rng = np.random.default_rng(26)
     cfg = DampedGeometryConfig(lam=1e-3, kappa=0.3)
-    state = GeometryState(prev_eps=rng.normal(size=(32, 12)))
+    prev = rng.normal(size=(32, 12))
     cur = rng.normal(size=(32, 12))
-    guided, new_state = lm_guided_eps(cur, state, cfg)
+    guided = lm_guided_eps(cur, prev, cfg)
     rel = np.abs(np.linalg.norm(guided, axis=1) - np.linalg.norm(cur, axis=1))
     rel /= np.linalg.norm(cur, axis=1)
     assert rel.max() < 1e-12
-    np.testing.assert_array_equal(new_state.prev_eps, cur)
 
 
 def test_guided_eps_kappa_zero_is_identity() -> None:
     rng = np.random.default_rng(27)
     cfg = DampedGeometryConfig(lam=1e-3, kappa=0.0)
-    state = GeometryState(prev_eps=rng.normal(size=(16, 6)))
+    prev = rng.normal(size=(16, 6))
     cur = rng.normal(size=(16, 6))
-    guided, _ = lm_guided_eps(cur, state, cfg)
+    guided = lm_guided_eps(cur, prev, cfg)
     assert np.abs(guided - cur).max() / np.abs(cur).max() < 1e-12
 
 
@@ -69,7 +67,7 @@ def test_guided_eps_first_step_is_identity() -> None:
     rng = np.random.default_rng(28)
     cfg = DampedGeometryConfig(lam=0.5, kappa=0.9)
     cur = rng.normal(size=(4, 3))
-    guided, _ = lm_guided_eps(cur, GeometryState(), cfg)
+    guided = lm_guided_eps(cur, None, cfg)
     assert np.abs(guided - cur).max() / np.abs(cur).max() < 1e-12
 
 
@@ -82,12 +80,12 @@ def test_guided_eps_deflection_shrinks_with_lam() -> None:
     angles = []
     for lam in (1e-4, 1e-2, 1.0, 1e2, 1e4):
         cfg = DampedGeometryConfig(lam=lam, kappa=0.5)
-        guided, _ = lm_guided_eps(cur, GeometryState(prev_eps=prev), cfg)
+        guided = lm_guided_eps(cur, prev, cfg)
         cosang = float(guided @ cur / (np.linalg.norm(guided) * np.linalg.norm(cur)))
         angles.append(math.acos(min(1.0, cosang)))
     assert all(a > b for a, b in zip(angles, angles[1:]))
     cfg = DampedGeometryConfig(lam=1e12, kappa=0.5)
-    guided, _ = lm_guided_eps(cur, GeometryState(prev_eps=prev), cfg)
+    guided = lm_guided_eps(cur, prev, cfg)
     assert np.abs(guided - cur).max() / np.abs(cur).max() < 1e-6
 
 
@@ -99,7 +97,7 @@ def test_guided_eps_worked_example() -> None:
     cur = np.array([1.0, 0.0])
     e = np.array([1.0, 1.0]) / math.sqrt(2.0)
     cfg = DampedGeometryConfig(lam=1.0, kappa=0.5)
-    guided, _ = lm_guided_eps(cur, GeometryState(prev_eps=2.0 * e - cur), cfg)
+    guided = lm_guided_eps(cur, 2.0 * e - cur, cfg)
     np.testing.assert_allclose(guided, np.array([3.0, -1.0]) / math.sqrt(10.0), atol=1e-15)
 
 
@@ -108,7 +106,7 @@ def test_guided_eps_zero_mix_is_identity() -> None:
     # deflect along, so the guided prediction is cur itself.
     cur = np.array([[1.0, -2.0, 3.0], [0.5, 0.25, -4.0]])
     cfg = DampedGeometryConfig(lam=0.5, kappa=0.25)
-    guided, _ = lm_guided_eps(cur, GeometryState(prev_eps=-3.0 * cur), cfg)
+    guided = lm_guided_eps(cur, -3.0 * cur, cfg)
     np.testing.assert_allclose(guided, cur, rtol=1e-14)
 
 
@@ -131,7 +129,7 @@ def test_guided_eps_matches_longdouble_reference() -> None:
         cur, prev = gen.standard_normal(d), gen.standard_normal(d)
         cases = [(1e-3, 1e-8, 1e-10), (1e-2, 1e-8, 1e-10), (1e-3, 1e-2, 1e-13), (1e-3, 0.5, 1e-13)]
         for lam, kappa, tol in cases:
-            guided, _ = lm_guided_eps(cur, GeometryState(prev_eps=prev), DampedGeometryConfig(lam, kappa))
+            guided = lm_guided_eps(cur, prev, DampedGeometryConfig(lam, kappa))
             ref = _three_pass_longdouble(cur, prev, lam, kappa)
             rel = float(np.linalg.norm(guided - ref) / np.linalg.norm(ref))
             assert rel <= tol, (d, lam, kappa, rel)
@@ -150,24 +148,22 @@ def test_guided_eps_properties(d, rows, log_lam, kappa, seed) -> None:
     cur, prev = gen.standard_normal((rows, d)), gen.standard_normal((rows, d))
     lam = 10.0**log_lam
     cfg = DampedGeometryConfig(lam=lam, kappa=kappa)
-    state = GeometryState(prev_eps=prev)
-    guided, new_state = lm_guided_eps(cur, state, cfg)
+    guided = lm_guided_eps(cur, prev, cfg)
     assert np.all(np.isfinite(guided))
     cur_n = np.linalg.norm(cur, axis=1)
     assert np.abs(np.linalg.norm(guided, axis=1) - cur_n).max() <= 1e-12 * cur_n.max()
-    assert new_state.prev_eps is cur
     # kappa = 0 is the identity
-    plain, _ = lm_guided_eps(cur, state, DampedGeometryConfig(lam=lam, kappa=0.0))
+    plain = lm_guided_eps(cur, prev, DampedGeometryConfig(lam=lam, kappa=0.0))
     assert np.abs(plain - cur).max() <= 1e-12 * cur_n.max()
     # a batch is its rows, each guided on its own
     for i in range(rows):
-        row, _ = lm_guided_eps(cur[i], GeometryState(prev_eps=prev[i]), cfg)
+        row = lm_guided_eps(cur[i], prev[i], cfg)
         np.testing.assert_allclose(row, guided[i], rtol=0, atol=1e-14 * cur_n[i])
     # a zero row has no direction to guide, with or without a previous prediction
     cur[gen.integers(rows)] = 0.0
-    for zero_state in (state, GeometryState()):
+    for zero_prev in (prev, None):
         with pytest.raises(DegenerateDirectionError):
-            lm_guided_eps(cur, zero_state, cfg)
+            lm_guided_eps(cur, zero_prev, cfg)
 
 
 def test_geometry_config_validation() -> None:

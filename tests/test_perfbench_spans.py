@@ -46,7 +46,8 @@ def test_tracer_install_uninstall_restores_every_attribute() -> None:
         orc = GaussianMixtureOracle([[0.3], [-0.3]], None, NoiseSchedule.ve(0.01, 100.0))
         for variant in FIXED_LEVEL_VARIANTS:
             steps, geo = tracer.counts["samplers.steps"], tracer.counts["geometry.calls"]
-            cfg = FixedLevelConfig(t=0.5, h=0.01, n_steps=3, variant=variant, lam=0.5, chains=4)
+            lam = 0.0 if variant in ("newton", "plain-langevin") else 0.5  # those take no damping
+            cfg = FixedLevelConfig(t=0.5, h=0.01, n_steps=3, variant=variant, lam=lam, chains=4)
             samplers.fixed_level_run(cfg, orc)
             assert tracer.counts["samplers.steps"] - steps == 3, variant
             assert tracer.counts["geometry.calls"] - geo == (6 if variant == "damped-lm" else 0), variant

@@ -51,7 +51,7 @@ def test_ddim_step_matches_x0_prediction_form() -> None:
         a_c, s_c = sch.alpha_sigma(t_cur)
         a_n, s_n = sch.alpha_sigma(t_next)
         expected = a_n * (x - s_c * eps) / a_c + s_n * eps
-        np.testing.assert_allclose(ddim_step(x, eps, i, grid, sch), expected, rtol=1e-12)
+        np.testing.assert_allclose(ddim_step(x, eps, i, grid), expected, rtol=1e-12)
 
 
 def test_multistep2_is_ddim_on_extrapolated_eps() -> None:
@@ -65,8 +65,8 @@ def test_multistep2_is_ddim_on_extrapolated_eps() -> None:
         t_cur, t_next, t_prev = grid.level_time(i), grid.level_time(i - 1), grid.level_time(i + 1)
         r = (sch.log_snr(t_cur) - sch.log_snr(t_prev)) / (sch.log_snr(t_next) - sch.log_snr(t_cur))
         eps_bar = (1.0 + 1.0 / (2 * r)) * eps_c - (1.0 / (2 * r)) * eps_p
-        expected = ddim_step(x, eps_bar, i, grid, sch)
-        np.testing.assert_allclose(multistep2_step(x, eps_c, eps_p, i, grid, sch), expected, rtol=1e-13)
+        expected = ddim_step(x, eps_bar, i, grid)
+        np.testing.assert_allclose(multistep2_step(x, eps_c, eps_p, i, grid), expected, rtol=1e-13)
 
 
 def test_multistep2_uniform_logsnr_coefficients() -> None:
@@ -77,8 +77,8 @@ def test_multistep2_uniform_logsnr_coefficients() -> None:
     x = np.array([[0.4, -0.2]])
     eps_c = np.array([[1.0, 2.0]])
     eps_p = np.array([[-1.0, 0.5]])
-    expected = ddim_step(x, 1.5 * eps_c - 0.5 * eps_p, 3, grid, sch)
-    np.testing.assert_allclose(multistep2_step(x, eps_c, eps_p, 3, grid, sch), expected, rtol=1e-14)
+    expected = ddim_step(x, 1.5 * eps_c - 0.5 * eps_p, 3, grid)
+    np.testing.assert_allclose(multistep2_step(x, eps_c, eps_p, 3, grid), expected, rtol=1e-14)
 
 
 def test_multistep2_needs_history() -> None:
@@ -86,9 +86,44 @@ def test_multistep2_needs_history() -> None:
     grid = make_grid(sch, 5)
     x = np.zeros((1, 2))
     with pytest.raises(ValueError, match="previous prediction"):
-        multistep2_step(x, x, None, 3, grid, sch)
+        multistep2_step(x, x, None, 3, grid)
     with pytest.raises(ValueError, match="no level above"):
-        multistep2_step(x, x, x, 5, grid, sch)
+        multistep2_step(x, x, x, 5, grid)
+
+
+class _LinearProvider:
+    """A ScoreProvider that is no oracle, so it calls no schedule method itself."""
+
+    dim = 3
+
+    def eps(self, x, t):
+        return 0.5 * x + t
+
+
+def test_denoiser_steps_call_no_schedule_method(monkeypatch) -> None:
+    # Building the grid tabulates the schedule; the step loops only index it.
+    calls = []
+    for name in ("alpha_sigma", "log_snr"):
+        real = getattr(NoiseSchedule, name)
+
+        def counted(self, t, real=real, name=name):
+            calls.append(name)
+            return real(self, t)
+
+        monkeypatch.setattr(NoiseSchedule, name, counted)
+    sch = NoiseSchedule.vp_linear()
+    make_grid(sch, 6)
+    per_grid = len(calls)
+    assert per_grid > 0
+    geometry = DampedGeometryConfig(lam=0.1, kappa=0.2)
+    for order in (1, 2):
+        calls.clear()
+        cfg = SamplerConfig(n_steps=6, solver_order=order, geometry=geometry, schedule=sch, chains=4)
+        lml_sample(cfg, _LinearProvider())
+        assert len(calls) == per_grid, (order, calls)
+    calls.clear()
+    annealed_langevin_sample(SamplerConfig(n_steps=6, schedule=sch, chains=4), _LinearProvider(), 2, 0.1)
+    assert len(calls) == per_grid, calls
 
 
 def test_single_component_terminal_exactness() -> None:
@@ -372,6 +407,24 @@ def test_damped_lm_variant_runs() -> None:
     assert 0.3 < frac < 0.7
 
 
+def test_damped_lm_step_evaluates_the_posterior_once(monkeypatch) -> None:
+    # The rank-1 drift needs the score, which is -eps/sigma of the one
+    # prediction the step already makes.
+    sch = _unit_sigma_schedule()
+    orc = GaussianMixtureOracle([[1.0, 0.0], [-1.0, 0.0]], None, sch)
+    calls = []
+    real = GaussianMixtureOracle._log_posterior
+
+    def counted(self, x2, t):
+        calls.append(t)
+        return real(self, x2, t)
+
+    monkeypatch.setattr(GaussianMixtureOracle, "_log_posterior", counted)
+    cfg = FixedLevelConfig(t=0.5, h=0.01, n_steps=7, variant="damped-lm", lam=0.5, chains=16, seed=13)
+    fixed_level_run(cfg, orc)
+    assert len(calls) == 7
+
+
 def test_damped_lm_requires_positive_lam() -> None:
     with pytest.raises(ValueError, match="damped-lm requires lam > 0"):
         FixedLevelConfig(t=0.5, h=0.01, n_steps=10, variant="damped-lm", lam=0.0)
@@ -409,12 +462,12 @@ def test_fixed_level_snapshots() -> None:
     orc = GaussianMixtureOracle([[0.0]], None, sch)
     cfg = FixedLevelConfig(
         t=0.5, h=0.01, n_steps=100, variant="damped-exact", lam=1.0,
-        chains=16, burn_in=20, snapshot_every=30, seed=1,
+        chains=16, snapshot_every=30, seed=1,
     )
     run = fixed_level_run(cfg, orc)
-    np.testing.assert_array_equal(run.snapshot_steps, [20, 50, 80])
-    np.testing.assert_allclose(run.times, [0.2, 0.5, 0.8])
-    assert run.states.shape == (3, 16, 1)
+    np.testing.assert_array_equal(run.snapshot_steps, [0, 30, 60, 90])
+    np.testing.assert_allclose(run.times, [0.0, 0.3, 0.6, 0.9])
+    assert run.states.shape == (4, 16, 1)
     only_final = fixed_level_run(
         FixedLevelConfig(t=0.5, h=0.01, n_steps=100, variant="damped-exact", lam=1.0, chains=16), orc
     )
@@ -442,8 +495,9 @@ def test_fixed_level_blowup_raises() -> None:
 def test_fixed_level_config_validation() -> None:
     with pytest.raises(ValueError, match="variant"):
         FixedLevelConfig(t=0.5, h=0.01, n_steps=10, variant="hamiltonian")
-    with pytest.raises(ValueError, match="burn_in"):
-        FixedLevelConfig(t=0.5, h=0.01, n_steps=10, variant="plain-langevin", burn_in=11)
+    for variant in ("newton", "plain-langevin"):
+        with pytest.raises(ValueError, match="takes no damping"):
+            FixedLevelConfig(t=0.5, h=0.01, n_steps=10, variant=variant, lam=7.0)
     with pytest.raises(ValueError, match="h must be > 0"):
         FixedLevelConfig(t=0.5, h=0.0, n_steps=10, variant="plain-langevin")
     with pytest.raises(ValueError, match="snapshot_every"):

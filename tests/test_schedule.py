@@ -131,14 +131,28 @@ def test_make_grid_shape_and_endpoints() -> None:
     np.testing.assert_allclose(steps, steps[0], rtol=1e-12)
 
 
+def test_grid_tables_equal_scalar_schedule_calls() -> None:
+    # The tables come from one vectorized call each; a step must see exactly
+    # the values a scalar call at its grid time gives, bit for bit.
+    for sch in (NoiseSchedule.vp_linear(), NoiseSchedule.ve(), NoiseSchedule.cosine()):
+        for n_steps in (1, 7, 50, 1000):
+            for eps_clip in (1e-3, 1e-2, 0.2):
+                grid = make_grid(sch, n_steps, eps_clip)
+                scalar = np.array([[*sch.alpha_sigma(t), sch.log_snr(t)] for t in grid.times.tolist()])
+                tables = np.stack([grid.alpha, grid.sigma, grid.log_snr], axis=1)
+                np.testing.assert_array_equal(tables, scalar, err_msg=f"{sch.kind} n={n_steps} clip={eps_clip}")
+
+
 def test_grid_validation() -> None:
-    with pytest.raises(ValueError, match="strictly decreasing"):
-        TimestepGrid(np.array([0.1, 0.5, 1.0]))
-    with pytest.raises(ValueError, match="positive"):
-        TimestepGrid(np.array([0.5, 0.0]))
-    with pytest.raises(ValueError, match="at least two"):
-        TimestepGrid(np.array([0.5]))
     sch = NoiseSchedule.vp_linear()
+    with pytest.raises(ValueError, match="strictly decreasing"):
+        TimestepGrid(sch, np.array([0.1, 0.5, 1.0]))
+    with pytest.raises(ValueError, match="positive"):
+        TimestepGrid(sch, np.array([0.5, 0.0]))
+    with pytest.raises(ValueError, match="at least two"):
+        TimestepGrid(sch, np.array([0.5]))
+    with pytest.raises(ValueError, match="time out of range"):
+        TimestepGrid(sch, np.array([1.5, 0.5]))
     with pytest.raises(ValueError, match="eps_clip"):
         make_grid(sch, 5, eps_clip=2.0)
     with pytest.raises(ValueError, match="n_steps"):
