@@ -49,6 +49,7 @@ from .diagnostics import (
     DiagnosticsReport,
     ErrorBoundInputs,
     OverheadResult,
+    SlicedReference,
     bound_check,
     chi2_gaussians,
     chi2_histogram,
@@ -64,6 +65,7 @@ from .diagnostics import (
     overhead_benchmark,
     rank1_approx_error,
     residual_norm,
+    sliced_reference,
     sliced_wasserstein,
 )
 from .config import ConfigError, config_hash, validate_config
@@ -106,6 +108,7 @@ __all__ = [
     "DiagnosticsReport",
     "ErrorBoundInputs",
     "OverheadResult",
+    "SlicedReference",
     "bound_check",
     "chi2_gaussians",
     "chi2_histogram",
@@ -121,6 +124,7 @@ __all__ = [
     "overhead_benchmark",
     "rank1_approx_error",
     "residual_norm",
+    "sliced_reference",
     "sliced_wasserstein",
     "ConfigError",
     "config_hash",

@@ -43,6 +43,7 @@ from .diagnostics import (
     equal_mass_edges,
     ks_statistic,
     overhead_benchmark,
+    sliced_reference,
     sliced_wasserstein,
 )
 from .geometry import DampedGeometryConfig, DegenerateDirectionError
@@ -218,32 +219,30 @@ def _cmd_compare(doc, ctx, chash, out: Path, threads: int):
     nfe_list, seeds, variants = doc["nfe"], doc["seeds"], doc["variants"]
     n_proj = doc["diagnostics"]["n_projections"]
 
-    truths = {s: oracle.sample_data(_rng.stream(s, _rng.GT_STREAM_OFFSET), doc["chains"]) for s in seeds}
-
-    rows = []  # (variant, lam, kappa, {nfe: (mean, stderr)})
     plan = []
     for variant in variants:
         if variant.startswith("LML"):
             plan += [(variant, dict(g)) for g in doc["geometry_grid"]]
         else:
             plan.append((variant, None))
-    for variant, gdict in plan:
-        geo = None if gdict is None else DampedGeometryConfig(**gdict)
+
+    # Seeds outermost, so that one truth reference is held at a time and its
+    # directions are drawn and projections sorted once for all its runs.
+    vals = np.empty((len(plan), len(nfe_list), len(seeds)))
+    for k, s in enumerate(seeds):
+        truth = oracle.sample_data(_rng.stream(s, _rng.GT_STREAM_OFFSET), doc["chains"])
+        ref = sliced_reference(truth, n_proj, _rng.stream(s, _rng.PROJ_STREAM_OFFSET))
+        for r, (variant, gdict) in enumerate(plan):
+            geo = None if gdict is None else DampedGeometryConfig(**gdict)
+            for j, nfe in enumerate(nfe_list):
+                vals[r, j, k] = sliced_wasserstein(_compare_run(variant, geo, nfe, s, doc, ctx, threads), ref)
+
+    rows = []  # (variant, lam, kappa, {nfe: (mean, stderr)})
+    for (variant, gdict), row in zip(plan, vals):
         cells = {}
-        for nfe in nfe_list:
-            vals = np.array(
-                [
-                    sliced_wasserstein(
-                        _compare_run(variant, geo, nfe, s, doc, ctx, threads),
-                        truths[s],
-                        n_proj,
-                        _rng.stream(s, _rng.PROJ_STREAM_OFFSET),
-                    )
-                    for s in seeds
-                ]
-            )
-            stderr = 0.0 if vals.size < 2 else float(vals.std(ddof=1) / np.sqrt(vals.size))
-            cells[nfe] = (float(vals.mean()), stderr)
+        for nfe, v in zip(nfe_list, row):
+            stderr = 0.0 if v.size < 2 else float(v.std(ddof=1) / np.sqrt(v.size))
+            cells[nfe] = (float(v.mean()), stderr)
         rows.append((variant, gdict, cells))
 
     header = ["variant", "lam", "kappa"]

@@ -38,6 +38,8 @@ __all__ = [
     "chi2_histogram",
     "equal_mass_edges",
     "ks_statistic",
+    "SlicedReference",
+    "sliced_reference",
     "sliced_wasserstein",
     "DecayFit",
     "decay_fit",
@@ -266,24 +268,57 @@ def ks_statistic(samples, cdf: Callable) -> float:
     return float(max(np.max(f - grid / n), np.max((grid + 1.0) / n - f)))
 
 
+def _points(x) -> np.ndarray:
+    """A sample as (n, d) rows; a flat (n,) sample is n points in 1-d."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim == 1:
+        x = x[:, None]
+    if x.ndim != 2:
+        raise ValueError("a sample must be an (n,) or (n, d) array")
+    return x
+
+
+@dataclass(frozen=True)
+class SlicedReference:
+    """Unit directions (n_proj, d) and a sample's projections on them, each row sorted (n_proj, n)."""
+
+    dirs: np.ndarray
+    sorted_proj: np.ndarray
+
+
+def sliced_reference(b, n_projections: int = 64, rng: Optional[np.random.Generator] = None) -> SlicedReference:
+    """Draw the directions and sort the reference sample's projections once.
+
+    Passing the result as ``b`` to :func:`sliced_wasserstein` measures any
+    number of samples against ``b`` on the same directions.
+    """
+    b = _points(b)
+    if rng is None:
+        rng = np.random.default_rng(0)
+    dirs = rng.standard_normal((n_projections, b.shape[1]))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    return SlicedReference(dirs, np.sort(dirs @ b.T, axis=1))
+
+
 def sliced_wasserstein(a, b, n_projections: int = 64, rng: Optional[np.random.Generator] = None) -> float:
     """Sliced 2-Wasserstein distance via exact 1-d transport on random directions.
 
     Requires equal sample counts so the sorted pairing is the exact coupling.
     With a shared ``rng`` (hence shared directions) this is a true metric, so
-    triangle-inequality checks hold to float precision.
+    triangle-inequality checks hold to float precision.  ``b`` may be a
+    :class:`SlicedReference`, whose directions are then used and
+    ``n_projections`` and ``rng`` ignored.
     """
-    a = np.atleast_2d(np.asarray(a, dtype=np.float64))
-    b = np.atleast_2d(np.asarray(b, dtype=np.float64))
-    if a.shape != b.shape:
+    a = _points(a)
+    ref = b if isinstance(b, SlicedReference) else sliced_reference(b, n_projections, rng)
+    if a.shape != (ref.sorted_proj.shape[1], ref.dirs.shape[1]):
         raise ValueError("sliced_wasserstein needs equally sized samples of equal dimension")
-    if rng is None:
-        rng = np.random.default_rng(0)
-    dirs = rng.standard_normal((n_projections, a.shape[1]))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    pa = np.sort(a @ dirs.T, axis=0)
-    pb = np.sort(b @ dirs.T, axis=0)
-    return float(np.sqrt(np.mean((pa - pb) ** 2)))
+    # In place: fresh temporaries of this size cost more than the arithmetic.
+    pa = ref.dirs @ a.T
+    pa.sort(axis=1)
+    pa -= ref.sorted_proj
+    pa *= pa
+    return float(np.sqrt(pa.mean()))
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,14 @@ is the idealization of a network output, so samplers built against the
 :class:`ScoreProvider` protocol run unchanged on either.
 
 Shapes: ``x`` may be a single point ``(d,)`` or a batch ``(m, d)``; outputs
-match.  Dense Hessian routines are capped at d <= 64.
+match, and a row's result does not depend on how many rows share the call.
+Dense Hessian routines are capped at d <= 64.
+
+The posterior over components is computed against the centers taken relative
+to their mean ybar0, as two-operand contractions: no (m, n, d) difference
+tensor is formed, and offset mixtures keep their digits.  ``np.einsum`` is
+used rather than ``@`` because BLAS sends a one-row product to a different
+kernel, which would make a single point's result differ from its batch row.
 """
 
 from __future__ import annotations
@@ -19,8 +26,6 @@ from __future__ import annotations
 from typing import Protocol, runtime_checkable
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import ndtr, ndtri
 
 from .schedule import NoiseSchedule
 
@@ -44,11 +49,21 @@ def _check_sigma(sigma) -> None:
         raise ValueError("sigma(t) = 0: the diffused mixture is degenerate at this time")
 
 
-def _logsumexp_last(a, keepdims: bool = False):
-    """Stable log-sum-exp over the last axis; local to keep hot loops cheap."""
-    m = np.max(a, axis=-1, keepdims=True)
-    out = np.log(np.sum(np.exp(a - m), axis=-1, keepdims=True)) + m
-    return out if keepdims else out[..., 0]
+def _shift_exp_sum(ll):
+    """Replace (n, m) logits by exp(ll - column max) in place; return the column maxima and sums.
+
+    Components run along axis 0, so the reductions are elementwise over
+    contiguous rows.  The rows are summed in order: numpy's own reduction
+    would sum a single column pairwise, and a single point's result would
+    then differ from its row of a batch.
+    """
+    top = ll.max(axis=0)
+    ll -= top
+    np.exp(ll, out=ll)
+    total = ll[0].copy()
+    for row in ll[1:]:
+        total += row
+    return top, total
 
 
 class GaussianMixtureOracle:
@@ -74,6 +89,10 @@ class GaussianMixtureOracle:
         self.weights = weights / weights.sum()
         self.schedule = schedule
         self._log_w = np.log(self.weights)
+        # Centers relative to their mean: y_i = ybar0 + yc_i.
+        self._ybar0 = centers.mean(axis=0)
+        self._yc = centers - self._ybar0
+        self._yc_sq = np.einsum("nd,nd->n", self._yc, self._yc)
         # Pairwise support diameter, reused by error-bound diagnostics.
         diff = centers[:, None, :] - centers[None, :, :]
         self.diameter = float(np.sqrt((diff**2).sum(-1)).max())
@@ -104,49 +123,88 @@ class GaussianMixtureOracle:
         return x2, single
 
     def _log_posterior(self, x2, t):
-        """Component log-responsibilities log w_i + log N(x; alpha y_i, sigma^2 I), unnormalized."""
+        """Component logits (n, m), the residual r = x - alpha_t ybar0 (m, d), alpha_t and sigma_t.
+
+        log w_i + log N(x; alpha y_i, sigma^2 I) equals the returned logit
+        log w_i + (alpha <r, yc_i> - alpha^2 |yc_i|^2 / 2) / sigma^2 plus
+        -|r|^2 / (2 sigma^2) - (d/2) log(2 pi sigma^2), which does not depend
+        on i and so cancels in the softmax.  Components run along axis 0.
+        """
         alpha, sigma = self.schedule.alpha_sigma(t)
         _check_sigma(sigma)
-        diff = x2[:, None, :] - alpha * self.centers[None, :, :]  # (m, n, d)
-        sq = (diff * diff).sum(-1)
-        ll = self._log_w[None, :] - 0.5 * sq / (sigma * sigma)
-        ll -= 0.5 * self.dim * np.log(2.0 * np.pi * sigma * sigma)
-        return ll, float(alpha), float(sigma)
+        alpha, sigma = float(alpha), float(sigma)
+        s2 = sigma * sigma
+        r = x2 - alpha * self._ybar0
+        ll = np.einsum("nd,md->nm", (alpha / s2) * self._yc, r)
+        ll += (self._log_w - (0.5 * alpha * alpha / s2) * self._yc_sq)[:, None]
+        return ll, r, alpha, sigma
+
+    def _posterior(self, x2, t):
+        """Responsibilities (m, n), each row summing to 1, the residual r, alpha_t and sigma_t.
+
+        The weights come back point-major and C-contiguous: contracted over a
+        contiguous axis, a single point's moments do not depend on how many
+        points share the call.
+        """
+        ll, r, alpha, sigma = self._log_posterior(x2, t)
+        _, total = _shift_exp_sum(ll)
+        return np.divide(ll.T, total[:, None], order="C"), r, alpha, sigma
+
+    def _centered_moments(self, w, third: bool = False):
+        """Posterior mean (m, d) and second (m, d, d) [and third (m, d, d, d)] moments of y - ybar0."""
+        yc = self._yc
+        n, d = yc.shape
+        m = w.shape[0]
+        mean = np.einsum("mn,nd->md", w, yc)
+        outer2 = yc[:, :, None] * yc[:, None, :]
+        m2 = np.einsum("mn,nk->mk", w, outer2.reshape(n, d * d)).reshape(m, d, d)
+        if not third:
+            return mean, m2
+        outer3 = outer2[:, :, :, None] * yc[:, None, None, :]
+        m3 = np.einsum("mn,nk->mk", w, outer3.reshape(n, d * d * d)).reshape(m, d, d, d)
+        return mean, m2, m3
+
+    def _score(self, x2, t):
+        """Score rows (m, d) and sigma_t from one posterior evaluation."""
+        w, r, alpha, sigma = self._posterior(x2, t)
+        return -(r - alpha * np.einsum("mn,nd->md", w, self._yc)) / (sigma * sigma), sigma
 
     # -- densities and derivatives ---------------------------------------
 
     def posterior_weights(self, x, t):
         """Softmax responsibilities of each component at (x, t); rows sum to 1."""
         x2, single = self._prep(x)
-        ll, _, _ = self._log_posterior(x2, t)
-        w = np.exp(ll - _logsumexp_last(ll, keepdims=True))
+        w = self._posterior(x2, t)[0]
         return w[0] if single else w
 
     def posterior_mean(self, x, t):
         """Posterior mean of the clean data, ybar(x, t) = sum_i wtilde_i y_i."""
-        return self.posterior_weights(x, t) @ self.centers
+        x2, single = self._prep(x)
+        w = self._posterior(x2, t)[0]
+        ybar = self._ybar0 + np.einsum("mn,nd->md", w, self._yc)
+        return ybar[0] if single else ybar
 
     def logpdf(self, x, t):
         """log p_t(x) of the diffused mixture, via log-sum-exp."""
         x2, single = self._prep(x)
-        ll, _, _ = self._log_posterior(x2, t)
-        out = _logsumexp_last(ll)
+        ll, r, _, sigma = self._log_posterior(x2, t)
+        top, total = _shift_exp_sum(ll)
+        s2 = sigma * sigma
+        out = np.log(total) + top - 0.5 * (r * r).sum(axis=1) / s2 - 0.5 * self.dim * np.log(2.0 * np.pi * s2)
         return float(out[0]) if single else out
 
     def score(self, x, t):
         """grad_x log p_t(x) = -(x - alpha_t ybar(x,t)) / sigma_t^2."""
         x2, single = self._prep(x)
-        ll, alpha, sigma = self._log_posterior(x2, t)
-        w = np.exp(ll - _logsumexp_last(ll, keepdims=True))
-        ybar = w @ self.centers
-        out = -(x2 - alpha * ybar) / (sigma * sigma)
+        out, _ = self._score(x2, t)
         return out[0] if single else out
 
     def eps(self, x, t):
         """Idealized noise prediction -sigma_t * score(x, t)."""
-        _, sigma = self.schedule.alpha_sigma(t)
-        _check_sigma(sigma)
-        return -sigma * self.score(x, t)
+        x2, single = self._prep(x)
+        s, sigma = self._score(x2, t)
+        out = -sigma * s
+        return out[0] if single else out
 
     def hessian(self, x, t):
         """Exact grad^2 log p_t(x); dense (d, d) per point, d <= 64.
@@ -157,11 +215,9 @@ class GaussianMixtureOracle:
         if self.dim > DENSE_DIM_CAP:
             raise ValueError(f"dense Hessian capped at d <= {DENSE_DIM_CAP}")
         x2, single = self._prep(x)
-        ll, alpha, sigma = self._log_posterior(x2, t)
-        w = np.exp(ll - _logsumexp_last(ll, keepdims=True))
-        ybar = w @ self.centers
-        m2 = np.einsum("mn,ni,nj->mij", w, self.centers, self.centers)
-        cov = m2 - ybar[:, :, None] * ybar[:, None, :]
+        w, _, alpha, sigma = self._posterior(x2, t)
+        mean, m2 = self._centered_moments(w)
+        cov = m2 - mean[:, :, None] * mean[:, None, :]
         s2 = sigma * sigma
         out = (alpha * alpha / (s2 * s2)) * cov
         idx = np.arange(self.dim)
@@ -178,18 +234,15 @@ class GaussianMixtureOracle:
         if self.dim > DENSE_DIM_CAP:
             raise ValueError(f"dense Hessian gradient capped at d <= {DENSE_DIM_CAP}")
         x2, single = self._prep(x)
-        ll, alpha, sigma = self._log_posterior(x2, t)
-        w = np.exp(ll - _logsumexp_last(ll, keepdims=True))
-        y = self.centers
-        ybar = w @ y
-        m2 = np.einsum("mn,ni,nj->mij", w, y, y)
-        m3 = np.einsum("mn,ni,nj,nk->mijk", w, y, y, y)
-        cov = m2 - ybar[:, :, None] * ybar[:, None, :]
+        w, _, alpha, sigma = self._posterior(x2, t)
+        # Moments about ybar0; C and the third central moment do not depend on the shift.
+        mean, m2, m3 = self._centered_moments(w, third=True)
+        cov = m2 - mean[:, :, None] * mean[:, None, :]
         s2 = sigma * sigma
-        # dC[j,k]/dx_l = (alpha/s2) * (M3 - ybar_l M2 - C_{jl} ybar_k - ybar_j C_{kl})
-        dcov = m3 - m2[:, :, :, None] * ybar[:, None, None, :]
-        dcov -= cov[:, :, None, :] * ybar[:, None, :, None]
-        dcov -= cov[:, None, :, :] * ybar[:, :, None, None]
+        # dC[j,k]/dx_l = (alpha/s2) * (M3 - mean_l M2 - C_{jl} mean_k - mean_j C_{kl})
+        dcov = m3 - m2[:, :, :, None] * mean[:, None, None, :]
+        dcov -= cov[:, :, None, :] * mean[:, None, :, None]
+        dcov -= cov[:, None, :, :] * mean[:, :, None, None]
         dcov *= alpha / s2
         out = (alpha * alpha / (s2 * s2)) * dcov
         return out[0] if single else out
@@ -216,6 +269,8 @@ class GaussianMixtureOracle:
 
     def marginal_cdf(self, x, t):
         """Exact CDF of the 1-d diffused marginal at time t."""
+        from scipy.special import ndtr  # deferred: scipy costs every import of the package
+
         self._require_1d("marginal_cdf")
         alpha, sigma = self.schedule.alpha_sigma(t)
         _check_sigma(sigma)
@@ -225,6 +280,9 @@ class GaussianMixtureOracle:
 
     def marginal_quantile(self, q, t):
         """Quantiles of the 1-d diffused marginal, by bracketed root finding."""
+        from scipy.optimize import brentq
+        from scipy.special import ndtri
+
         self._require_1d("marginal_quantile")
         q = np.asarray(q, dtype=np.float64)
         if np.any((q <= 0.0) | (q >= 1.0)):

@@ -28,6 +28,7 @@ from lmlangevin import (
     overhead_benchmark,
     rank1_approx_error,
     residual_norm,
+    sliced_reference,
     sliced_wasserstein,
 )
 from lmlangevin.rng import stream
@@ -196,6 +197,23 @@ def test_sliced_wasserstein_1d_shift() -> None:
     # In 1-d every unit projection is +-1, so a pure shift has distance |shift|.
     a = np.random.default_rng(57).normal(size=(256, 1))
     assert sliced_wasserstein(a, a + 2.0) == pytest.approx(2.0, rel=1e-12)
+
+
+def test_sliced_wasserstein_reads_a_flat_sample_as_1d_points() -> None:
+    a = np.random.default_rng(57).normal(size=256)
+    assert sliced_wasserstein(a, a[::-1]) == 0.0
+    assert sliced_wasserstein(a, a + 2.0) == pytest.approx(2.0, rel=1e-12)
+
+
+def test_sliced_reference_matches_the_direct_call() -> None:
+    rng = np.random.default_rng(60)
+    truth = rng.normal(size=(300, 2))
+    ref = sliced_reference(truth, 16, stream(5, 7))
+    for loc in (0.0, 0.5, 3.0):
+        a = rng.normal(loc=loc, size=(300, 2))
+        assert sliced_wasserstein(a, ref) == sliced_wasserstein(a, truth, 16, stream(5, 7))
+    with pytest.raises(ValueError, match="equally sized"):
+        sliced_wasserstein(a[:100], ref)
 
 
 def test_sliced_wasserstein_triangle_inequality() -> None:

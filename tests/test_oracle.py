@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ from scipy.integrate import quad
 from scipy.stats import multivariate_normal
 
 from lmlangevin import (
+    DENSE_DIM_CAP,
     GaussianMixtureOracle,
     NoiseSchedule,
     finite_diff_gradient,
@@ -111,6 +116,114 @@ def test_eps_is_minus_sigma_score() -> None:
     t = 0.3
     _, sigma = sch.alpha_sigma(t)
     np.testing.assert_allclose(orc.eps(xs, t), -sigma * orc.score(xs, t), rtol=1e-14)
+
+
+def test_eps_evaluates_the_schedule_once(monkeypatch) -> None:
+    sch = NoiseSchedule.vp_linear()
+    rng = np.random.default_rng(17)
+    orc = _random_oracle(rng, 3, 2, sch)
+    calls = []
+    real = NoiseSchedule.alpha_sigma
+
+    def counted(self, t):
+        calls.append(t)
+        return real(self, t)
+
+    monkeypatch.setattr(NoiseSchedule, "alpha_sigma", counted)
+    orc.eps(rng.normal(size=(5, 3)), 0.3)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("d, n", [(1, 2), (1, 9), (2, 2), (2, 4), (8, 4), (64, 8), (1000, 4)])
+def test_rows_do_not_depend_on_batch_size(d, n) -> None:
+    # A sampler that steps one point must take the same step as that point's
+    # row of a batch, bit for bit.  At d = 1 and n >= 4 a contraction whose
+    # summed axis is strided changes kernels when the batch has one row.
+    rng = np.random.default_rng(100 + d + n)
+    orc = _random_oracle(rng, d, n, NoiseSchedule.vp_linear())
+    xs = rng.normal(size=(37, d))
+    t = 0.4
+    methods = ("eps", "score", "logpdf", "posterior_weights", "posterior_mean")
+    methods += ("hessian", "hessian_grad") if d <= DENSE_DIM_CAP else ()
+    for name in methods:
+        f = getattr(orc, name)
+        batch = f(xs, t)
+        for i in (0, 17, 36):
+            assert np.array_equal(f(xs[i], t), batch[i]), (name, i)
+        assert np.array_equal(f(xs[:3], t), batch[:3]), name
+
+
+def _longdouble_reference(orc, x, t):
+    """eps, score, logpdf and hessian in np.longdouble, from the pairwise differences x - alpha y_i."""
+    L = np.longdouble
+    alpha, sigma = (L(float(v)) for v in orc.schedule.alpha_sigma(t))
+    y, x = orc.centers.astype(L), x.astype(L)
+    s2 = sigma * sigma
+    diff = x[:, None, :] - alpha * y[None, :, :]
+    ll = np.log(orc.weights.astype(L)) - (diff * diff).sum(-1) / (2 * s2)
+    top = ll.max(-1, keepdims=True)
+    e = np.exp(ll - top)
+    w = e / e.sum(-1, keepdims=True)
+    logpdf = np.log(e.sum(-1)) + top[:, 0] - L(orc.dim) / 2 * np.log(2 * L(np.pi) * s2)
+    ybar = (w[:, :, None] * y[None]).sum(1)
+    score = -(x - alpha * ybar) / s2
+    dev = y[None] - ybar[:, None, :]
+    cov = (w[:, :, None, None] * dev[:, :, :, None] * dev[:, :, None, :]).sum(1)
+    hess = alpha * alpha / (s2 * s2) * cov - np.eye(orc.dim, dtype=L) / s2
+    return {"eps": -sigma * score, "score": score, "logpdf": logpdf, "hessian": hess}
+
+
+@pytest.mark.parametrize("offset", [0.0, 10.0, 100.0])
+def test_posterior_precision_on_offset_mixtures(offset) -> None:
+    # Centers far from the origin must not cost digits: the logits differ by
+    # O(alpha |x| |y| / sigma^2), which cancels badly unless taken about the
+    # centers' mean.
+    sch = NoiseSchedule.ve(0.01, 100.0)  # sigma(t) = 0.01 * 1e4^t, alpha = 1
+    rng = np.random.default_rng(18)
+    centers = rng.normal(scale=0.5, size=(4, 3)) + offset
+    orc = GaussianMixtureOracle(centers, rng.uniform(0.5, 2.0, size=4), sch)
+    gates = {"eps": 1e-10, "score": 1e-10, "logpdf": 1e-10, "hessian": 1e-9}
+    for t in np.linspace(math.log(1.6) / math.log(1e4), 0.5, 6):  # sigma from 0.016 to 1
+        xs = orc.sample_diffused(stream(19), 64, t)
+        ref = _longdouble_reference(orc, xs, t)
+        for name, gate in gates.items():
+            err = np.abs(getattr(orc, name)(xs, t) - ref[name]).max() / np.abs(ref[name]).max()
+            assert err < gate, (name, float(t), float(err))
+
+
+@pytest.mark.parametrize("d", [1, 2, 8])
+def test_centered_moments_match_the_raw_moment_einsums(d) -> None:
+    sch = NoiseSchedule.vp_linear()
+    rng = np.random.default_rng(20 + d)
+    orc = _random_oracle(rng, d, 5, sch)
+    xs = rng.normal(size=(11, d))
+    t = 0.45
+    alpha, sigma = (float(v) for v in sch.alpha_sigma(t))
+    s2 = sigma * sigma
+    y = orc.centers
+    w = orc.posterior_weights(xs, t)
+    ybar = w @ y
+    m2 = np.einsum("mn,ni,nj->mij", w, y, y)
+    m3 = np.einsum("mn,ni,nj,nk->mijk", w, y, y, y)
+    cov = m2 - ybar[:, :, None] * ybar[:, None, :]
+    hess = (alpha * alpha / (s2 * s2)) * cov - np.eye(d) / s2
+    dcov = m3 - m2[:, :, :, None] * ybar[:, None, None, :]
+    dcov -= cov[:, :, None, :] * ybar[:, None, :, None]
+    dcov -= cov[:, None, :, :] * ybar[:, :, None, None]
+    third = (alpha * alpha / (s2 * s2)) * (alpha / s2) * dcov
+    for got, want in ((orc.hessian(xs, t), hess), (orc.hessian_grad(xs, t), third)):
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def test_import_leaves_scipy_unloaded() -> None:
+    # scipy serves only the 1-d CDF and quantile helpers; importing it costs
+    # every command about half a second.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, lmlangevin, lmlangevin.cli; print([m for m in ('scipy.optimize', 'scipy.special') if m in sys.modules])"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_posterior_weights_limits() -> None:
