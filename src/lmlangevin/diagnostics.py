@@ -120,12 +120,12 @@ def rank1_approx_error(oracle: GaussianMixtureOracle, x, t) -> float:
     proxy is undefined; the full HS norm of the exact negated Hessian is
     returned so the degenerate case is visible rather than masked.
     """
-    exact = -oracle.hessian(x, t)
-    eps = oracle.eps(x, t)
+    score, hess = oracle.derivatives(x, t, 2)
+    sigma = float(oracle.schedule.alpha_sigma(t)[1])
+    eps = -sigma * score
     if float(eps @ eps) == 0.0:
-        return hs_norm(exact)
-    _, sigma = oracle.schedule.alpha_sigma(t)
-    return hs_error(exact, low_rank_hessian(eps, float(sigma)))
+        return hs_norm(-hess)
+    return hs_error(-hess, low_rank_hessian(eps, sigma))
 
 
 @dataclass(frozen=True)
@@ -410,8 +410,7 @@ class DiagnosticsReport:
     """Uniform result container written by the command layer.
 
     Provenance (config hash and seed) is mandatory; metric values must be
-    finite unless explicitly flagged, so NaN never leaks into output files
-    silently.
+    finite, so NaN or inf never leaks into output files silently.
     """
 
     command: str
@@ -420,14 +419,12 @@ class DiagnosticsReport:
     metrics: dict = field(default_factory=dict)
     series: dict = field(default_factory=dict)
     extra: dict = field(default_factory=dict)
-    allow_infinite: tuple = ()
 
     def __post_init__(self):
         if not self.config_hash:
             raise ValueError("config_hash is mandatory")
         for key, val in self.metrics.items():
-            ok = np.isfinite(val) or (key in self.allow_infinite and not np.isnan(val))
-            if not ok:
+            if not np.isfinite(val):
                 raise ValueError(f"metric {key!r} is not finite: {val!r}")
 
     def as_dict(self) -> dict:

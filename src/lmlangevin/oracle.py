@@ -12,7 +12,9 @@ is the idealization of a network output, so samplers built against the
 
 Shapes: ``x`` may be a single point ``(d,)`` or a batch ``(m, d)``; outputs
 match, and a row's result does not depend on how many rows share the call.
-Dense Hessian routines are capped at d <= 64.
+Dense Hessian routines are capped at d <= 64.  The score, the Hessian and its
+gradient are read off one posterior evaluation, and :meth:`derivatives`
+returns several of them at one point from one call.
 
 The posterior over components is computed against the centers taken relative
 to their mean ybar0, as two-operand contractions: no (m, n, d) difference
@@ -150,24 +152,46 @@ class GaussianMixtureOracle:
         _, total = _shift_exp_sum(ll)
         return np.divide(ll.T, total[:, None], order="C"), r, alpha, sigma
 
-    def _centered_moments(self, w, third: bool = False):
-        """Posterior mean (m, d) and second (m, d, d) [and third (m, d, d, d)] moments of y - ybar0."""
+    def _derivatives(self, x, t, order: int):
+        """[score, Hessian (order >= 2), its gradient (order 3)] and sigma_t from one posterior evaluation.
+
+        The Hessian is -(1/sigma^2) I + (alpha^2/sigma^4) C with C the
+        posterior covariance of the centers.  Its gradient follows from the
+        posterior-moment identities d ybar/dx = (alpha/sigma^2) C and
+        d wtilde_i/dx = wtilde_i (alpha/sigma^2)(y_i - ybar).  The moments are
+        taken about ybar0; C and the third central moment do not depend on
+        the shift.
+        """
+        if order > 1 and self.dim > DENSE_DIM_CAP:
+            raise ValueError(f"dense Hessian capped at d <= {DENSE_DIM_CAP}")
+        x2, single = self._prep(x)
+        w, r, alpha, sigma = self._posterior(x2, t)
         yc = self._yc
         n, d = yc.shape
-        m = w.shape[0]
+        s2 = sigma * sigma
         mean = np.einsum("mn,nd->md", w, yc)
-        outer2 = yc[:, :, None] * yc[:, None, :]
-        m2 = np.einsum("mn,nk->mk", w, outer2.reshape(n, d * d)).reshape(m, d, d)
-        if not third:
-            return mean, m2
-        outer3 = outer2[:, :, :, None] * yc[:, None, None, :]
-        m3 = np.einsum("mn,nk->mk", w, outer3.reshape(n, d * d * d)).reshape(m, d, d, d)
-        return mean, m2, m3
-
-    def _score(self, x2, t):
-        """Score rows (m, d) and sigma_t from one posterior evaluation."""
-        w, r, alpha, sigma = self._posterior(x2, t)
-        return -(r - alpha * np.einsum("mn,nd->md", w, self._yc)) / (sigma * sigma), sigma
+        # The score -(r - alpha mean) / s2 is formed in r's buffer: at large d it is memory-bound.
+        r -= alpha * mean
+        r /= -s2
+        out = [r]
+        if order > 1:
+            outer2 = yc[:, :, None] * yc[:, None, :]
+            m2 = np.einsum("mn,nk->mk", w, outer2.reshape(n, d * d)).reshape(-1, d, d)
+            cov = m2 - mean[:, :, None] * mean[:, None, :]
+            hess = (alpha * alpha / (s2 * s2)) * cov
+            idx = np.arange(d)
+            hess[:, idx, idx] -= 1.0 / s2
+            out.append(hess)
+        if order > 2:
+            outer3 = outer2[:, :, :, None] * yc[:, None, None, :]
+            m3 = np.einsum("mn,nk->mk", w, outer3.reshape(n, d * d * d)).reshape(-1, d, d, d)
+            # dC[j,k]/dx_l = (alpha/s2) * (M3 - mean_l M2 - C_{jl} mean_k - mean_j C_{kl})
+            dcov = m3 - m2[:, :, :, None] * mean[:, None, None, :]
+            dcov -= cov[:, :, None, :] * mean[:, None, :, None]
+            dcov -= cov[:, None, :, :] * mean[:, :, None, None]
+            dcov *= alpha / s2
+            out.append((alpha * alpha / (s2 * s2)) * dcov)
+        return [part[0] if single else part for part in out], sigma
 
     # -- densities and derivatives ---------------------------------------
 
@@ -195,57 +219,33 @@ class GaussianMixtureOracle:
 
     def score(self, x, t):
         """grad_x log p_t(x) = -(x - alpha_t ybar(x,t)) / sigma_t^2."""
-        x2, single = self._prep(x)
-        out, _ = self._score(x2, t)
-        return out[0] if single else out
+        return self._derivatives(x, t, 1)[0][0]
 
     def eps(self, x, t):
         """Idealized noise prediction -sigma_t * score(x, t)."""
-        x2, single = self._prep(x)
-        s, sigma = self._score(x2, t)
-        out = -sigma * s
-        return out[0] if single else out
+        (s,), sigma = self._derivatives(x, t, 1)
+        s *= -sigma
+        return s
 
     def hessian(self, x, t):
-        """Exact grad^2 log p_t(x); dense (d, d) per point, d <= 64.
-
-        Equals -(1/sigma^2) I + (alpha^2/sigma^4) C(x, t) with C the
-        posterior covariance of the centers.
-        """
-        if self.dim > DENSE_DIM_CAP:
-            raise ValueError(f"dense Hessian capped at d <= {DENSE_DIM_CAP}")
-        x2, single = self._prep(x)
-        w, _, alpha, sigma = self._posterior(x2, t)
-        mean, m2 = self._centered_moments(w)
-        cov = m2 - mean[:, :, None] * mean[:, None, :]
-        s2 = sigma * sigma
-        out = (alpha * alpha / (s2 * s2)) * cov
-        idx = np.arange(self.dim)
-        out[:, idx, idx] -= 1.0 / s2
-        return out[0] if single else out
+        """Exact grad^2 log p_t(x); dense (d, d) per point, d <= 64."""
+        return self._derivatives(x, t, 2)[0][1]
 
     def hessian_grad(self, x, t):
-        """Third-derivative tensor T[j,k,l] = d H[j,k] / d x_l, exact.
+        """Third-derivative tensor T[j,k,l] = d H[j,k] / d x_l, exact; d <= 64.
 
-        Needed by divergence-corrected preconditioned dynamics.  Uses the
-        posterior-moment identities d ybar/dx = (alpha/sigma^2) C and
-        d wtilde_i/dx = wtilde_i (alpha/sigma^2)(y_i - ybar).
+        Needed by divergence-corrected preconditioned dynamics.
         """
-        if self.dim > DENSE_DIM_CAP:
-            raise ValueError(f"dense Hessian gradient capped at d <= {DENSE_DIM_CAP}")
-        x2, single = self._prep(x)
-        w, _, alpha, sigma = self._posterior(x2, t)
-        # Moments about ybar0; C and the third central moment do not depend on the shift.
-        mean, m2, m3 = self._centered_moments(w, third=True)
-        cov = m2 - mean[:, :, None] * mean[:, None, :]
-        s2 = sigma * sigma
-        # dC[j,k]/dx_l = (alpha/s2) * (M3 - mean_l M2 - C_{jl} mean_k - mean_j C_{kl})
-        dcov = m3 - m2[:, :, :, None] * mean[:, None, None, :]
-        dcov -= cov[:, :, None, :] * mean[:, None, :, None]
-        dcov -= cov[:, None, :, :] * mean[:, :, None, None]
-        dcov *= alpha / s2
-        out = (alpha * alpha / (s2 * s2)) * dcov
-        return out[0] if single else out
+        return self._derivatives(x, t, 3)[0][2]
+
+    def derivatives(self, x, t, order: int):
+        """``(score, hessian)`` at order 2 or ``(score, hessian, hessian_grad)`` at order 3; d <= 64.
+
+        One posterior evaluation gives them all, with the bits of the separate methods.
+        """
+        if order not in (2, 3):
+            raise ValueError("derivatives order must be 2 or 3")
+        return tuple(self._derivatives(x, t, order)[0])
 
     # -- sampling ---------------------------------------------------------
 

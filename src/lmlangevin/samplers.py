@@ -22,7 +22,8 @@ Two families live here.
     div P (``corrected=True``);
   - ``damped-lm``: P the damped rank-1 proxy without div P, through
     :func:`damped_step` in mode ``"rank1"``, which takes s = -eps/sigma
-    from its one noise prediction.
+    from its one noise prediction, as the exact metrics take s, H and grad H
+    from one oracle call.
 
   On a single-component 1-d target the Newton and exact damped variants
   reduce to a closed-form OU update, which the kernel takes directly.
@@ -47,7 +48,7 @@ from .geometry import (
     damped_inverse_sqrt_apply,
     lm_guided_eps,
 )
-from .oracle import DENSE_DIM_CAP, GaussianMixtureOracle, ScoreProvider
+from .oracle import GaussianMixtureOracle, ScoreProvider
 from .schedule import NoiseSchedule, TimestepGrid, make_grid
 
 __all__ = [
@@ -94,19 +95,18 @@ def _eig_apply(w, v, vec, power: float):
     return np.einsum("...ij,...j->...i", v, coef * np.power(w, power))
 
 
-def _metric_drift_noise(hess, score, xi, lam: float, newton: bool, third=None):
-    """Drift P s (+ div P) and noise P^{1/2} xi for the exact metric P = (-H + lam I)^{-1}.
+def _metric_drift_noise(oracle: GaussianMixtureOracle, x, t: float, xi, lam: float, newton: bool, corrected=False):
+    """Drift P s (+ div P) and noise P^{1/2} xi at (x, t) for the exact metric P = (-H + lam I)^{-1}.
 
-    ``hess`` is a (d, d) or (m, d, d) Hessian stack; ``third`` is its gradient
-    and adds the divergence term when given.  A d == 1 metric is a scalar and
-    is applied by division; larger ones go through ``eigh``.  A metric that is
-    not positive definite raises NotLogConcaveError (``newton``) or
-    DampingTooSmallError naming the damping it would need.
+    One oracle call gives the score s, the Hessian H and, when ``corrected``,
+    its gradient, which adds the divergence term.  A d == 1 metric is a
+    scalar and is applied by division; larger ones go through ``eigh``.  A
+    metric that is not positive definite raises NotLogConcaveError
+    (``newton``) or DampingTooSmallError naming the damping it would need.
     """
-    neg = -np.asarray(hess, dtype=np.float64)
+    parts = oracle.derivatives(x, t, 3 if corrected else 2)
+    score, neg = parts[0], -parts[1]
     d = neg.shape[-1]
-    if d > DENSE_DIM_CAP:
-        raise ValueError(f"dense preconditioning capped at d <= {DENSE_DIM_CAP}")
     if d == 1:
         g = neg[..., 0, 0] + lam
     else:
@@ -121,28 +121,29 @@ def _metric_drift_noise(hess, score, xi, lam: float, newton: bool, third=None):
         )
     if d == 1:
         drift = score[..., 0] / g
-        if third is not None:
-            drift = drift + third[..., 0, 0, 0] / (g * g)
+        if corrected:
+            drift = drift + parts[2][..., 0, 0, 0] / (g * g)
         return drift[..., None], (xi[..., 0] / np.sqrt(g))[..., None]
     drift = _eig_apply(g, v, score, -1.0)
-    if third is not None:
+    if corrected:
         # div(P)_i = sum_j [P (dH/dx_j) P]_{ij}; dP = P dH P for P = (-H + lam I)^{-1}.
         p = np.einsum("...ij,...j,...kj->...ik", v, 1.0 / g, v)
-        drift = drift + np.einsum("...ia,...abj,...bj->...i", p, third, p)
+        drift = drift + np.einsum("...ia,...abj,...bj->...i", p, parts[2], p)
     return drift, _eig_apply(g, v, xi, -0.5)
 
 
-def newton_langevin_step(x, score_fn, hessian_fn, h: float, rng: np.random.Generator):
-    """Langevin preconditioned by P = (-grad^2 log p)^{-1}.
+def newton_langevin_step(x, oracle: GaussianMixtureOracle, t: float, h: float, rng: np.random.Generator):
+    """Langevin at level t preconditioned by P = (-grad^2 log p_t)^{-1}.
 
     Requires the target to be log-concave at x; noise enters through the
-    symmetric square root P^{1/2}.  This is the exact metric of
-    :func:`damped_step` at lam = 0, for any score and Hessian callables.
+    symmetric square root P^{1/2}.  This is the exact step of
+    :func:`damped_step` at lam = 0, with the same one oracle evaluation per
+    step, except that an indefinite Hessian raises NotLogConcaveError.
     """
     if not h > 0.0:
         raise ValueError("step size h must be > 0")
     x = np.asarray(x, dtype=np.float64)
-    drift, noise = _metric_drift_noise(hessian_fn(x), score_fn(x), rng.standard_normal(x.shape), 0.0, newton=True)
+    drift, noise = _metric_drift_noise(oracle, x, t, rng.standard_normal(x.shape), 0.0, newton=True)
     return x + h * drift + np.sqrt(2.0 * h) * noise
 
 
@@ -161,7 +162,9 @@ def damped_step(
     Every preconditioned variant takes the one update
     x' = x + h (P s + div P) + sqrt(2h) P^{1/2} xi with P = G^{-1}:
 
-    * mode ``"exact"`` builds G from the oracle's exact Hessian; fixed-level
+    * mode ``"exact"`` builds G from the oracle's exact Hessian, taken with
+      the score (and, when corrected, the Hessian gradient) from one
+      :meth:`~.oracle.GaussianMixtureOracle.derivatives` call; fixed-level
       ``damped-exact`` and ``damped-exact-corrected`` run here.  lam = 0 is
       pure Newton, the metric :func:`newton_langevin_step` uses (which raises
       NotLogConcaveError where this raises DampingTooSmallError).
@@ -181,9 +184,7 @@ def damped_step(
     x = np.asarray(x, dtype=np.float64)
     xi = rng.standard_normal(x.shape)
     if mode == "exact":
-        hess, s = oracle.hessian(x, t), oracle.score(x, t)
-        third = oracle.hessian_grad(x, t) if corrected else None
-        drift, noise = _metric_drift_noise(hess, s, xi, lam, newton=False, third=third)
+        drift, noise = _metric_drift_noise(oracle, x, t, xi, lam, newton=False, corrected=corrected)
     elif mode == "rank1":
         if corrected:
             raise ValueError("divergence correction is implemented for exact mode only")
@@ -512,7 +513,7 @@ def _fixed_level_kernel(cfg: FixedLevelConfig, oracle: GaussianMixtureOracle):
 
     def kernel(x, gen):
         if newton:
-            return newton_langevin_step(x, lambda y: oracle.score(y, t), lambda y: oracle.hessian(y, t), h, gen)
+            return newton_langevin_step(x, oracle, t, h, gen)
         return damped_step(x, oracle, t, lam, h, gen, mode=mode, corrected=corrected)
 
     return kernel
@@ -522,8 +523,9 @@ def fixed_level_run(cfg: FixedLevelConfig, oracle: GaussianMixtureOracle, thread
     """Evolve a chain ensemble at a frozen level, recording snapshots.
 
     Chains are advanced block-by-block with per-block random streams; the
-    result is independent of ``threads``.  Snapshot states are checked finite
-    so numeric blow-ups surface as errors rather than silent NaN files.
+    result is independent of ``threads``.  Each snapshot is checked finite as
+    it is taken, so a numeric blow-up raises FloatingPointError naming the
+    variant and the step instead of running on to a NaN file.
     """
     d = oracle.dim
     snap = _snapshot_steps(cfg)
@@ -533,17 +535,15 @@ def fixed_level_run(cfg: FixedLevelConfig, oracle: GaussianMixtureOracle, thread
         xb = cfg.init_mean + cfg.init_std * gen.standard_normal((rows, d))
         out = np.empty((snap.size, rows, d), dtype=np.float64)
         cursor = 0
-        if snap[0] == 0:
-            out[0] = xb
-            cursor = 1
-        for step in range(1, cfg.n_steps + 1):
-            xb = kernel(xb, gen)
+        for step in range(cfg.n_steps + 1):
+            if step:
+                xb = kernel(xb, gen)
             if cursor < snap.size and step == snap[cursor]:
+                if not np.all(np.isfinite(xb)):
+                    raise FloatingPointError(f"fixed-level {cfg.variant} run produced non-finite states at step {step}")
                 out[cursor] = xb
                 cursor += 1
         return out
 
     states = _run_chain_blocks(cfg.seed, cfg.chains, threads, run_block)
-    if not np.all(np.isfinite(states)):
-        raise FloatingPointError("fixed-level run produced non-finite states")
     return FixedLevelRun(config=cfg, snapshot_steps=snap, times=snap * cfg.h, states=states)

@@ -278,8 +278,6 @@ def test_overhead_validation() -> None:
 def test_report_requires_finite_metrics() -> None:
     with pytest.raises(ValueError, match="not finite"):
         DiagnosticsReport("sample", "abc123", 0, metrics={"ks": float("nan")})
-    rep = DiagnosticsReport("sample", "abc123", 0, metrics={"chi2": float("inf")}, allow_infinite=("chi2",))
-    assert rep.metrics["chi2"] == float("inf")
     with pytest.raises(ValueError, match="config_hash"):
         DiagnosticsReport("sample", "", 0)
 

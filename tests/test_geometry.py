@@ -166,6 +166,42 @@ def test_guided_eps_properties(d, rows, log_lam, kappa, seed) -> None:
             lm_guided_eps(cur, zero_prev, cfg)
 
 
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    d=st.integers(1, 64),
+    rows=st.integers(1, 4),
+    log_lam=st.floats(-6.0, 6.0),
+    log_sigma=st.floats(-2.0, 2.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_damped_inverse_properties(d, rows, log_lam, log_sigma, seed) -> None:
+    gen = np.random.default_rng(seed)
+    eps, v = gen.standard_normal((rows, d)), gen.standard_normal((rows, d))
+    lam, sigma = 10.0**log_lam, 10.0**log_sigma
+    applied = damped_inverse_apply(eps, sigma, lam, v)
+    root = damped_inverse_sqrt_apply(eps, sigma, lam, v)
+    twice = damped_inverse_sqrt_apply(eps, sigma, lam, root)
+    # P's condition number 1 + 1/(sigma^2 lam) scales both the dense solve's
+    # error and the closed form's cancellation in 1 - beta along eps.
+    tol = 1e-13 * (1.0 + 1.0 / (sigma * sigma * lam))
+    for i in range(rows):
+        # the square root applied twice is the inverse
+        assert np.linalg.norm(twice[i] - applied[i]) <= tol * np.linalg.norm(applied[i])
+        # the closed form inverts the dense rank-1 proxy plus lam I
+        dense = _dense_damped_inverse(eps[i], sigma, lam, v[i])
+        assert np.linalg.norm(applied[i] - dense) <= tol * np.linalg.norm(dense)
+        # a batch is its rows, each applied on its own
+        assert np.array_equal(damped_inverse_apply(eps[i], sigma, lam, v[i]), applied[i])
+        assert np.array_equal(damped_inverse_sqrt_apply(eps[i], sigma, lam, v[i]), root[i])
+    # a row with no curvature information falls back to P = I / lam
+    eps[gen.integers(rows)] = 0.0
+    zero = np.flatnonzero(~eps.any(axis=1))
+    np.testing.assert_allclose(damped_inverse_apply(eps, sigma, lam, v)[zero], v[zero] / lam, rtol=1e-15, atol=0)
+    np.testing.assert_allclose(
+        damped_inverse_sqrt_apply(eps, sigma, lam, v)[zero], v[zero] / np.sqrt(lam), rtol=1e-15, atol=0
+    )
+
+
 def test_geometry_config_validation() -> None:
     with pytest.raises(ValueError, match="lam"):
         DampedGeometryConfig(lam=0.0)

@@ -151,6 +151,32 @@ def test_rows_do_not_depend_on_batch_size(d, n) -> None:
         for i in (0, 17, 36):
             assert np.array_equal(f(xs[i], t), batch[i]), (name, i)
         assert np.array_equal(f(xs[:3], t), batch[:3]), name
+    if d > DENSE_DIM_CAP:
+        return
+    # One posterior evaluation gives the same bits as the separate methods.
+    separate = (orc.score(xs, t), orc.hessian(xs, t), orc.hessian_grad(xs, t))
+    for order in (2, 3):
+        batch = orc.derivatives(xs, t, order)
+        assert len(batch) == order
+        for part, want in zip(batch, separate):
+            assert np.array_equal(part, want), order
+        for i in (0, 17, 36):
+            for part, row in zip(orc.derivatives(xs[i], t, order), batch):
+                assert np.array_equal(part, row[i]), (order, i)
+        for part, rows in zip(orc.derivatives(xs[:3], t, order), batch):
+            assert np.array_equal(part, rows[:3]), order
+
+
+def test_derivatives_order_and_dense_cap() -> None:
+    sch = NoiseSchedule.vp_linear()
+    orc = _random_oracle(np.random.default_rng(18), 2, 3, sch)
+    for order in (1, 4):
+        with pytest.raises(ValueError, match="order must be 2 or 3"):
+            orc.derivatives(np.zeros(2), 0.3, order)
+    wide = _random_oracle(np.random.default_rng(19), DENSE_DIM_CAP + 1, 3, sch)
+    for call in (wide.hessian, wide.hessian_grad, lambda x, t: wide.derivatives(x, t, 2)):
+        with pytest.raises(ValueError, match="capped at d <= 64"):
+            call(np.zeros(DENSE_DIM_CAP + 1), 0.3)
 
 
 def _longdouble_reference(orc, x, t):

@@ -407,22 +407,32 @@ def test_damped_lm_variant_runs() -> None:
     assert 0.3 < frac < 0.7
 
 
-def test_damped_lm_step_evaluates_the_posterior_once(monkeypatch) -> None:
-    # The rank-1 drift needs the score, which is -eps/sigma of the one
-    # prediction the step already makes.
-    sch = _unit_sigma_schedule()
-    orc = GaussianMixtureOracle([[1.0, 0.0], [-1.0, 0.0]], None, sch)
-    calls = []
-    real = GaussianMixtureOracle._log_posterior
+@pytest.mark.parametrize("variant", ["damped-lm", "damped-exact", "damped-exact-corrected", "newton"])
+def test_each_step_evaluates_the_posterior_once(monkeypatch, variant) -> None:
+    # The rank-1 drift takes the score as -eps/sigma of the one prediction
+    # the step makes; the exact metrics take the score, the Hessian and its
+    # gradient from one oracle call.  Centers at +-0.3 e1 at sigma 1 keep the
+    # target log-concave, so Newton is defined everywhere.
+    orc = GaussianMixtureOracle([[0.3, 0.0], [-0.3, 0.0]], None, _unit_sigma_schedule())
+    posterior, schedule = [], []
+    real_posterior, real_schedule = GaussianMixtureOracle._log_posterior, NoiseSchedule.alpha_sigma
 
-    def counted(self, x2, t):
-        calls.append(t)
-        return real(self, x2, t)
+    def counted_posterior(self, x2, t):
+        posterior.append(t)
+        return real_posterior(self, x2, t)
 
-    monkeypatch.setattr(GaussianMixtureOracle, "_log_posterior", counted)
-    cfg = FixedLevelConfig(t=0.5, h=0.01, n_steps=7, variant="damped-lm", lam=0.5, chains=16, seed=13)
+    def counted_schedule(self, t):
+        schedule.append(t)
+        return real_schedule(self, t)
+
+    monkeypatch.setattr(GaussianMixtureOracle, "_log_posterior", counted_posterior)
+    monkeypatch.setattr(NoiseSchedule, "alpha_sigma", counted_schedule)
+    lam = 0.0 if variant == "newton" else 0.5
+    cfg = FixedLevelConfig(t=0.5, h=0.01, n_steps=7, variant=variant, lam=lam, chains=16, seed=13)
     fixed_level_run(cfg, orc)
-    assert len(calls) == 7
+    assert len(posterior) == 7
+    if variant != "damped-lm":  # the rank-1 step reads sigma_t once more, for s = -eps/sigma
+        assert len(schedule) == 7
 
 
 def test_damped_lm_requires_positive_lam() -> None:
@@ -488,7 +498,14 @@ def test_fixed_level_blowup_raises() -> None:
     sch = _unit_sigma_schedule()
     orc = GaussianMixtureOracle([[0.0]], None, sch)
     cfg = FixedLevelConfig(t=0.5, h=1e6, n_steps=60, variant="plain-langevin", chains=4, seed=3)
-    with pytest.raises(FloatingPointError):
+    with pytest.raises(FloatingPointError, match="plain-langevin run .* at step 60$"):
+        fixed_level_run(cfg, orc)
+    # The states overflow at step 52; the run stops at the first snapshot
+    # that sees it rather than after all 1000 steps.
+    cfg = FixedLevelConfig(
+        t=0.5, h=1e6, n_steps=1000, variant="plain-langevin", chains=4, seed=3, snapshot_every=10
+    )
+    with pytest.raises(FloatingPointError, match="at step 60$"):
         fixed_level_run(cfg, orc)
 
 
