@@ -67,8 +67,20 @@ def _rows(v):
     return (v[None, :], True) if v.ndim == 1 else (v, False)
 
 
+# einsum sums a lone row as one flat reduction, in chunks of its iterator's
+# 8192-element buffer, but a row of a batch in one run; past that length the
+# two orders give different bits.
+_EINSUM_BUFFER = 8192
+
+
 def _row_dot(a, b):
     # einsum fuses multiply and reduce into one pass with no temporary.
+    d = a.shape[-1]
+    if d > _EINSUM_BUFFER and a.size == d == b.size:
+        # Reduced as the first of two stride-0 copies, a lone row takes a batch row's order.
+        two = (2, d)
+        dot = np.einsum("ki,ki->k", np.broadcast_to(a, two), np.broadcast_to(b, two))[:1]
+        return dot.reshape(a.shape[:-1] + (1,))
     return np.einsum("...i,...i->...", a, b)[..., None]
 
 
@@ -117,33 +129,44 @@ def low_rank_hessian(eps, sigma_t: float):
 
 
 def _rank1_factors(eps, sigma_t: float, lam: float):
-    """Shared scalars for the damped rank-1 inverse: (scale c, beta, unit dir)."""
+    """The damped rank-1 inverse's eigen-split: 1/lam across eps, c_par along it, and the unit direction u.
+
+    c_par = 1/(1/sigma_t^2 + lam) = sigma_t^2 / (1 + sigma_t^2 lam) is formed
+    directly rather than as (1 - beta)/lam with beta = 1/(1 + sigma_t^2 lam),
+    which cancels when sigma_t^2 lam is small.  Rows with eps = 0 get u = 0.
+    """
     e, _ = _rows(eps)
     n2 = _row_dot(e, e)
     if sigma_t <= 0.0 or not lam > 0.0:
         raise ValueError("need sigma_t > 0 and lam > 0")
-    lam_p = sigma_t * sigma_t * n2 * lam
+    s2 = sigma_t * sigma_t
     with np.errstate(invalid="ignore", divide="ignore"):
-        beta = np.where(n2 > 0.0, n2 / (lam_p + n2), 0.0)
         u = np.where(n2 > 0.0, e / np.sqrt(np.where(n2 > 0.0, n2, 1.0)), 0.0)
-    return 1.0 / lam, beta, u
+    return 1.0 / lam, s2 / (1.0 + s2 * lam), u
+
+
+def _split_apply(u, v, across, along):
+    """across * (w - u <u,w>) + along * u <u,w> row-wise, for v of shape (d,) or (m, d)."""
+    w, single = _rows(v)
+    par = u * _row_dot(u, w)
+    out = w - par
+    out *= across
+    par *= along
+    out += par
+    return out[0] if single else out
 
 
 def damped_inverse_apply(eps, sigma_t: float, lam: float, v):
     """P v with P = [rank1(eps, sigma_t) + lam I]^{-1}, O(d) row-wise.
 
-    Rows with eps = 0 fall back to P = I / lam (no curvature information).
+    P is 1/lam across eps and 1/(1/sigma_t^2 + lam) along it.  Rows with
+    eps = 0 fall back to P = I / lam (no curvature information).
     """
-    c, beta, u = _rank1_factors(eps, sigma_t, lam)
-    w, single = _rows(v)
-    out = c * (w - beta * u * _row_dot(u, w))
-    return out[0] if single else out
+    across, along, u = _rank1_factors(eps, sigma_t, lam)
+    return _split_apply(u, v, across, along)
 
 
 def damped_inverse_sqrt_apply(eps, sigma_t: float, lam: float, v):
-    """P^{1/2} v in closed form: sqrt(c) (I - gamma u u^T) with gamma = 1 - sqrt(1-beta)."""
-    c, beta, u = _rank1_factors(eps, sigma_t, lam)
-    gamma = 1.0 - np.sqrt(1.0 - beta)
-    w, single = _rows(v)
-    out = np.sqrt(c) * (w - gamma * u * _row_dot(u, w))
-    return out[0] if single else out
+    """P^{1/2} v in closed form: the square roots of P's two eigenvalues on the same split."""
+    across, along, u = _rank1_factors(eps, sigma_t, lam)
+    return _split_apply(u, v, np.sqrt(across), np.sqrt(along))

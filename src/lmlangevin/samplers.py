@@ -190,10 +190,9 @@ def damped_step(
             raise ValueError("divergence correction is implemented for exact mode only")
         if not lam > 0.0:
             raise ValueError("rank1 mode requires lam > 0")
-        _, sigma = oracle.schedule.alpha_sigma(t)
-        sigma = float(sigma)
-        eps = oracle.eps(x, t)
-        # s = -eps / sigma: one posterior evaluation gives both
+        # One posterior evaluation gives sigma_t and eps, with the bits of oracle.eps; s = -eps / sigma.
+        (score,), sigma = oracle._derivatives(x, t, 1)
+        eps = score * -sigma
         drift = damped_inverse_apply(eps, sigma, lam, -eps / sigma)
         noise = damped_inverse_sqrt_apply(eps, sigma, lam, xi)
     else:
@@ -273,6 +272,10 @@ def _run_chain_blocks(seed: int, chains: int, threads: int, run_block) -> np.nda
 # ---------------------------------------------------------------------------
 # denoising runs
 
+# Bytes of float64 per chain-row tile in lml_sample: one tile's predictions,
+# guided update and solver step stay within a core's L2 cache.
+TILE_BYTES = 512 * 1024
+
 
 @dataclass(frozen=True)
 class SamplerConfig:
@@ -300,7 +303,11 @@ class SamplerConfig:
 
 @dataclass
 class SamplerRun:
-    """Everything a denoising run produced; states[k] sits at grid.times[k]."""
+    """Everything a denoising run produced; states[k] sits at grid.times[k].
+
+    ``step_times[k]`` is the wall time of step k + 1, summed over the row
+    tiles :func:`lml_sample` advances one after another.
+    """
 
     grid: TimestepGrid
     states: np.ndarray
@@ -324,39 +331,56 @@ def lml_sample(cfg: SamplerConfig, provider: ScoreProvider) -> SamplerRun:
     prediction's norm at every step by construction.
     Stepping is deterministic given the initial draw, which is block-split by
     chain index.
+
+    The chains are advanced in contiguous row tiles of TILE_BYTES // (8 d)
+    rows, each through all n steps before the next, so one tile's working set
+    stays in cache across the prediction, the guided update and the solver
+    step.  All three treat rows independently, so the bits do not depend on
+    the tiling.  Each chain still costs one prediction per step (the NFE),
+    but ``provider.eps`` is called n_steps times per tile.  Each new state is
+    checked finite as it is written; a blow-up raises FloatingPointError
+    naming the step and its time.
     """
     grid = make_grid(cfg.schedule, cfg.n_steps, cfg.eps_clip)
     d = provider.dim
     n, m = cfg.n_steps, cfg.chains
     dt = np.dtype(cfg.dtype)
 
-    x = (float(grid.sigma[0]) * _rng.ensemble_normal(cfg.seed, m, d)).astype(dt)
     states = np.empty((n + 1, m, d), dtype=dt)
     eps_raw = np.empty((n, m, d), dtype=dt)
     eps_used = np.empty((n, m, d), dtype=dt)
-    step_times = np.empty(n, dtype=np.float64)
-    states[0] = x
+    step_times = np.zeros(n, dtype=np.float64)
+    states[0] = float(grid.sigma[0]) * _rng.ensemble_normal(cfg.seed, m, d)
 
-    work = x.astype(np.float64)
-    prev_raw = prev_used = None
-    for k, level in enumerate(range(n, 0, -1)):
-        t_level = grid.level_time(level)
-        tic = time.perf_counter()
-        raw = np.asarray(provider.eps(work, t_level), dtype=np.float64)
-        used = raw if cfg.geometry is None else lm_guided_eps(raw, prev_raw, cfg.geometry)
-        prev_raw = raw  # drops the older prediction before the solver allocates
-        if cfg.solver_order == 2 and prev_used is not None:
-            work = multistep2_step(work, used, prev_used, level, grid)
-        else:
-            work = ddim_step(work, used, level, grid)
-        step_times[k] = time.perf_counter() - tic
-        prev_used = used
-        eps_raw[k] = raw
-        eps_used[k] = used
-        states[k + 1] = work.astype(dt)
-        if dt != np.float64:
-            # float32 mode: states round-trip through float32 between steps.
-            work = states[k + 1].astype(np.float64)
+    rows = max(1, TILE_BYTES // (8 * d))
+    for lo in range(0, m, rows):
+        tile = slice(lo, lo + rows)
+        work = states[0, tile].astype(np.float64)
+        prev_raw = prev_used = None
+        for k, level in enumerate(range(n, 0, -1)):
+            t_level = grid.level_time(level)
+            tic = time.perf_counter()
+            raw = np.asarray(provider.eps(work, t_level), dtype=np.float64)
+            used = raw if cfg.geometry is None else lm_guided_eps(raw, prev_raw, cfg.geometry)
+            prev_raw = raw
+            if cfg.solver_order == 2 and prev_used is not None:
+                work = multistep2_step(work, used, prev_used, level, grid)
+            else:
+                work = ddim_step(work, used, level, grid)
+            step_times[k] += time.perf_counter() - tic
+            prev_used = used
+            eps_raw[k, tile] = raw
+            eps_used[k, tile] = used
+            states[k + 1, tile] = work
+            if not np.isfinite(states[k + 1, tile]).all():
+                cause = "finite" if np.isfinite(raw).all() else "already non-finite"
+                raise FloatingPointError(
+                    f"lml_sample produced non-finite states at step {k + 1} of {n} "
+                    f"(t = {t_level:.6g}); the provider's prediction was {cause}"
+                )
+            if dt != np.float64:
+                # float32 mode: states round-trip through float32 between steps.
+                work = states[k + 1, tile].astype(np.float64)
     return SamplerRun(
         grid=grid,
         states=states,

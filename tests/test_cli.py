@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from lmlangevin import GaussianMixtureOracle
 from lmlangevin.cli import main
 
 
@@ -133,6 +134,24 @@ def test_numeric_blowup_is_exit_3(tmp_path) -> None:
         rc = main(["stationarity", "--config", _write(tmp_path, "c.json", doc), "--out", str(out)])
     assert rc == 3
     assert not (out / "meta.json").exists()  # failed runs leave no summary
+
+
+def test_sample_blow_up_is_exit_3(tmp_path, monkeypatch, capsys) -> None:
+    calls = []
+    real = GaussianMixtureOracle.eps
+
+    def inf_at_step_3(self, x, t):
+        # 64 chains at d = 2 run as one tile, so the third call is step 3.
+        calls.append(t)
+        out = real(self, x, t)
+        return np.full_like(out, np.inf) if len(calls) == 3 else out
+
+    monkeypatch.setattr(GaussianMixtureOracle, "eps", inf_at_step_3)
+    out = tmp_path / "out"
+    rc = main(["sample", "--config", _write(tmp_path, "c.json", _sample_doc()), "--out", str(out)])
+    assert rc == 3
+    assert "step 3 of 8" in capsys.readouterr().err
+    assert not (out / "meta.json").exists()
 
 
 def test_assert_threshold_failure_is_exit_4(tmp_path) -> None:

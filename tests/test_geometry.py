@@ -181,8 +181,7 @@ def test_damped_inverse_properties(d, rows, log_lam, log_sigma, seed) -> None:
     applied = damped_inverse_apply(eps, sigma, lam, v)
     root = damped_inverse_sqrt_apply(eps, sigma, lam, v)
     twice = damped_inverse_sqrt_apply(eps, sigma, lam, root)
-    # P's condition number 1 + 1/(sigma^2 lam) scales both the dense solve's
-    # error and the closed form's cancellation in 1 - beta along eps.
+    # P's condition number 1 + 1/(sigma^2 lam) scales the dense solve's error.
     tol = 1e-13 * (1.0 + 1.0 / (sigma * sigma * lam))
     for i in range(rows):
         # the square root applied twice is the inverse
@@ -267,3 +266,37 @@ def test_damped_inverse_apply_zero_rows_fall_back() -> None:
     out = damped_inverse_apply(eps, 1.0, 2.0, v)
     np.testing.assert_allclose(out[0], v[0] / 2.0)
     assert np.all(np.isfinite(out))
+
+
+@pytest.mark.parametrize("sigma", [0.02, 0.5, 1.0, 30.0])
+@pytest.mark.parametrize("lam", [1e-6, 1e-3, 1.0, 1e4])
+def test_rank1_operators_are_exact_along_eps(sigma, lam) -> None:
+    # At d = 1 the damped rank-1 inverse is the scalar 1/(1/sigma^2 + lam).
+    # Formed as (1 - beta)/lam it cancels when sigma^2 lam is small: 8.3e-8
+    # relative at sigma = 0.02, lam = 1e-6.
+    eps, v = np.array([[-0.7], [2.5]]), np.array([[1.3], [-0.4]])
+    g = 1.0 / (np.longdouble(sigma) ** -2 + np.longdouble(lam))
+    np.testing.assert_allclose(damped_inverse_apply(eps, sigma, lam, v), (g * v).astype(float), rtol=1e-15, atol=0)
+    np.testing.assert_allclose(
+        damped_inverse_sqrt_apply(eps, sigma, lam, v), (np.sqrt(g) * v).astype(float), rtol=1e-15, atol=0
+    )
+
+
+@pytest.mark.parametrize("d", [64, 4096, 16384])
+def test_rows_do_not_depend_on_batch_size(d) -> None:
+    # lml_sample advances its chains in row tiles, down to a lone row, so a
+    # row must get the bits it gets in a batch.  Past 8192 elements einsum
+    # would sum a lone row in buffer-sized chunks, in another order.
+    gen = np.random.default_rng(d)
+    cur, prev, v = (gen.standard_normal((64, d)) for _ in range(3))
+    cfg = DampedGeometryConfig(lam=1e-3, kappa=0.3)
+    ops = {
+        "lm_guided_eps": lambda a, b, w: lm_guided_eps(a, b, cfg),
+        "damped_inverse_apply": lambda a, b, w: damped_inverse_apply(a, 0.4, 1e-2, w),
+        "damped_inverse_sqrt_apply": lambda a, b, w: damped_inverse_sqrt_apply(a, 0.4, 1e-2, w),
+    }
+    for name, op in ops.items():
+        batch = op(cur, prev, v)
+        assert np.array_equal(op(cur[0], prev[0], v[0]), batch[0]), name
+        for k in (1, 3):
+            assert np.array_equal(op(cur[:k], prev[:k], v[:k]), batch[:k]), (name, k)

@@ -22,6 +22,7 @@ from lmlangevin import (
     make_grid,
     multistep2_step,
 )
+from lmlangevin import samplers
 from lmlangevin.rng import stream
 
 
@@ -230,6 +231,57 @@ def test_float32_run() -> None:
     assert np.abs(r32.final_states - r64.final_states).max() < 1e-2
 
 
+@pytest.mark.parametrize("d", [2, 64, 16384])
+def test_bits_do_not_depend_on_the_tiles(monkeypatch, d) -> None:
+    # The oracle, the guided update and the solver treat rows alone, so the
+    # default tiles and 3-row tiles give the bits of one whole-batch tile.
+    # At d = 16384 the default tile is 4 rows, which leaves 65 chains a lone
+    # last row.
+    gen = np.random.default_rng(d)
+    orc = GaussianMixtureOracle(gen.standard_normal((4, d)) / np.sqrt(d), None, NoiseSchedule.vp_linear())
+    default = samplers.TILE_BYTES
+    for chains in (1, 5, 64, 65):
+        for order in (1, 2):
+            for geometry in (None, DampedGeometryConfig(lam=1e-3, kappa=0.3)):
+                for dtype in ("float32", "float64"):
+                    cfg = SamplerConfig(
+                        n_steps=2, solver_order=order, geometry=geometry, seed=5, chains=chains, dtype=dtype
+                    )
+                    runs = []
+                    for tile_bytes in (8 * d * chains, default, 8 * d * 3):
+                        monkeypatch.setattr(samplers, "TILE_BYTES", tile_bytes)
+                        runs.append(lml_sample(cfg, orc))
+                    whole = runs[0]
+                    for run in runs[1:]:
+                        for name in ("states", "eps_raw", "eps_used"):
+                            assert np.array_equal(getattr(run, name), getattr(whole, name)), (chains, name)
+
+
+class _BlowUpProvider:
+    """Predicts 0.5 x, and ``bad`` at time ``t_bad``."""
+
+    dim = 2
+
+    def __init__(self, t_bad, bad):
+        self.t_bad, self.bad = t_bad, bad
+
+    def eps(self, x, t):
+        return np.full_like(x, self.bad) if t == self.t_bad else 0.5 * x
+
+
+def test_blow_up_names_the_step() -> None:
+    sch = NoiseSchedule.vp_linear()
+    t3 = make_grid(sch, 6).level_time(6 - 2)  # step 3 of 6 runs at level 4
+    cfg = SamplerConfig(n_steps=6, solver_order=2, geometry=DampedGeometryConfig(), schedule=sch, chains=5)
+    named = rf"step 3 of 6 \(t = {t3:.6g}\).*already non-finite"
+    with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError, match=named):
+        lml_sample(cfg, _BlowUpProvider(t3, np.inf))
+    # A finite prediction whose state overflows float32 is named as finite.
+    cfg32 = SamplerConfig(n_steps=6, schedule=sch, chains=5, dtype="float32")
+    with np.errstate(over="ignore"), pytest.raises(FloatingPointError, match="step 3 of 6.*was finite"):
+        lml_sample(cfg32, _BlowUpProvider(t3, 1e300))
+
+
 def test_run_shapes_and_grid() -> None:
     sch = NoiseSchedule.vp_linear()
     orc = _mixture2d(sch)
@@ -431,8 +483,7 @@ def test_each_step_evaluates_the_posterior_once(monkeypatch, variant) -> None:
     cfg = FixedLevelConfig(t=0.5, h=0.01, n_steps=7, variant=variant, lam=lam, chains=16, seed=13)
     fixed_level_run(cfg, orc)
     assert len(posterior) == 7
-    if variant != "damped-lm":  # the rank-1 step reads sigma_t once more, for s = -eps/sigma
-        assert len(schedule) == 7
+    assert len(schedule) == 7
 
 
 def test_damped_lm_requires_positive_lam() -> None:
