@@ -374,8 +374,9 @@ def _reference_rate(variant: str, lam: float, sigma: float):
 def _cmd_convergence(doc, ctx, chash, out: Path, threads: int):
     oracle = ctx["oracle"]
     t = doc["t"]
-    alpha, sigma = (float(v) for v in oracle.schedule.alpha_sigma(t))
+    alpha, sigma = oracle._level(t)
     single = oracle.n_components == 1
+    mu = alpha * float(oracle.centers[0, 0])
     lo, hi = doc["fit_window"]
 
     if not single:
@@ -389,20 +390,20 @@ def _cmd_convergence(doc, ctx, chash, out: Path, threads: int):
         lam = fixed.lam
         run = fixed_level_run(fixed, oracle, threads=threads)
         times = run.times
-        vals = np.empty(times.size)
-        errs = np.empty(times.size)
-        for k in range(times.size):
-            samples = run.states[k, :, 0]
+        vals, errs = np.empty((2, times.size))
+        # Moments per snapshot (in one pass, std copies every snapshot) and the del below keep the peak at one lam's.
+        for k, samples in enumerate(run.states[:, :, 0]):
             if single:
                 m_hat, s_hat = float(samples.mean()), float(samples.std(ddof=1))
-                vals[k] = chi2_gaussians(m_hat, s_hat, alpha * float(oracle.centers[0, 0]), sigma)
-                errs[k] = _gaussian_chi2_stderr(m_hat, s_hat, alpha * float(oracle.centers[0, 0]), sigma, samples.size)
+                vals[k] = chi2_gaussians(m_hat, s_hat, mu, sigma)
+                errs[k] = _gaussian_chi2_stderr(m_hat, s_hat, mu, sigma, samples.size)
             else:
                 # Histogram estimate: biased, trend-only; fine inside the fit window.
                 counts = np.bincount(np.searchsorted(edges, samples), minlength=64)
                 p_hat = counts / samples.size
                 vals[k] = chi2_histogram(samples, edges)
                 errs[k] = _histogram_chi2_stderr(p_hat, samples.size)
+        del run, samples
 
         name = f"convergence_lam{li}.csv"
         files.append(name)

@@ -46,11 +46,6 @@ class ScoreProvider(Protocol):
     def eps(self, x, t): ...
 
 
-def _check_sigma(sigma) -> None:
-    if np.any(sigma <= 0.0):
-        raise ValueError("sigma(t) = 0: the diffused mixture is degenerate at this time")
-
-
 def _shift_exp_sum(ll):
     """Replace (n, m) logits by exp(ll - column max) in place; return the column maxima and sums.
 
@@ -95,6 +90,7 @@ class GaussianMixtureOracle:
         self._ybar0 = centers.mean(axis=0)
         self._yc = centers - self._ybar0
         self._yc_sq = np.einsum("nd,nd->n", self._yc, self._yc)
+        self._levels: dict[float, tuple[float, float]] = {}
         # Pairwise support diameter, reused by error-bound diagnostics.
         diff = centers[:, None, :] - centers[None, :, :]
         self.diameter = float(np.sqrt((diff**2).sum(-1)).max())
@@ -124,6 +120,23 @@ class GaussianMixtureOracle:
             raise ValueError(f"x must have trailing dimension {self.dim}")
         return x2, single
 
+    def _level(self, t) -> tuple[float, float]:
+        """(alpha_t, sigma_t) as floats; sigma_t = 0 raises.
+
+        Up to 4096 scalar times keep their pair as one tuple, so the row tiles
+        and steps that query one time evaluate the schedule once.
+        """
+        key = t if isinstance(t, (int, float)) else None
+        pair = self._levels.get(key)
+        if pair is None:
+            alpha, sigma = self.schedule.alpha_sigma(t)
+            if np.any(sigma <= 0.0):
+                raise ValueError("sigma(t) = 0: the diffused mixture is degenerate at this time")
+            pair = (float(alpha), float(sigma))
+            if key is not None and len(self._levels) < 4096:
+                self._levels[key] = pair
+        return pair
+
     def _log_posterior(self, x2, t):
         """Component logits (n, m), the residual r = x - alpha_t ybar0 (m, d), alpha_t and sigma_t.
 
@@ -132,9 +145,7 @@ class GaussianMixtureOracle:
         -|r|^2 / (2 sigma^2) - (d/2) log(2 pi sigma^2), which does not depend
         on i and so cancels in the softmax.  Components run along axis 0.
         """
-        alpha, sigma = self.schedule.alpha_sigma(t)
-        _check_sigma(sigma)
-        alpha, sigma = float(alpha), float(sigma)
+        alpha, sigma = self._level(t)
         s2 = sigma * sigma
         r = x2 - alpha * self._ybar0
         ll = np.einsum("nd,md->nm", (alpha / s2) * self._yc, r)
@@ -256,8 +267,7 @@ class GaussianMixtureOracle:
 
     def sample_diffused(self, rng: np.random.Generator, n: int, t):
         """Draw n points from the diffused marginal p_t."""
-        alpha, sigma = self.schedule.alpha_sigma(t)
-        _check_sigma(sigma)
+        alpha, sigma = self._level(t)
         base = self.sample_data(rng, n)
         return alpha * base + sigma * rng.standard_normal(base.shape)
 
@@ -272,10 +282,9 @@ class GaussianMixtureOracle:
         from scipy.special import ndtr  # deferred: scipy costs every import of the package
 
         self._require_1d("marginal_cdf")
-        alpha, sigma = self.schedule.alpha_sigma(t)
-        _check_sigma(sigma)
+        alpha, sigma = self._level(t)
         x = np.asarray(x, dtype=np.float64)
-        z = (x[..., None] - float(alpha) * self.centers[:, 0]) / float(sigma)
+        z = (x[..., None] - alpha * self.centers[:, 0]) / sigma
         return ndtr(z) @ self.weights
 
     def marginal_quantile(self, q, t):
@@ -287,9 +296,7 @@ class GaussianMixtureOracle:
         q = np.asarray(q, dtype=np.float64)
         if np.any((q <= 0.0) | (q >= 1.0)):
             raise ValueError("quantiles must lie strictly in (0, 1)")
-        alpha, sigma = self.schedule.alpha_sigma(t)
-        _check_sigma(sigma)
-        alpha, sigma = float(alpha), float(sigma)
+        alpha, sigma = self._level(t)
         locs = alpha * self.centers[:, 0]
         # Bracket: each mixture quantile lies between the extreme component quantiles.
         lo = float(locs.min() + sigma * ndtri(q.min())) - 1e-9

@@ -249,24 +249,24 @@ def multistep2_step(x, eps_hat, prev_eps_hat, i: int, grid: TimestepGrid):
 # chain-block driver
 
 
-def _run_chain_blocks(seed: int, chains: int, threads: int, run_block) -> np.ndarray:
-    """Run ``run_block(gen, rows)`` once per chain block and join the results along axis 1.
+def _run_chain_blocks(seed: int, out: np.ndarray, threads: int, run_block) -> np.ndarray:
+    """Fill ``out`` (snapshots, chains, d) in place with ``run_block(gen, out[:, lo:hi])`` per chain block.
 
-    Each block draws from its own stream of :mod:`.rng`, and the partition
-    depends only on chain index, so the result does not depend on ``threads``.
+    Blocks are cut by chain index, draw from their own :mod:`.rng` streams and
+    write only their own columns, so ``out`` does not depend on ``threads``.
     """
-    bounds = _rng.block_bounds(chains)
 
-    def one(b: int) -> np.ndarray:
-        lo, hi = bounds[b]
-        return run_block(_rng.stream(seed, b), hi - lo)
+    def one(block) -> None:
+        b, (lo, hi) = block
+        run_block(_rng.stream(seed, b), out[:, lo:hi])
 
+    blocks = enumerate(_rng.block_bounds(out.shape[1]))
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, range(len(bounds))))
+            list(pool.map(one, blocks))  # list() re-raises a block's error here
     else:
-        results = [one(b) for b in range(len(bounds))]
-    return np.concatenate(results, axis=1)
+        list(map(one, blocks))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -411,14 +411,11 @@ def annealed_langevin_sample(
     if not step_scale > 0.0:
         raise ValueError("step_scale must be > 0")
     grid = make_grid(cfg.schedule, cfg.n_steps, cfg.eps_clip)
-    d = provider.dim
-    n, m = cfg.n_steps, cfg.chains
+    n = cfg.n_steps
     sigma_top = float(grid.sigma[0])
 
-    def run_block(gen, rows: int) -> np.ndarray:
-        xb = sigma_top * gen.standard_normal((rows, d))
-        out = np.empty((n + 1, rows, d), dtype=np.float64)
-        out[0] = xb
+    def run_block(gen, out) -> None:
+        xb = out[0] = sigma_top * gen.standard_normal(out.shape[1:])
         for k in range(n):
             # Langevin targets the *next* (less noisy) level, annealing downward.
             t_level, sig = float(grid.times[k + 1]), float(grid.sigma[k + 1])
@@ -428,10 +425,9 @@ def annealed_langevin_sample(
                 score = -np.asarray(provider.eps(xb, t_level), dtype=np.float64) / sig
                 xb = xb + h * score + root * gen.standard_normal(xb.shape)
             out[k + 1] = xb
-        return out
 
     tic = time.perf_counter()
-    states = _run_chain_blocks(cfg.seed, m, threads, run_block)
+    states = _run_chain_blocks(cfg.seed, np.empty((n + 1, cfg.chains, provider.dim)), threads, run_block)
     step_times = np.full(n, (time.perf_counter() - tic) / n)
     return SamplerRun(grid=grid, states=states, seed=cfg.seed, step_times=step_times)
 
@@ -520,9 +516,8 @@ def _fixed_level_kernel(cfg: FixedLevelConfig, oracle: GaussianMixtureOracle):
         # the third derivative vanishes, so the whole step contracts to an
         # exact OU update.  Big ensembles would otherwise pay the generic
         # posterior machinery per step for no change in output distribution.
-        alpha, sigma = oracle.schedule.alpha_sigma(t)
-        sigma = float(sigma)
-        mu = float(alpha) * float(oracle.centers[0, 0])
+        alpha, sigma = oracle._level(t)
+        mu = alpha * float(oracle.centers[0, 0])
         g = 1.0 / (sigma * sigma) + lam
         c1 = h / (sigma * sigma * g)
         sd = root / np.sqrt(g)
@@ -551,13 +546,11 @@ def fixed_level_run(cfg: FixedLevelConfig, oracle: GaussianMixtureOracle, thread
     it is taken, so a numeric blow-up raises FloatingPointError naming the
     variant and the step instead of running on to a NaN file.
     """
-    d = oracle.dim
     snap = _snapshot_steps(cfg)
     kernel = _fixed_level_kernel(cfg, oracle)
 
-    def run_block(gen, rows: int) -> np.ndarray:
-        xb = cfg.init_mean + cfg.init_std * gen.standard_normal((rows, d))
-        out = np.empty((snap.size, rows, d), dtype=np.float64)
+    def run_block(gen, out) -> None:
+        xb = cfg.init_mean + cfg.init_std * gen.standard_normal(out.shape[1:])
         cursor = 0
         for step in range(cfg.n_steps + 1):
             if step:
@@ -567,7 +560,6 @@ def fixed_level_run(cfg: FixedLevelConfig, oracle: GaussianMixtureOracle, thread
                     raise FloatingPointError(f"fixed-level {cfg.variant} run produced non-finite states at step {step}")
                 out[cursor] = xb
                 cursor += 1
-        return out
 
-    states = _run_chain_blocks(cfg.seed, cfg.chains, threads, run_block)
+    states = _run_chain_blocks(cfg.seed, np.empty((snap.size, cfg.chains, oracle.dim)), threads, run_block)
     return FixedLevelRun(config=cfg, snapshot_steps=snap, times=snap * cfg.h, states=states)

@@ -192,6 +192,7 @@ def test_criterion_4_curvature_product_bound(report) -> None:
 def test_criterion_5_fixed_level_stationarity(report) -> None:
     # damped dynamics at sigma_t = 1, lam in {1, 4}, h = 1e-3, 1e4 burn-in
     # steps, 2e5 retained chains: KS vs the analytic N(0,1) CDF < 0.02.
+    # The chain blocks run on two threads; the states do not depend on it.
     tic = time.perf_counter()
     orc = GaussianMixtureOracle([[0.0]], None, _ve_unit_sigma())
     worst = 0.0
@@ -201,7 +202,7 @@ def test_criterion_5_fixed_level_stationarity(report) -> None:
             t=0.5, h=1e-3, n_steps=10_000, variant="damped-exact", lam=lam,
             chains=200_000, init_mean=0.0, init_std=1.0, seed=105,
         )
-        xs = fixed_level_run(cfg, orc).final_states[:, 0]
+        xs = fixed_level_run(cfg, orc, threads=2).final_states[:, 0]
         ks = ks_statistic(xs, norm.cdf)
         details.append(f"lam={lam:g} ks={ks:.4f}")
         worst = max(worst, ks)
@@ -216,7 +217,8 @@ def test_criterion_6_chi2_decay_rate(tmp_path, report) -> None:
     # within 15% of 2/(1 + lam sigma^2) for lam in {0, 1, 4}, R^2 > 0.95.
     # Driven through the convergence command, whose --assert encodes exactly
     # these thresholds; n_steps is sized so the slowest ensemble (lam = 4,
-    # rate 0.4) still traverses the whole fit band.
+    # rate 0.4) still traverses the whole fit band.  --threads 2 splits the
+    # chain blocks over two threads without changing a bit.
     tic = time.perf_counter()
     doc = {
         "schedule": {"kind": "ve", "sigma_min": 0.01, "sigma_max": 100.0},
@@ -229,7 +231,7 @@ def test_criterion_6_chi2_decay_rate(tmp_path, report) -> None:
     cfg = tmp_path / "convergence.json"
     cfg.write_text(json.dumps(doc))
     out = tmp_path / "out"
-    rc = main(["convergence", "--config", str(cfg), "--out", str(out), "--assert"])
+    rc = main(["convergence", "--config", str(cfg), "--out", str(out), "--threads", "2", "--assert"])
     details = []
     if (out / "meta.json").exists():
         for entry in json.loads((out / "meta.json").read_text())["extra"]["per_lam"]:

@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -372,6 +373,33 @@ def test_convergence_outputs(tmp_path) -> None:
         rows = _data_rows(out / f"convergence_lam{i}.csv")
         assert rows.shape[1] == 3  # time, value, stderr
         assert np.all(rows[:, 1] > 0)
+
+
+def test_convergence_keeps_one_lam_alive(tmp_path) -> None:
+    # Each lam's snapshot array is read and dropped before the next lam runs,
+    # so three lams peak near one array rather than three.
+    doc = {
+        "schedule": {"kind": "ve", "sigma_min": 0.01, "sigma_max": 100.0},
+        "oracle": {"centers": [[0.0]]},
+        "t": 0.5,
+        "variant": "damped-exact",
+        "lams": [0.0, 1.0, 4.0],
+        "h": 0.05,
+        "n_steps": 300,
+        "chains": 12000,
+        "snapshot_every": 2,
+        "seed": 5,
+    }
+    config = _write(tmp_path, "c.json", doc)
+    tracemalloc.start()
+    try:
+        rc = main(["convergence", "--config", config, "--out", str(tmp_path / "out")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    one_lam = (300 // 2 + 1) * 12000 * 8
+    assert peak <= 1.5 * one_lam
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -392,3 +393,28 @@ def test_diameter() -> None:
     sch = NoiseSchedule.vp_linear()
     orc = GaussianMixtureOracle([[0.0, 0.0], [3.0, 4.0], [1.0, 1.0]], None, sch)
     assert orc.diameter == pytest.approx(5.0)
+
+
+def test_schedule_table_under_concurrent_callers() -> None:
+    # Threads share one oracle's table of (alpha_t, sigma_t); two threads that
+    # miss at once both evaluate the schedule, but every call must return the
+    # bits a fresh oracle gives at its own t.
+    sch = NoiseSchedule.vp_linear()
+    centers = [[1.0, 0.0], [-1.0, 0.5]]
+    ts = [float(t) for t in np.linspace(0.05, 0.95, 40)]
+    x = stream(61).standard_normal((5, 2))
+    want = {t: GaussianMixtureOracle(centers, None, sch).eps(x, t) for t in ts}
+    shared = GaussianMixtureOracle(centers, None, sch)
+
+    def worker(k):
+        order = ts[k % len(ts):] + ts[: k % len(ts)]
+        return all(np.array_equal(shared.eps(x, t), want[t]) for t in order * 5)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(worker, k) for k in range(16)]
+            assert all(f.result(timeout=60) for f in futures)
+    finally:
+        sys.setswitchinterval(interval)

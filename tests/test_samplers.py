@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from lmlangevin import (
     multistep2_step,
 )
 from lmlangevin import samplers
-from lmlangevin.rng import stream
+from lmlangevin.rng import BLOCK, stream
 
 
 def _mixture2d(schedule):
@@ -125,6 +126,12 @@ def test_denoiser_steps_call_no_schedule_method(monkeypatch) -> None:
     calls.clear()
     annealed_langevin_sample(SamplerConfig(n_steps=6, schedule=sch, chains=4), _LinearProvider(), 2, 0.1)
     assert len(calls) == per_grid, calls
+    # An oracle keeps alpha_t and sigma_t per time: four 3-row tiles that each
+    # query the 6 level times make 6 schedule calls, not 24.
+    monkeypatch.setattr(samplers, "TILE_BYTES", 3 * 8 * 2)
+    calls.clear()
+    lml_sample(SamplerConfig(n_steps=6, schedule=sch, chains=12), _mixture2d(sch))
+    assert len(calls) == per_grid + 6, calls
 
 
 def test_single_component_terminal_exactness() -> None:
@@ -464,7 +471,9 @@ def test_each_step_evaluates_the_posterior_once(monkeypatch, variant) -> None:
     # The rank-1 drift takes the score as -eps/sigma of the one prediction
     # the step makes; the exact metrics take the score, the Hessian and its
     # gradient from one oracle call.  Centers at +-0.3 e1 at sigma 1 keep the
-    # target log-concave, so Newton is defined everywhere.
+    # target log-concave, so Newton is defined everywhere.  The oracle keeps
+    # alpha_t and sigma_t of the one level, so only the first step asks the
+    # schedule.
     orc = GaussianMixtureOracle([[0.3, 0.0], [-0.3, 0.0]], None, _unit_sigma_schedule())
     posterior, schedule = [], []
     real_posterior, real_schedule = GaussianMixtureOracle._log_posterior, NoiseSchedule.alpha_sigma
@@ -483,7 +492,7 @@ def test_each_step_evaluates_the_posterior_once(monkeypatch, variant) -> None:
     cfg = FixedLevelConfig(t=0.5, h=0.01, n_steps=7, variant=variant, lam=lam, chains=16, seed=13)
     fixed_level_run(cfg, orc)
     assert len(posterior) == 7
-    assert len(schedule) == 7
+    assert len(schedule) == 1
 
 
 def test_damped_lm_requires_positive_lam() -> None:
@@ -536,12 +545,41 @@ def test_fixed_level_snapshots() -> None:
 
 
 def test_fixed_level_threads_invariance() -> None:
+    # Every block writes its own columns of one snapshot array; the final
+    # states and every snapshot must not depend on the thread count, on the
+    # OU shortcut and on the generic posterior path alike.
     sch = _unit_sigma_schedule()
-    orc = GaussianMixtureOracle([[0.0]], None, sch)
-    cfg = FixedLevelConfig(t=0.5, h=0.01, n_steps=50, variant="damped-exact", lam=1.0, chains=9000, seed=2)
-    a = fixed_level_run(cfg, orc, threads=1)
-    b = fixed_level_run(cfg, orc, threads=4)
-    assert np.array_equal(a.states, b.states)
+    ou = GaussianMixtureOracle([[0.0]], None, sch)
+    mixture = GaussianMixtureOracle([[1.5], [-1.5]], [0.7, 0.3], sch)
+    for orc, variant, lam, n_steps in ((ou, "damped-exact", 1.0, 50), (mixture, "damped-exact-corrected", 2.0, 20)):
+        for snapshot_every in (None, 5):
+            cfg = FixedLevelConfig(
+                t=0.5, h=0.01, n_steps=n_steps, variant=variant, lam=lam,
+                chains=2 * BLOCK + 5, snapshot_every=snapshot_every, seed=2,
+            )
+            a = fixed_level_run(cfg, orc, threads=1)
+            for threads in (2, 4):
+                assert np.array_equal(a.states, fixed_level_run(cfg, orc, threads=threads).states)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_fixed_level_snapshots_are_filled_in_place(threads) -> None:
+    # Blocks write their slices of the one (snapshots, chains, d) array, so a
+    # multi-block run never holds per-block copies beside it.
+    orc = GaussianMixtureOracle([[0.0]], None, _unit_sigma_schedule())
+    cfg = FixedLevelConfig(
+        t=0.5, h=0.01, n_steps=100, variant="damped-exact", lam=1.0,
+        chains=2 * BLOCK + 5, snapshot_every=1, seed=4,
+    )
+    fixed_level_run(cfg, orc, threads=threads)  # warm-up: first-call allocations are not the run's
+    tracemalloc.start()
+    try:
+        run = fixed_level_run(cfg, orc, threads=threads)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert run.states.shape == (101, 2 * BLOCK + 5, 1)
+    assert peak <= 1.2 * run.states.nbytes
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
