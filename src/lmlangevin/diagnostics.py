@@ -121,7 +121,7 @@ def rank1_approx_error(oracle: GaussianMixtureOracle, x, t) -> float:
     returned so the degenerate case is visible rather than masked.
     """
     score, hess = oracle.derivatives(x, t, 2)
-    sigma = float(oracle.schedule.alpha_sigma(t)[1])
+    sigma = oracle._level(t)[1]
     eps = -sigma * score
     if float(eps @ eps) == 0.0:
         return hs_norm(-hess)
@@ -162,9 +162,8 @@ def curvature_error_bound(inp: ErrorBoundInputs) -> float:
 def residual_norm(oracle: GaussianMixtureOracle, x, t):
     """r(x) = ||x - alpha_t ybar(x, t)|| with the posterior mean re-evaluated at x."""
     x = np.asarray(x, dtype=np.float64)
-    alpha, _ = oracle.schedule.alpha_sigma(t)
     ybar = oracle.posterior_mean(x, t)
-    return np.linalg.norm(x - float(alpha) * ybar, axis=-1)
+    return np.linalg.norm(x - oracle._level(t)[0] * ybar, axis=-1)
 
 
 @dataclass
@@ -191,7 +190,7 @@ def bound_check(
     same finite-difference second derivative that defines delta3.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
-    alpha, sigma = oracle.schedule.alpha_sigma(t)
+    alpha, sigma = oracle._level(t)
 
     def r_fn(z):
         return residual_norm(oracle, z, t)
@@ -204,8 +203,8 @@ def bound_check(
         delta2=delta2,
         delta3=float(curv.max()),
         diameter=oracle.diameter,
-        alpha_t=float(alpha),
-        sigma_t=float(sigma),
+        alpha_t=alpha,
+        sigma_t=sigma,
     )
     bound = curvature_error_bound(inputs)
     return BoundCheckResult(

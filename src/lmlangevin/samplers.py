@@ -1,4 +1,4 @@
-"""Samplers: exponential-integrator denoisers and fixed-level Langevin dynamics.
+"""Samplers: exponential-integrator denoisers and Langevin dynamics.
 
 Two families live here.
 
@@ -7,26 +7,24 @@ Two families live here.
   its order-2 multistep refinement, optionally passing every noise prediction
   through the damped rank-1 geometry of :mod:`.geometry` first.  The solver
   steps read alpha, sigma and log-SNR from the grid's tables.
-* Fixed-level runs (:func:`fixed_level_run`): Langevin-type chains targeting
-  the diffused marginal at one frozen noise level.  These probe stationarity
-  and convergence-rate claims directly.  Every variant takes the one update
+* Langevin runs (:func:`fixed_level_run`, :func:`annealed_langevin_sample`):
+  fixed-level chains target the diffused marginal at one frozen noise level,
+  probing the stationarity and convergence-rate claims directly.  Every
+  chain takes one step, x' = x + h (P s + div P) + sqrt(2h) P^{1/2} xi, with
+  s the score and xi standard normal, through a metric built once per run
+  that maps (x, xi) to the drift and the noise.  There are three metrics:
 
-      x' = x + h (P s + div P) + sqrt(2h) P^{1/2} xi,
+  - identity, P = I over a score callable: ``plain-langevin``, and the
+    annealed loop with s = -eps/sigma;
+  - exact, P = (-H + lam I)^{-1} with s, H and grad H (for div P) from one
+    oracle call: ``newton`` (lam = 0), ``damped-exact[-corrected]``;
+  - rank-1, the damped rank-1 proxy without div P on any
+    :class:`~.oracle.ScoreProvider` and sigma, with s = -eps/sigma:
+    ``damped-lm``.
 
-  with s the score and xi standard normal:
-
-  - ``plain-langevin``: P = I, inline;
-  - ``newton``: P = (-H)^{-1}, through :func:`newton_langevin_step`;
-  - ``damped-exact``: P = (-H + lam I)^{-1} without div P, through
-    :func:`damped_step` in mode ``"exact"``; ``damped-exact-corrected`` keeps
-    div P (``corrected=True``);
-  - ``damped-lm``: P the damped rank-1 proxy without div P, through
-    :func:`damped_step` in mode ``"rank1"``, which takes s = -eps/sigma
-    from its one noise prediction, as the exact metrics take s, H and grad H
-    from one oracle call.
-
+  :func:`newton_langevin_step` and :func:`damped_step` take one such step.
   On a single-component 1-d target the Newton and exact damped variants
-  reduce to a closed-form OU update, which the kernel takes directly.
+  reduce to a closed-form OU update, the one fast path the kernel selects.
 
 Chain ensembles draw their randomness from the block streams of :mod:`.rng`,
 so results are bit-identical regardless of thread count.
@@ -95,41 +93,67 @@ def _eig_apply(w, v, vec, power: float):
     return np.einsum("...ij,...j->...i", v, coef * np.power(w, power))
 
 
-def _metric_drift_noise(oracle: GaussianMixtureOracle, x, t: float, xi, lam: float, newton: bool, corrected=False):
-    """Drift P s (+ div P) and noise P^{1/2} xi at (x, t) for the exact metric P = (-H + lam I)^{-1}.
+def _langevin_step(x, metric, h: float, gen):
+    """x + h (P s + div P) + sqrt(2h) P^{1/2} xi, with ``metric(x, xi)`` giving the drift and the noise."""
+    drift, noise = metric(x, gen.standard_normal(x.shape))
+    return x + h * drift + np.sqrt(2.0 * h) * noise
 
-    One oracle call gives the score s, the Hessian H and, when ``corrected``,
-    its gradient, which adds the divergence term.  A d == 1 metric is a
-    scalar and is applied by division; larger ones go through ``eigh``.  A
-    metric that is not positive definite raises NotLogConcaveError
-    (``newton``) or DampingTooSmallError naming the damping it would need.
+
+def _identity_metric(score):
+    """P = I over a score callable: the drift is ``score(x)`` and the noise is xi."""
+    return lambda x, xi: (score(x), xi)
+
+
+def _exact_metric(oracle: GaussianMixtureOracle, t: float, lam: float, newton: bool, corrected: bool = False):
+    """The exact metric P = (-H + lam I)^{-1} at level t, with div P added to the drift when ``corrected``.
+
+    Each call takes the score s, the Hessian H and, when ``corrected``, its
+    gradient from one oracle call.  A d == 1 metric is a scalar and is applied
+    by division; larger ones go through ``eigh``.  A metric that is not
+    positive definite raises NotLogConcaveError (``newton``) or
+    DampingTooSmallError naming the damping it would need.
     """
-    parts = oracle.derivatives(x, t, 3 if corrected else 2)
-    score, neg = parts[0], -parts[1]
-    d = neg.shape[-1]
-    if d == 1:
-        g = neg[..., 0, 0] + lam
-    else:
-        w, v = np.linalg.eigh(neg)
-        g = w + lam
-    gmin = float(g.min())
-    if gmin <= 0.0:
-        if newton:
-            raise NotLogConcaveError(f"-hessian has min eigenvalue {gmin:.3e} <= 0; Newton step undefined")
-        raise DampingTooSmallError(
-            f"lam={lam:g} leaves the damped curvature indefinite; need lam > {lam - gmin:.6g}"
-        )
-    if d == 1:
-        drift = score[..., 0] / g
+    order = 3 if corrected else 2
+
+    def metric(x, xi):
+        parts = oracle.derivatives(x, t, order)
+        score, neg = parts[0], -parts[1]
+        d = neg.shape[-1]
+        if d == 1:
+            g = neg[..., 0, 0] + lam
+        else:
+            w, v = np.linalg.eigh(neg)
+            g = w + lam
+        gmin = float(g.min())
+        if gmin <= 0.0:
+            if newton:
+                raise NotLogConcaveError(f"-hessian has min eigenvalue {gmin:.3e} <= 0; Newton step undefined")
+            raise DampingTooSmallError(
+                f"lam={lam:g} leaves the damped curvature indefinite; need lam > {lam - gmin:.6g}"
+            )
+        if d == 1:
+            drift = score[..., 0] / g
+            if corrected:
+                drift = drift + parts[2][..., 0, 0, 0] / (g * g)
+            return drift[..., None], (xi[..., 0] / np.sqrt(g))[..., None]
+        drift = _eig_apply(g, v, score, -1.0)
         if corrected:
-            drift = drift + parts[2][..., 0, 0, 0] / (g * g)
-        return drift[..., None], (xi[..., 0] / np.sqrt(g))[..., None]
-    drift = _eig_apply(g, v, score, -1.0)
-    if corrected:
-        # div(P)_i = sum_j [P (dH/dx_j) P]_{ij}; dP = P dH P for P = (-H + lam I)^{-1}.
-        p = np.einsum("...ij,...j,...kj->...ik", v, 1.0 / g, v)
-        drift = drift + np.einsum("...ia,...abj,...bj->...i", p, parts[2], p)
-    return drift, _eig_apply(g, v, xi, -0.5)
+            # div(P)_i = sum_j [P (dH/dx_j) P]_{ij}; dP = P dH P for P = (-H + lam I)^{-1}.
+            p = np.einsum("...ij,...j,...kj->...ik", v, 1.0 / g, v)
+            drift = drift + np.einsum("...ia,...abj,...bj->...i", p, parts[2], p)
+        return drift, _eig_apply(g, v, xi, -0.5)
+
+    return metric
+
+
+def _rank1_metric(provider: ScoreProvider, t: float, sigma: float, lam: float):
+    """The damped rank-1 proxy metric at level t without div P; s = -eps/sigma from one prediction per call."""
+
+    def metric(x, xi):
+        eps = provider.eps(x, t)
+        return damped_inverse_apply(eps, sigma, lam, -eps / sigma), damped_inverse_sqrt_apply(eps, sigma, lam, xi)
+
+    return metric
 
 
 def newton_langevin_step(x, oracle: GaussianMixtureOracle, t: float, h: float, rng: np.random.Generator):
@@ -142,9 +166,7 @@ def newton_langevin_step(x, oracle: GaussianMixtureOracle, t: float, h: float, r
     """
     if not h > 0.0:
         raise ValueError("step size h must be > 0")
-    x = np.asarray(x, dtype=np.float64)
-    drift, noise = _metric_drift_noise(oracle, x, t, rng.standard_normal(x.shape), 0.0, newton=True)
-    return x + h * drift + np.sqrt(2.0 * h) * noise
+    return _langevin_step(np.asarray(x, dtype=np.float64), _exact_metric(oracle, t, 0.0, newton=True), h, rng)
 
 
 def damped_step(
@@ -157,21 +179,16 @@ def damped_step(
     mode: str = "exact",
     corrected: bool = False,
 ):
-    """Langevin step under the damped curvature metric G = curvature + lam*I.
-
-    Every preconditioned variant takes the one update
-    x' = x + h (P s + div P) + sqrt(2h) P^{1/2} xi with P = G^{-1}:
+    """One Langevin step under the damped curvature metric G = curvature + lam*I, P = G^{-1}.
 
     * mode ``"exact"`` builds G from the oracle's exact Hessian, taken with
       the score (and, when corrected, the Hessian gradient) from one
-      :meth:`~.oracle.GaussianMixtureOracle.derivatives` call; fixed-level
-      ``damped-exact`` and ``damped-exact-corrected`` run here.  lam = 0 is
-      pure Newton, the metric :func:`newton_langevin_step` uses (which raises
-      NotLogConcaveError where this raises DampingTooSmallError).
+      :meth:`~.oracle.GaussianMixtureOracle.derivatives` call.  lam = 0 is
+      the Newton metric of :func:`newton_langevin_step`, which raises
+      NotLogConcaveError where this raises DampingTooSmallError.
     * mode ``"rank1"`` uses the O(d) damped rank-1 proxy built from the
       oracle's noise prediction, with its closed-form square root, and takes
-      the score s = -eps/sigma from that same prediction; fixed-level
-      ``damped-lm`` runs here.
+      the score s = -eps/sigma from that same prediction.
 
     With ``corrected=True`` the drift gains the analytic divergence term
     div(P) that removes the bias a state-dependent preconditioner induces on
@@ -181,23 +198,17 @@ def damped_step(
         raise ValueError("step size h must be > 0")
     if lam < 0.0:
         raise ValueError("lam must be >= 0")
-    x = np.asarray(x, dtype=np.float64)
-    xi = rng.standard_normal(x.shape)
     if mode == "exact":
-        drift, noise = _metric_drift_noise(oracle, x, t, xi, lam, newton=False, corrected=corrected)
+        metric = _exact_metric(oracle, t, lam, newton=False, corrected=corrected)
     elif mode == "rank1":
         if corrected:
             raise ValueError("divergence correction is implemented for exact mode only")
         if not lam > 0.0:
             raise ValueError("rank1 mode requires lam > 0")
-        # One posterior evaluation gives sigma_t and eps, with the bits of oracle.eps; s = -eps / sigma.
-        (score,), sigma = oracle._derivatives(x, t, 1)
-        eps = score * -sigma
-        drift = damped_inverse_apply(eps, sigma, lam, -eps / sigma)
-        noise = damped_inverse_sqrt_apply(eps, sigma, lam, xi)
+        metric = _rank1_metric(oracle, t, oracle._level(t)[1], lam)
     else:
         raise ValueError(f"unknown damped mode {mode!r}")
-    return x + h * drift + np.sqrt(2.0 * h) * noise
+    return _langevin_step(np.asarray(x, dtype=np.float64), metric, h, rng)
 
 
 def _step_scalars(grid: TimestepGrid, i: int):
@@ -305,8 +316,10 @@ class SamplerConfig:
 class SamplerRun:
     """Everything a denoising run produced; states[k] sits at grid.times[k].
 
-    ``step_times[k]`` is the wall time of step k + 1, summed over the row
-    tiles :func:`lml_sample` advances one after another.
+    From :func:`lml_sample`, ``step_times[k]`` is the wall time of step
+    k + 1, summed over the row tiles it advances one after another.
+    :func:`annealed_langevin_sample` writes the mean step time (the run's
+    wall time over n_steps) into every entry.
     """
 
     grid: TimestepGrid
@@ -420,10 +433,9 @@ def annealed_langevin_sample(
             # Langevin targets the *next* (less noisy) level, annealing downward.
             t_level, sig = float(grid.times[k + 1]), float(grid.sigma[k + 1])
             h = step_scale * sig * sig / (sigma_top * sigma_top)
-            root = np.sqrt(2.0 * h)
+            metric = _identity_metric(lambda x: -np.asarray(provider.eps(x, t_level), dtype=np.float64) / sig)
             for _ in range(inner_steps):
-                score = -np.asarray(provider.eps(xb, t_level), dtype=np.float64) / sig
-                xb = xb + h * score + root * gen.standard_normal(xb.shape)
+                xb = _langevin_step(xb, metric, h, gen)
             out[k + 1] = xb
 
     tic = time.perf_counter()
@@ -499,19 +511,13 @@ def _snapshot_steps(cfg: FixedLevelConfig) -> np.ndarray:
 
 
 def _fixed_level_kernel(cfg: FixedLevelConfig, oracle: GaussianMixtureOracle):
-    """Build the per-step transition closure for the configured variant."""
+    """Build the per-step transition closure for the configured variant: its metric is built once, here."""
     t, lam, h = cfg.t, cfg.lam, cfg.h
-    root = np.sqrt(2.0 * h)
-
     if cfg.variant == "plain-langevin":
-
-        def kernel(x, gen):
-            return x + h * oracle.score(x, t) + root * gen.standard_normal(x.shape)
-
-        return kernel
-
-    newton = cfg.variant == "newton"
-    if oracle.dim == 1 and oracle.n_components == 1 and cfg.variant != "damped-lm":
+        metric = _identity_metric(lambda x: oracle.score(x, t))
+    elif cfg.variant == "damped-lm":
+        metric = _rank1_metric(oracle, t, oracle._level(t)[1], lam)
+    elif oracle.dim == 1 and oracle.n_components == 1:
         # Single-component marginal: curvature is the constant 1/sigma^2 and
         # the third derivative vanishes, so the whole step contracts to an
         # exact OU update.  Big ensembles would otherwise pay the generic
@@ -520,22 +526,15 @@ def _fixed_level_kernel(cfg: FixedLevelConfig, oracle: GaussianMixtureOracle):
         mu = alpha * float(oracle.centers[0, 0])
         g = 1.0 / (sigma * sigma) + lam
         c1 = h / (sigma * sigma * g)
-        sd = root / np.sqrt(g)
+        sd = np.sqrt(2.0 * h) / np.sqrt(g)
 
         def kernel(x, gen):
             return x + c1 * (mu - x) + sd * gen.standard_normal(x.shape)
 
         return kernel
-
-    mode = "rank1" if cfg.variant == "damped-lm" else "exact"
-    corrected = cfg.variant == "damped-exact-corrected"
-
-    def kernel(x, gen):
-        if newton:
-            return newton_langevin_step(x, oracle, t, h, gen)
-        return damped_step(x, oracle, t, lam, h, gen, mode=mode, corrected=corrected)
-
-    return kernel
+    else:
+        metric = _exact_metric(oracle, t, lam, cfg.variant == "newton", cfg.variant == "damped-exact-corrected")
+    return lambda x, gen: _langevin_step(x, metric, h, gen)
 
 
 def fixed_level_run(cfg: FixedLevelConfig, oracle: GaussianMixtureOracle, threads: int = 1) -> FixedLevelRun:

@@ -189,6 +189,7 @@ def test_criterion_4_curvature_product_bound(report) -> None:
     assert ok
 
 
+@pytest.mark.slow
 def test_criterion_5_fixed_level_stationarity(report) -> None:
     # damped dynamics at sigma_t = 1, lam in {1, 4}, h = 1e-3, 1e4 burn-in
     # steps, 2e5 retained chains: KS vs the analytic N(0,1) CDF < 0.02.
@@ -212,6 +213,7 @@ def test_criterion_5_fixed_level_stationarity(report) -> None:
     assert ok
 
 
+@pytest.mark.slow
 def test_criterion_6_chi2_decay_rate(tmp_path, report) -> None:
     # ensemble of 1e5 chains from N(0.5, 1): fitted chi-square decay rate
     # within 15% of 2/(1 + lam sigma^2) for lam in {0, 1, 4}, R^2 > 0.95.

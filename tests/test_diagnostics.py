@@ -136,6 +136,26 @@ def test_bound_grows_with_delta2() -> None:
     assert loose.bound > tight.bound
 
 
+def test_bound_check_asks_the_schedule_once_per_time(monkeypatch) -> None:
+    # residual_norm runs on every finite-difference evaluation inside
+    # bound_check; it and bound_check read alpha_t and sigma_t from the
+    # oracle's per-time table, so one time costs one schedule evaluation.
+    orc = GaussianMixtureOracle([[1.0, 0.0], [-0.5, 0.8], [0.3, -1.2]], [0.5, 0.3, 0.2], NoiseSchedule.vp_linear())
+    xs = stream(54).standard_normal((5, 2))
+    schedule = []
+    real_schedule = NoiseSchedule.alpha_sigma
+
+    def counted_schedule(self, t):
+        schedule.append(t)
+        return real_schedule(self, t)
+
+    monkeypatch.setattr(NoiseSchedule, "alpha_sigma", counted_schedule)
+    for t in (0.15, 0.45, 0.8):
+        bound_check(orc, t, xs)
+        rank1_approx_error(orc, xs[0], t)
+    assert schedule == [0.15, 0.45, 0.8]
+
+
 # ---------------------------------------------------------------------------
 # divergences
 

@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from lmlangevin import (
     DampedGeometryConfig,
@@ -20,6 +22,7 @@ from lmlangevin import (
     fixed_level_run,
     ks_statistic,
     lml_sample,
+    low_rank_hessian,
     make_grid,
     multistep2_step,
 )
@@ -466,14 +469,14 @@ def test_damped_lm_variant_runs() -> None:
     assert 0.3 < frac < 0.7
 
 
-@pytest.mark.parametrize("variant", ["damped-lm", "damped-exact", "damped-exact-corrected", "newton"])
+@pytest.mark.parametrize("variant", ["plain-langevin", "damped-lm", "damped-exact", "damped-exact-corrected", "newton"])
 def test_each_step_evaluates_the_posterior_once(monkeypatch, variant) -> None:
-    # The rank-1 drift takes the score as -eps/sigma of the one prediction
-    # the step makes; the exact metrics take the score, the Hessian and its
-    # gradient from one oracle call.  Centers at +-0.3 e1 at sigma 1 keep the
-    # target log-concave, so Newton is defined everywhere.  The oracle keeps
-    # alpha_t and sigma_t of the one level, so only the first step asks the
-    # schedule.
+    # The plain drift is one score call; the rank-1 drift takes the score as
+    # -eps/sigma of the one prediction the step makes; the exact metrics take
+    # the score, the Hessian and its gradient from one oracle call.  Centers
+    # at +-0.3 e1 at sigma 1 keep the target log-concave, so Newton is defined
+    # everywhere.  The oracle keeps alpha_t and sigma_t of the one level, so
+    # only the first step asks the schedule.
     orc = GaussianMixtureOracle([[0.3, 0.0], [-0.3, 0.0]], None, _unit_sigma_schedule())
     posterior, schedule = [], []
     real_posterior, real_schedule = GaussianMixtureOracle._log_posterior, NoiseSchedule.alpha_sigma
@@ -488,11 +491,53 @@ def test_each_step_evaluates_the_posterior_once(monkeypatch, variant) -> None:
 
     monkeypatch.setattr(GaussianMixtureOracle, "_log_posterior", counted_posterior)
     monkeypatch.setattr(NoiseSchedule, "alpha_sigma", counted_schedule)
-    lam = 0.0 if variant == "newton" else 0.5
+    lam = 0.0 if variant in ("newton", "plain-langevin") else 0.5
     cfg = FixedLevelConfig(t=0.5, h=0.01, n_steps=7, variant=variant, lam=lam, chains=16, seed=13)
     fixed_level_run(cfg, orc)
     assert len(posterior) == 7
     assert len(schedule) == 1
+
+
+def _dense_inverse_and_root(g):
+    """G^{-1} and the symmetric root G^{-1/2} of a symmetric positive definite G, through eigh."""
+    w, v = np.linalg.eigh(g)
+    return (v / w) @ v.T, (v / np.sqrt(w)) @ v.T
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    d=st.integers(1, 3),
+    n=st.integers(2, 3),
+    margin=st.floats(0.05, 5.0),
+    h=st.floats(1e-3, 0.5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_damped_step_matches_the_dense_reference(d, n, margin, h, seed) -> None:
+    # One damped step is x + h P s + sqrt(2h) P^{1/2} xi with P = G^{-1}.  The
+    # reference builds G densely, solves for the drift and takes the symmetric
+    # root from eigh; xi comes from a twin of the step's seeded stream.
+    gen = np.random.default_rng(seed)
+    orc = GaussianMixtureOracle(gen.uniform(-1.5, 1.5, (n, d)), gen.uniform(0.2, 1.0, n), _unit_sigma_schedule())
+    x = gen.normal(0.0, 1.5, d)
+    t = 0.5
+    sigma = float(orc.schedule.alpha_sigma(t)[1])
+    xi = stream(seed).standard_normal(d)
+    score, hess = orc.derivatives(x, t, 2)
+    eps = orc.eps(x, t)
+    assume(float(eps @ eps) > 1e-16)
+
+    # exact mode: G = -H + lam I, with lam past the damping -H needs
+    lam = max(0.0, -float(np.linalg.eigvalsh(-hess).min())) + margin
+    g = -hess + lam * np.eye(d)
+    ref = x + h * np.linalg.solve(g, score) + np.sqrt(2.0 * h) * (_dense_inverse_and_root(g)[1] @ xi)
+    out = damped_step(x, orc, t, lam, h, stream(seed), mode="exact")
+    np.testing.assert_allclose(out, ref, rtol=1e-10, atol=1e-10 * np.abs(ref).max())
+
+    # rank-1 mode: G = low_rank_hessian(eps, sigma) + lam I, with s = -eps/sigma
+    p, root = _dense_inverse_and_root(low_rank_hessian(eps, sigma) + margin * np.eye(d))
+    ref = x + h * (p @ (-eps / sigma)) + np.sqrt(2.0 * h) * (root @ xi)
+    out = damped_step(x, orc, t, margin, h, stream(seed), mode="rank1")
+    np.testing.assert_allclose(out, ref, rtol=1e-10, atol=1e-10 * np.abs(ref).max())
 
 
 def test_damped_lm_requires_positive_lam() -> None:
