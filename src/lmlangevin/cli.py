@@ -418,7 +418,7 @@ def _cmd_convergence(doc, ctx, chash, out: Path, threads: int):
             )
         fit = decay_fit(times[sel], vals[sel])
         fitted = -fit.rate
-        ref = _reference_rate(doc["variant"], lam, sigma)
+        ref = _reference_rate(doc["variant"], lam, sigma) if single else None  # Gaussian-target rates only
         metrics[f"rate_lam{li}"] = fitted
         detail = {
             "lam": lam,

@@ -22,12 +22,14 @@ Two families live here.
     :class:`~.oracle.ScoreProvider` and sigma, with s = -eps/sigma:
     ``damped-lm``.
 
-  :func:`newton_langevin_step` and :func:`damped_step` take one such step.
   On a single-component 1-d target the Newton and exact damped variants
   reduce to a closed-form OU update, the one fast path the kernel selects.
+  :func:`newton_langevin_step` and :func:`damped_step` are one step of the
+  fixed-level chain.
 
-Chain ensembles draw their randomness from the block streams of :mod:`.rng`,
-so results are bit-identical regardless of thread count.
+Every Langevin run is one chain walk over per-block :mod:`.rng` streams, so
+results do not depend on the thread count.  A run stops at its last snapshot,
+and every snapshot is checked finite as it is written.
 """
 
 from __future__ import annotations
@@ -156,61 +158,6 @@ def _rank1_metric(provider: ScoreProvider, t: float, sigma: float, lam: float):
     return metric
 
 
-def newton_langevin_step(x, oracle: GaussianMixtureOracle, t: float, h: float, rng: np.random.Generator):
-    """Langevin at level t preconditioned by P = (-grad^2 log p_t)^{-1}.
-
-    Requires the target to be log-concave at x; noise enters through the
-    symmetric square root P^{1/2}.  This is the exact step of
-    :func:`damped_step` at lam = 0, with the same one oracle evaluation per
-    step, except that an indefinite Hessian raises NotLogConcaveError.
-    """
-    if not h > 0.0:
-        raise ValueError("step size h must be > 0")
-    return _langevin_step(np.asarray(x, dtype=np.float64), _exact_metric(oracle, t, 0.0, newton=True), h, rng)
-
-
-def damped_step(
-    x,
-    oracle: GaussianMixtureOracle,
-    t: float,
-    lam: float,
-    h: float,
-    rng: np.random.Generator,
-    mode: str = "exact",
-    corrected: bool = False,
-):
-    """One Langevin step under the damped curvature metric G = curvature + lam*I, P = G^{-1}.
-
-    * mode ``"exact"`` builds G from the oracle's exact Hessian, taken with
-      the score (and, when corrected, the Hessian gradient) from one
-      :meth:`~.oracle.GaussianMixtureOracle.derivatives` call.  lam = 0 is
-      the Newton metric of :func:`newton_langevin_step`, which raises
-      NotLogConcaveError where this raises DampingTooSmallError.
-    * mode ``"rank1"`` uses the O(d) damped rank-1 proxy built from the
-      oracle's noise prediction, with its closed-form square root, and takes
-      the score s = -eps/sigma from that same prediction.
-
-    With ``corrected=True`` the drift gains the analytic divergence term
-    div(P) that removes the bias a state-dependent preconditioner induces on
-    the Euler chain (exact mode only); otherwise div P is dropped.
-    """
-    if not h > 0.0:
-        raise ValueError("step size h must be > 0")
-    if lam < 0.0:
-        raise ValueError("lam must be >= 0")
-    if mode == "exact":
-        metric = _exact_metric(oracle, t, lam, newton=False, corrected=corrected)
-    elif mode == "rank1":
-        if corrected:
-            raise ValueError("divergence correction is implemented for exact mode only")
-        if not lam > 0.0:
-            raise ValueError("rank1 mode requires lam > 0")
-        metric = _rank1_metric(oracle, t, oracle._level(t)[1], lam)
-    else:
-        raise ValueError(f"unknown damped mode {mode!r}")
-    return _langevin_step(np.asarray(x, dtype=np.float64), metric, h, rng)
-
-
 def _step_scalars(grid: TimestepGrid, i: int):
     """Coefficients shared by the exponential-integrator updates at level i, from the grid's tables."""
     if i < 1 or i > grid.n_steps:
@@ -243,7 +190,7 @@ def multistep2_step(x, eps_hat, prev_eps_hat, i: int, grid: TimestepGrid):
         raise ValueError("multistep2_step needs the previous prediction; take an order-1 step first")
     if i + 1 > grid.n_steps:
         raise ValueError("no level above i: the first step has no history")
-    ratio, s_next, h_cur = _step_scalars(grid, i)
+    h_cur = _step_scalars(grid, i)[2]
     k = grid.n_steps - i  # table index of level i; level i + 1 sits at k - 1
     h_prev = float(grid.log_snr[k] - grid.log_snr[k - 1])
     r = h_prev / h_cur
@@ -253,23 +200,35 @@ def multistep2_step(x, eps_hat, prev_eps_hat, i: int, grid: TimestepGrid):
     eps_bar = (dt(1.0) + c) * np.asarray(eps_hat, dtype=x.dtype) - c * np.asarray(
         prev_eps_hat, dtype=x.dtype
     )
-    return dt(ratio) * x - dt(s_next * np.expm1(h_cur)) * eps_bar
+    return ddim_step(x, eps_bar, i, grid)
 
 
 # ---------------------------------------------------------------------------
 # chain-block driver
 
 
-def _run_chain_blocks(seed: int, out: np.ndarray, threads: int, run_block) -> np.ndarray:
-    """Fill ``out`` (snapshots, chains, d) in place with ``run_block(gen, out[:, lo:hi])`` per chain block.
+def _run_chain_blocks(seed: int, out: np.ndarray, threads: int, init, legs, name: str) -> np.ndarray:
+    """Fill ``out`` (snapshots, chains, d) in place: the one walk of every Langevin chain block.
 
-    Blocks are cut by chain index, draw from their own :mod:`.rng` streams and
-    write only their own columns, so ``out`` does not depend on ``threads``.
+    A block starts at ``init(z)``, z standard normal from its own :mod:`.rng`
+    stream.  Each ``(kernel, steps)`` leg makes ``steps`` calls ``x =
+    kernel(x, gen)``, checks x finite (raising FloatingPointError naming
+    ``name`` and the step) and writes it as the leg's snapshot.  Blocks write
+    only their own columns, so ``out`` does not depend on ``threads``.
     """
 
     def one(block) -> None:
         b, (lo, hi) = block
-        run_block(_rng.stream(seed, b), out[:, lo:hi])
+        gen = _rng.stream(seed, b)
+        x = init(gen.standard_normal((hi - lo,) + out.shape[2:]))
+        step = 0
+        for k, (kernel, steps) in enumerate(legs):
+            for _ in range(steps):
+                x = kernel(x, gen)
+            step += steps
+            if not np.isfinite(x).all():
+                raise FloatingPointError(f"{name} produced non-finite states at step {step}")
+            out[k, lo:hi] = x
 
     blocks = enumerate(_rng.block_bounds(out.shape[1]))
     if threads > 1:
@@ -324,7 +283,6 @@ class SamplerRun:
 
     grid: TimestepGrid
     states: np.ndarray
-    seed: int
     step_times: np.ndarray
     eps_raw: Optional[np.ndarray] = None
     eps_used: Optional[np.ndarray] = None
@@ -397,7 +355,6 @@ def lml_sample(cfg: SamplerConfig, provider: ScoreProvider) -> SamplerRun:
     return SamplerRun(
         grid=grid,
         states=states,
-        seed=cfg.seed,
         step_times=step_times,
         eps_raw=eps_raw,
         eps_used=eps_used,
@@ -427,21 +384,21 @@ def annealed_langevin_sample(
     n = cfg.n_steps
     sigma_top = float(grid.sigma[0])
 
-    def run_block(gen, out) -> None:
-        xb = out[0] = sigma_top * gen.standard_normal(out.shape[1:])
-        for k in range(n):
-            # Langevin targets the *next* (less noisy) level, annealing downward.
-            t_level, sig = float(grid.times[k + 1]), float(grid.sigma[k + 1])
-            h = step_scale * sig * sig / (sigma_top * sigma_top)
-            metric = _identity_metric(lambda x: -np.asarray(provider.eps(x, t_level), dtype=np.float64) / sig)
-            for _ in range(inner_steps):
-                xb = _langevin_step(xb, metric, h, gen)
-            out[k + 1] = xb
+    def level_kernel(k: int):
+        # Langevin targets the *next* (less noisy) level, annealing downward.
+        t_level, sig = float(grid.times[k + 1]), float(grid.sigma[k + 1])
+        h = step_scale * sig * sig / (sigma_top * sigma_top)
+        metric = _identity_metric(lambda x: -np.asarray(provider.eps(x, t_level), dtype=np.float64) / sig)
+        return lambda x, gen: _langevin_step(x, metric, h, gen)
 
+    legs = [(None, 0)] + [(level_kernel(k), inner_steps) for k in range(n)]
     tic = time.perf_counter()
-    states = _run_chain_blocks(cfg.seed, np.empty((n + 1, cfg.chains, provider.dim)), threads, run_block)
+    states = _run_chain_blocks(
+        cfg.seed, np.empty((n + 1, cfg.chains, provider.dim)), threads,
+        lambda z: sigma_top * z, legs, f"annealed Langevin run ({inner_steps} steps per level)",
+    )
     step_times = np.full(n, (time.perf_counter() - tic) / n)
-    return SamplerRun(grid=grid, states=states, seed=cfg.seed, step_times=step_times)
+    return SamplerRun(grid=grid, states=states, step_times=step_times)
 
 
 # ---------------------------------------------------------------------------
@@ -452,9 +409,10 @@ def annealed_langevin_sample(
 class FixedLevelConfig:
     """A Langevin study at one frozen noise level t.
 
-    ``snapshot_every=None`` records only the final state; otherwise snapshots
-    are taken at steps 0, snapshot_every, ... up to n_steps.  ``lam`` is the
-    damping of the ``damped-*`` variants and must be 0 for ``newton`` and
+    ``snapshot_every=None`` records only the state after n_steps; otherwise
+    snapshots are taken at steps 0, snapshot_every, ... up to n_steps, and
+    the run stops at the last of them, which is ``final_states``.  ``lam`` is
+    the damping of the ``damped-*`` variants and must be 0 for ``newton`` and
     ``plain-langevin``, which take none.
     ``init_mean``/``init_std`` define the Gaussian initialization of every
     chain coordinate.
@@ -492,9 +450,8 @@ class FixedLevelConfig:
 
 @dataclass
 class FixedLevelRun:
-    """Snapshots of a fixed-level study; states[k] was taken after snapshot_steps[k] steps."""
+    """Snapshots of a fixed-level study; states[k] was taken after snapshot_steps[k] steps; final_states is the last."""
 
-    config: FixedLevelConfig
     snapshot_steps: np.ndarray
     times: np.ndarray
     states: np.ndarray
@@ -502,12 +459,6 @@ class FixedLevelRun:
     @property
     def final_states(self) -> np.ndarray:
         return self.states[-1]
-
-
-def _snapshot_steps(cfg: FixedLevelConfig) -> np.ndarray:
-    if cfg.snapshot_every is None:
-        return np.array([cfg.n_steps], dtype=np.int64)
-    return np.arange(0, cfg.n_steps + 1, cfg.snapshot_every, dtype=np.int64)
 
 
 def _fixed_level_kernel(cfg: FixedLevelConfig, oracle: GaussianMixtureOracle):
@@ -540,25 +491,71 @@ def _fixed_level_kernel(cfg: FixedLevelConfig, oracle: GaussianMixtureOracle):
 def fixed_level_run(cfg: FixedLevelConfig, oracle: GaussianMixtureOracle, threads: int = 1) -> FixedLevelRun:
     """Evolve a chain ensemble at a frozen level, recording snapshots.
 
-    Chains are advanced block-by-block with per-block random streams; the
-    result is independent of ``threads``.  Each snapshot is checked finite as
-    it is taken, so a numeric blow-up raises FloatingPointError naming the
-    variant and the step instead of running on to a NaN file.
+    Chains are advanced block by block with per-block random streams, so the
+    result is independent of ``threads``; the run stops at its last snapshot.
+    Each snapshot is checked finite as it is taken, so a numeric blow-up
+    raises FloatingPointError naming the variant and the step.
     """
-    snap = _snapshot_steps(cfg)
-    kernel = _fixed_level_kernel(cfg, oracle)
+    if cfg.snapshot_every is None:
+        snap = np.array([cfg.n_steps], dtype=np.int64)
+    else:
+        snap = np.arange(0, cfg.n_steps + 1, cfg.snapshot_every, dtype=np.int64)
+    legs = [(_fixed_level_kernel(cfg, oracle), int(steps)) for steps in np.diff(snap, prepend=0)]
+    states = _run_chain_blocks(
+        cfg.seed, np.empty((snap.size, cfg.chains, oracle.dim)), threads,
+        lambda z: cfg.init_mean + cfg.init_std * z, legs, f"fixed-level {cfg.variant} run",
+    )
+    return FixedLevelRun(snapshot_steps=snap, times=snap * cfg.h, states=states)
 
-    def run_block(gen, out) -> None:
-        xb = cfg.init_mean + cfg.init_std * gen.standard_normal(out.shape[1:])
-        cursor = 0
-        for step in range(cfg.n_steps + 1):
-            if step:
-                xb = kernel(xb, gen)
-            if cursor < snap.size and step == snap[cursor]:
-                if not np.all(np.isfinite(xb)):
-                    raise FloatingPointError(f"fixed-level {cfg.variant} run produced non-finite states at step {step}")
-                out[cursor] = xb
-                cursor += 1
 
-    states = _run_chain_blocks(cfg.seed, np.empty((snap.size, cfg.chains, oracle.dim)), threads, run_block)
-    return FixedLevelRun(config=cfg, snapshot_steps=snap, times=snap * cfg.h, states=states)
+def newton_langevin_step(x, oracle: GaussianMixtureOracle, t: float, h: float, rng: np.random.Generator):
+    """Langevin at level t preconditioned by P = (-grad^2 log p_t)^{-1}: one step of the ``newton`` chain.
+
+    Requires the target to be log-concave at x; noise enters through the
+    symmetric square root P^{1/2}.  This is the exact step of
+    :func:`damped_step` at lam = 0, except that an indefinite Hessian raises
+    NotLogConcaveError.
+    """
+    cfg = FixedLevelConfig(t=t, h=h, n_steps=1, variant="newton")
+    return _fixed_level_kernel(cfg, oracle)(np.asarray(x, dtype=np.float64), rng)
+
+
+# damped_step's (mode, corrected) -> the fixed-level variant it takes one step of
+_DAMPED_VARIANTS = {
+    ("exact", False): "damped-exact", ("exact", True): "damped-exact-corrected", ("rank1", False): "damped-lm"
+}
+
+
+def damped_step(
+    x,
+    oracle: GaussianMixtureOracle,
+    t: float,
+    lam: float,
+    h: float,
+    rng: np.random.Generator,
+    mode: str = "exact",
+    corrected: bool = False,
+):
+    """One Langevin step under the damped curvature metric G = curvature + lam*I, P = G^{-1}.
+
+    * mode ``"exact"`` (``damped-exact[-corrected]``) builds G from the
+      oracle's exact Hessian, taken with the score (and, when corrected, the
+      Hessian gradient) from one
+      :meth:`~.oracle.GaussianMixtureOracle.derivatives` call.  lam = 0 is
+      the Newton metric of :func:`newton_langevin_step`, which raises
+      NotLogConcaveError where this raises DampingTooSmallError.
+    * mode ``"rank1"`` (``damped-lm``) uses the O(d) damped rank-1 proxy
+      built from the oracle's noise prediction, with its closed-form square
+      root, and takes the score s = -eps/sigma from that same prediction.
+
+    With ``corrected=True`` the drift gains the analytic divergence term
+    div(P) that removes the bias a state-dependent preconditioner induces on
+    the Euler chain (exact mode only); otherwise div P is dropped.
+    """
+    variant = _DAMPED_VARIANTS.get((mode, bool(corrected)))
+    if variant is None:
+        raise ValueError(
+            f"no damped step for mode={mode!r}, corrected={corrected}; modes: exact, rank1 (div P in exact only)"
+        )
+    cfg = FixedLevelConfig(t=t, h=h, n_steps=1, variant=variant, lam=lam)
+    return _fixed_level_kernel(cfg, oracle)(np.asarray(x, dtype=np.float64), rng)

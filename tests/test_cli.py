@@ -280,6 +280,27 @@ def test_compare_outputs(tmp_path) -> None:
     assert set(meta["extra"]["dominating_combos"].keys()) == {"o2"}
 
 
+def test_annealed_blow_up_is_exit_3(tmp_path, capsys) -> None:
+    # step_scale 1e8 grows the annealed chains ~1e8-fold per step, so they
+    # overflow before the last of their 40 steps: no row of inf, no summary.
+    doc = {
+        "schedule": {"kind": "vp-linear"},
+        "oracle": {"centers": [[1.0, 0.0], [-1.0, 0.0]]},
+        "nfe": [40],
+        "variants": ["baseline-o1", "annealed"],
+        "chains": 64,
+        "seeds": [0],
+        "annealed": {"inner_steps": 20, "step_scale": 1e8},
+    }
+    out = tmp_path / "out"
+    with np.errstate(all="ignore"):
+        rc = main(["compare", "--config", _write(tmp_path, "c.json", doc), "--out", str(out)])
+    assert rc == 3
+    assert "annealed Langevin run" in capsys.readouterr().err
+    assert not (out / "compare.csv").exists()
+    assert not (out / "meta.json").exists()
+
+
 def test_compare_rerun_identical(tmp_path) -> None:
     cfg = _write(tmp_path, "c.json", _compare_doc())
     out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -373,6 +394,33 @@ def test_convergence_outputs(tmp_path) -> None:
         rows = _data_rows(out / f"convergence_lam{i}.csv")
         assert rows.shape[1] == 3  # time, value, stderr
         assert np.all(rows[:, 1] > 0)
+
+
+def test_convergence_gates_no_gaussian_rate_on_a_mixture(tmp_path) -> None:
+    # The closed-form rates hold for a single Gaussian target.  On the
+    # centers +-0.6 mixture plain Langevin decays at ~1.54, not 2/sigma^2 = 2,
+    # with a clean fit: the run records no reference rate and passes its
+    # assert on the r^2 gate alone.
+    doc = {
+        "schedule": {"kind": "ve", "sigma_min": 0.01, "sigma_max": 100.0},
+        "oracle": {"centers": [[0.6], [-0.6]]},
+        "t": 0.5,
+        "variant": "plain-langevin",
+        "lams": [0.0],
+        "h": 0.01,
+        "n_steps": 300,
+        "chains": 8000,
+        "snapshot_every": 5,
+        "init": {"mean": 2.0, "std": 0.5},
+        "fit_window": [0.01, 0.5],
+        "seed": 0,
+    }
+    out = tmp_path / "out"
+    rc = main(["convergence", "--config", _write(tmp_path, "c.json", doc), "--out", str(out), "--assert"])
+    assert rc == 0
+    (entry,) = _meta(out)["extra"]["per_lam"]
+    assert entry["reference_rate"] is None
+    assert entry["r_squared"] > 0.95
 
 
 def test_convergence_keeps_one_lam_alive(tmp_path) -> None:

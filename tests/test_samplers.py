@@ -25,6 +25,7 @@ from lmlangevin import (
     low_rank_hessian,
     make_grid,
     multistep2_step,
+    newton_langevin_step,
 )
 from lmlangevin import samplers
 from lmlangevin.rng import BLOCK, stream
@@ -341,6 +342,17 @@ def test_annealed_langevin_smoke() -> None:
     assert 0.4 < frac < 0.6
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_annealed_blow_up_names_the_step() -> None:
+    # A huge step scale multiplies the state by ~1e8 per Langevin step, so the
+    # chains overflow on the second level; the walk stops there and names the
+    # step instead of handing non-finite states on.
+    sch = NoiseSchedule.vp_linear()
+    cfg = SamplerConfig(n_steps=2, schedule=sch, seed=0, chains=64)
+    with pytest.raises(FloatingPointError, match=r"annealed Langevin run \(20 steps per level\) .* at step 40$"):
+        annealed_langevin_sample(cfg, _mixture2d(sch), inner_steps=20, step_scale=1e8)
+
+
 def test_annealed_threads_invariance() -> None:
     sch = NoiseSchedule.vp_linear()
     orc = _mixture2d(sch)
@@ -496,6 +508,69 @@ def test_each_step_evaluates_the_posterior_once(monkeypatch, variant) -> None:
     fixed_level_run(cfg, orc)
     assert len(posterior) == 7
     assert len(schedule) == 1
+
+
+def test_run_stops_at_its_last_snapshot(monkeypatch) -> None:
+    # Snapshots at 0, 30, 60 and 90 of 100 steps: the ten steps after the
+    # last snapshot would feed no output, so the run does not take them.
+    orc = GaussianMixtureOracle([[1.5], [-1.5]], [0.7, 0.3], _unit_sigma_schedule())
+    calls = []
+    real_posterior = GaussianMixtureOracle._log_posterior
+
+    def counted_posterior(self, x2, t):
+        calls.append(t)
+        return real_posterior(self, x2, t)
+
+    monkeypatch.setattr(GaussianMixtureOracle, "_log_posterior", counted_posterior)
+    cfg = FixedLevelConfig(t=0.5, h=0.01, n_steps=100, variant="plain-langevin", chains=16, snapshot_every=30)
+    run = fixed_level_run(cfg, orc)
+    np.testing.assert_array_equal(run.snapshot_steps, [0, 30, 60, 90])
+    assert len(calls) == 90
+
+
+_ONE_STEP_CALLS = {
+    "damped-exact": lambda x, orc, cfg, gen: damped_step(x, orc, cfg.t, cfg.lam, cfg.h, gen),
+    "damped-exact-corrected": lambda x, orc, cfg, gen: damped_step(x, orc, cfg.t, cfg.lam, cfg.h, gen, corrected=True),
+    "damped-lm": lambda x, orc, cfg, gen: damped_step(x, orc, cfg.t, cfg.lam, cfg.h, gen, mode="rank1"),
+    "newton": lambda x, orc, cfg, gen: newton_langevin_step(x, orc, cfg.t, cfg.h, gen),
+}
+
+
+@pytest.mark.parametrize("variant", sorted(_ONE_STEP_CALLS))
+@pytest.mark.parametrize("centers", [[[0.7]], [[0.3], [-0.3]], [[0.3, 0.1], [-0.3, 0.0]]])
+def test_public_steps_are_one_step_of_the_fixed_level_chain(variant, centers) -> None:
+    # One block of chains (<= BLOCK) draws its start and every step's noise
+    # from stream(seed, 0); n public steps on that generator must land on the
+    # run's final states bit for bit, on the single-component 1-d OU update
+    # as on the generic metrics.
+    orc = GaussianMixtureOracle(centers, None, _unit_sigma_schedule())
+    lam = 0.0 if variant == "newton" else 0.5
+    cfg = FixedLevelConfig(
+        t=0.5, h=0.02, n_steps=6, variant=variant, lam=lam, chains=300, init_mean=0.2, init_std=0.5, seed=8
+    )
+    gen = stream(cfg.seed, 0)
+    x = cfg.init_mean + cfg.init_std * gen.standard_normal((cfg.chains, orc.dim))
+    for _ in range(cfg.n_steps):
+        x = _ONE_STEP_CALLS[variant](x, orc, cfg, gen)
+    np.testing.assert_array_equal(x, fixed_level_run(cfg, orc).final_states)
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (dict(h=0.0), "h must be > 0"),
+        (dict(lam=-1.0), "lam must be >= 0"),
+        (dict(mode="lbfgs"), "no damped step for mode='lbfgs'"),
+        (dict(mode="rank1", corrected=True), "no damped step for mode='rank1', corrected=True"),
+        (dict(mode="rank1", lam=0.0), "damped-lm requires lam > 0"),
+    ],
+    ids=["h", "lam", "mode", "rank1-corrected", "rank1-lam0"],
+)
+def test_damped_step_argument_checks(change, message) -> None:
+    orc = GaussianMixtureOracle([[0.3], [-0.3]], None, _unit_sigma_schedule())
+    args = dict(t=0.5, lam=0.5, h=0.01, mode="exact", corrected=False) | change
+    with pytest.raises(ValueError, match=message):
+        damped_step(np.zeros((4, 1)), orc, rng=stream(0), **args)
 
 
 def _dense_inverse_and_root(g):
