@@ -7,9 +7,11 @@ the canonical config hash and seed in every file.  Reruns with the same
 config and seed are byte-identical except for the meta.json "timing" object,
 regardless of --threads.
 
-Each command returns its report, its timing fields and its --assert failure
-(or None); :func:`main` times the whole invocation, writes meta.json and turns
-a failure under --assert into exit 4.
+Each command heads its CSV files with the stamp ``# config_hash=<hash>
+seed=<seed>`` that :func:`main` hands it, and returns its metrics, extra
+fields, timing fields and --assert failure (or None).  :func:`main` is the one
+place that reads the seed and builds the report: it times the whole
+invocation, writes meta.json and turns a failure under --assert into exit 4.
 
 Exit codes: 0 success, 2 invalid config, 3 numeric or I/O failure while
 running, 4 threshold violated under --assert.
@@ -70,10 +72,8 @@ def _f(x) -> str:
     return format(float(x), ".17g")
 
 
-def _comment(chash: str, seed: int, **extra) -> str:
-    parts = [f"# config_hash={chash}", f"seed={seed}"]
-    parts += [f"{k}={_f(v)}" for k, v in extra.items() if v is not None]
-    return " ".join(parts)
+def _comment(stamp: str, **extra) -> str:
+    return " ".join([stamp] + [f"{k}={_f(v)}" for k, v in extra.items() if v is not None])
 
 
 def _write_csv(path: Path, comment: str, header: list, rows: list) -> None:
@@ -94,6 +94,15 @@ def _apply_seed_override(command: str, doc: dict, seed) -> dict:
     else:
         doc["seed"] = seed
     return doc
+
+
+def _seed(command: str, doc: dict) -> int:
+    """The seed a command's files are stamped with: the sampler's, compare's first, or the config's."""
+    if command == "sample":
+        return doc["sampler"]["seed"]
+    if command == "compare":
+        return doc["seeds"][0]
+    return doc["seed"]
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +156,7 @@ def _build_context(command: str, doc: dict) -> dict:
 # commands
 
 
-def _cmd_sample(doc, ctx, chash, out: Path, threads: int):
+def _cmd_sample(doc, ctx, stamp, out: Path, threads: int):
     oracle = ctx["oracle"]
     block = doc["sampler"]
     scfg = SamplerConfig(
@@ -168,29 +177,23 @@ def _cmd_sample(doc, ctx, chash, out: Path, threads: int):
     geo = scfg.geometry
     lam = None if geo is None else geo.lam
     kappa = None if geo is None else geo.kappa
-    _write_csv(out / "samples.csv", _comment(chash, scfg.seed, lam=lam, kappa=kappa), header, rows)
+    _write_csv(out / "samples.csv", _comment(stamp, lam=lam, kappa=kappa), header, rows)
 
     diag = doc["diagnostics"]
     truth = oracle.sample_data(_rng.stream(scfg.seed, _rng.GT_STREAM_OFFSET), scfg.chains)
     sw2 = sliced_wasserstein(
         finals, truth, diag["n_projections"], _rng.stream(scfg.seed, _rng.PROJ_STREAM_OFFSET)
     )
-    report = DiagnosticsReport(
-        command="sample",
-        config_hash=chash,
-        seed=scfg.seed,
-        metrics={"sw2_to_truth": sw2},
-        extra={
-            "lam": lam,
-            "kappa": kappa,
-            "n_steps": scfg.n_steps,
-            "order": scfg.solver_order,
-            "chains": scfg.chains,
-            "dtype": scfg.dtype,
-            "files": ["samples.csv"],
-        },
-    )
-    return report, {"per_step_s": list(run.step_times)}, None
+    extra = {
+        "lam": lam,
+        "kappa": kappa,
+        "n_steps": scfg.n_steps,
+        "order": scfg.solver_order,
+        "chains": scfg.chains,
+        "dtype": scfg.dtype,
+        "files": ["samples.csv"],
+    }
+    return {"sw2_to_truth": sw2}, extra, {"per_step_s": list(run.step_times)}, None
 
 
 def _compare_run(variant, geo, nfe, seed, doc, ctx, threads):
@@ -214,7 +217,7 @@ def _compare_run(variant, geo, nfe, seed, doc, ctx, threads):
     return lml_sample(scfg, oracle).final_states
 
 
-def _cmd_compare(doc, ctx, chash, out: Path, threads: int):
+def _cmd_compare(doc, ctx, stamp, out: Path, threads: int):
     oracle = ctx["oracle"]
     nfe_list, seeds, variants = doc["nfe"], doc["seeds"], doc["variants"]
     n_proj = doc["diagnostics"]["n_projections"]
@@ -235,27 +238,23 @@ def _cmd_compare(doc, ctx, chash, out: Path, threads: int):
         for r, (variant, gdict) in enumerate(plan):
             geo = None if gdict is None else DampedGeometryConfig(**gdict)
             for j, nfe in enumerate(nfe_list):
-                vals[r, j, k] = sliced_wasserstein(_compare_run(variant, geo, nfe, s, doc, ctx, threads), ref)
+                w2 = sliced_wasserstein(_compare_run(variant, geo, nfe, s, doc, ctx, threads), ref)
+                if not np.isfinite(w2):
+                    raise FloatingPointError(
+                        f"compare: sliced W2 of {variant} at NFE {nfe}, seed {s} overflowed"
+                    )
+                vals[r, j, k] = w2
 
-    rows = []  # (variant, lam, kappa, {nfe: (mean, stderr)})
-    for (variant, gdict), row in zip(plan, vals):
-        cells = {}
-        for nfe, v in zip(nfe_list, row):
-            stderr = 0.0 if v.size < 2 else float(v.std(ddof=1) / np.sqrt(v.size))
-            cells[nfe] = (float(v.mean()), stderr)
-        rows.append((variant, gdict, cells))
+    # One table of (plan row, NFE) means feeds both the CSV and the verdict.
+    means = vals.mean(axis=2)
+    stderr = vals.std(axis=2, ddof=1) / np.sqrt(len(seeds)) if len(seeds) > 1 else np.zeros_like(means)
 
-    header = ["variant", "lam", "kappa"]
-    for nfe in nfe_list:
-        header += [f"mean_nfe{nfe}", f"stderr_nfe{nfe}"]
-    csv_rows = []
-    for variant, gdict, cells in rows:
-        cell = [variant]
-        cell += ["", ""] if gdict is None else [_f(gdict["lam"]), _f(gdict["kappa"])]
-        for nfe in nfe_list:
-            cell += [_f(cells[nfe][0]), _f(cells[nfe][1])]
-        csv_rows.append(cell)
-    _write_csv(out / "compare.csv", _comment(chash, seeds[0]), header, csv_rows)
+    header = ["variant", "lam", "kappa"] + [f"{col}_nfe{nfe}" for nfe in nfe_list for col in ("mean", "stderr")]
+    rows = []
+    for (variant, gdict), m, e in zip(plan, means, stderr):
+        geo_cells = ["", ""] if gdict is None else [_f(gdict["lam"]), _f(gdict["kappa"])]
+        rows.append([variant] + geo_cells + [_f(v) for pair in zip(m, e) for v in pair])
+    _write_csv(out / "compare.csv", _comment(stamp), header, rows)
 
     # For each solver order present as both guided and baseline rows: does
     # some grid point match-or-beat the baseline at every NFE?
@@ -265,31 +264,22 @@ def _cmd_compare(doc, ctx, chash, out: Path, threads: int):
         base_name, lml_name = f"baseline-o{order}", f"LML-o{order}"
         if base_name not in variants or lml_name not in variants:
             continue
-        base_cells = next(c for v, g, c in rows if v == base_name)
-        winners = [
-            g
-            for v, g, c in rows
-            if v == lml_name and all(c[nfe][0] <= base_cells[nfe][0] for nfe in nfe_list)
-        ]
+        base = means[[v for v, _ in plan].index(base_name)]
+        winners = [g for (v, g), m in zip(plan, means) if v == lml_name and np.all(m <= base)]
         dominating[f"o{order}"] = winners
         if not winners:
             failed_orders.append(order)
 
-    report = DiagnosticsReport(
-        command="compare",
-        config_hash=chash,
-        seed=seeds[0],
-        extra={
-            "seeds": list(seeds),
-            "nfe": list(nfe_list),
-            "chains": doc["chains"],
-            "dominating_combos": dominating,
-            "files": ["compare.csv"],
-        },
-    )
+    extra = {
+        "seeds": list(seeds),
+        "nfe": list(nfe_list),
+        "chains": doc["chains"],
+        "dominating_combos": dominating,
+        "files": ["compare.csv"],
+    }
     failed = doc["assert"]["lml_not_worse"] and bool(failed_orders)
     msg = f"no (lam, kappa) matches or beats baseline at every NFE for order(s) {failed_orders}"
-    return report, {}, msg if failed else None
+    return {}, extra, {}, msg if failed else None
 
 
 def _fixed_cfg(doc, lam: float, snapshot_every) -> FixedLevelConfig:
@@ -307,7 +297,7 @@ def _fixed_cfg(doc, lam: float, snapshot_every) -> FixedLevelConfig:
     )
 
 
-def _cmd_stationarity(doc, ctx, chash, out: Path, threads: int):
+def _cmd_stationarity(doc, ctx, stamp, out: Path, threads: int):
     oracle = ctx["oracle"]
     t = doc["t"]
     run = fixed_level_run(ctx["fixed"][0], oracle, threads=threads)
@@ -324,26 +314,20 @@ def _cmd_stationarity(doc, ctx, chash, out: Path, threads: int):
         [str(b), _f(left[b]), _f(right[b]), _f(counts[b] / retained.size), _f(1.0 / bins)]
         for b in range(bins)
     ]
-    comment = _comment(chash, doc["seed"], lam=doc["lam"], t=t)
+    comment = _comment(stamp, lam=doc["lam"], t=t)
     _write_csv(out / "histogram.csv", comment, ["bin", "left", "right", "observed", "expected"], rows)
 
-    report = DiagnosticsReport(
-        command="stationarity",
-        config_hash=chash,
-        seed=doc["seed"],
-        metrics={"ks": ks},
-        extra={
-            "variant": doc["variant"],
-            "lam": doc["lam"],
-            "t": t,
-            "h": doc["h"],
-            "n_steps": doc["n_steps"],
-            "retained": int(retained.size),
-            "files": ["histogram.csv"],
-        },
-    )
+    extra = {
+        "variant": doc["variant"],
+        "lam": doc["lam"],
+        "t": t,
+        "h": doc["h"],
+        "n_steps": doc["n_steps"],
+        "retained": int(retained.size),
+        "files": ["histogram.csv"],
+    }
     ks_max = doc["assert"]["ks_max"]
-    return report, {}, f"ks={ks:.5f} > {ks_max}" if ks > ks_max else None
+    return {"ks": ks}, extra, {}, f"ks={ks:.5f} > {ks_max}" if ks > ks_max else None
 
 
 def _gaussian_chi2_stderr(m: float, s: float, m2: float, s2: float, n: int) -> float:
@@ -371,7 +355,7 @@ def _reference_rate(variant: str, lam: float, sigma: float):
     return None  # damped-lm: state-dependent preconditioner, no closed form
 
 
-def _cmd_convergence(doc, ctx, chash, out: Path, threads: int):
+def _cmd_convergence(doc, ctx, stamp, out: Path, threads: int):
     oracle = ctx["oracle"]
     t = doc["t"]
     alpha, sigma = oracle._level(t)
@@ -408,7 +392,7 @@ def _cmd_convergence(doc, ctx, chash, out: Path, threads: int):
         name = f"convergence_lam{li}.csv"
         files.append(name)
         rows = [[_f(times[k]), _f(vals[k]), _f(errs[k])] for k in range(times.size)]
-        _write_csv(out / name, _comment(chash, doc["seed"], lam=lam, t=t), ["time", "value", "stderr"], rows)
+        _write_csv(out / name, _comment(stamp, lam=lam, t=t), ["time", "value", "stderr"], rows)
 
         sel = (vals >= lo) & (vals <= hi) & (times > 0.0)
         if int(sel.sum()) < 3:
@@ -434,17 +418,11 @@ def _cmd_convergence(doc, ctx, chash, out: Path, threads: int):
         if fit.r_squared < doc["assert"]["r2_min"]:
             ok = False
 
-    report = DiagnosticsReport(
-        command="convergence",
-        config_hash=chash,
-        seed=doc["seed"],
-        metrics=metrics,
-        extra={"variant": doc["variant"], "t": t, "h": doc["h"], "per_lam": details, "files": files},
-    )
-    return report, {}, None if ok else "fitted rate or fit quality outside tolerance; see meta.json"
+    extra = {"variant": doc["variant"], "t": t, "h": doc["h"], "per_lam": details, "files": files}
+    return metrics, extra, {}, None if ok else "fitted rate or fit quality outside tolerance; see meta.json"
 
 
-def _cmd_hessian_error(doc, ctx, chash, out: Path, threads: int):
+def _cmd_hessian_error(doc, ctx, stamp, out: Path, threads: int):
     oracle = ctx["oracle"]
     rows = []
     per_t = []
@@ -465,37 +443,21 @@ def _cmd_hessian_error(doc, ctx, chash, out: Path, threads: int):
                 "violations": res.violations,
             }
         )
-    _write_csv(
-        out / "bound_check.csv",
-        _comment(chash, doc["seed"]),
-        ["t", "point", "empirical", "bound"],
-        rows,
-    )
-    report = DiagnosticsReport(
-        command="hessian-error",
-        config_hash=chash,
-        seed=doc["seed"],
-        metrics={"violations": float(violations)},
-        extra={"per_t": per_t, "n_points": doc["n_points"], "files": ["bound_check.csv"]},
-    )
+    _write_csv(out / "bound_check.csv", _comment(stamp), ["t", "point", "empirical", "bound"], rows)
+    extra = {"per_t": per_t, "n_points": doc["n_points"], "files": ["bound_check.csv"]}
     failed = violations > doc["assert"]["max_violations"]
-    return report, {}, f"{violations} bound violations" if failed else None
+    return {"violations": float(violations)}, extra, {}, f"{violations} bound violations" if failed else None
 
 
-def _cmd_bench(doc, ctx, chash, out: Path, threads: int):
+def _cmd_bench(doc, ctx, stamp, out: Path, threads: int):
     res = overhead_benchmark(d=doc["d"], reps=doc["reps"], seed=doc["seed"])
-    report = DiagnosticsReport(
-        command="bench",
-        config_hash=chash,
-        seed=doc["seed"],
-        extra={"d": res.d, "reps": res.reps},
-    )
     timing = {"baseline_ns": res.baseline_ns, "lml_ns": res.lml_ns, "ratio": res.ratio}
     # bench gates only on a threshold the config sets: no default is reachable
     # on every machine, and the guided update always costs more than the axpy.
     ratio_max = doc.get("assert", {}).get("ratio_max")
     failed = ratio_max is not None and res.ratio > ratio_max
-    return report, timing, f"overhead ratio {res.ratio:.4f} > {ratio_max}" if failed else None
+    failure = f"overhead ratio {res.ratio:.4f} > {ratio_max}" if failed else None
+    return {}, {"d": res.d, "reps": res.reps}, timing, failure
 
 
 _DISPATCH = {
@@ -552,14 +514,16 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     chash = config_hash(doc)
+    seed = _seed(args.command, doc)
+    stamp = f"# config_hash={chash} seed={seed}"
     if args.threads < 1:
         print("config error: --threads must be >= 1", file=sys.stderr)
         return 2
     out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
-        report, timing, failure = _DISPATCH[args.command](doc, ctx, chash, out, args.threads)
-        meta = report.as_dict()
+        metrics, extra, timing, failure = _DISPATCH[args.command](doc, ctx, stamp, out, args.threads)
+        meta = DiagnosticsReport(args.command, chash, seed, metrics, extra=extra).as_dict()
         meta["timing"] = {"total_s": time.perf_counter() - tic, **timing}  # the one rerun-variable section
         (out / "meta.json").write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
     except (

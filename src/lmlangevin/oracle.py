@@ -25,6 +25,7 @@ kernel, which would make a single point's result differ from its batch row.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Protocol, runtime_checkable
 
 import numpy as np
@@ -91,9 +92,6 @@ class GaussianMixtureOracle:
         self._yc = centers - self._ybar0
         self._yc_sq = np.einsum("nd,nd->n", self._yc, self._yc)
         self._levels: dict[float, tuple[float, float]] = {}
-        # Pairwise support diameter, reused by error-bound diagnostics.
-        diff = centers[:, None, :] - centers[None, :, :]
-        self.diameter = float(np.sqrt((diff**2).sum(-1)).max())
 
     @classmethod
     def from_csv(cls, path, schedule: NoiseSchedule, weights=None) -> "GaussianMixtureOracle":
@@ -108,6 +106,15 @@ class GaussianMixtureOracle:
     @property
     def n_components(self) -> int:
         return self.centers.shape[0]
+
+    @cached_property
+    def diameter(self) -> float:
+        """Largest distance between two centers, for the error-bound diagnostics.
+
+        Computed on first read, one center at a time, so no (n, n, d) array is formed.
+        """
+        c = self.centers
+        return float(max(np.sqrt(((c - ci) ** 2).sum(-1)).max() for ci in c))
 
     # -- internals ------------------------------------------------------
 

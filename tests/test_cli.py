@@ -228,6 +228,77 @@ def test_sample_seed_override(tmp_path) -> None:
     assert not np.allclose(r1, r2)
 
 
+_SMALL_DOCS = {
+    "sample": _sample_doc(),
+    "compare": {
+        "schedule": {"kind": "vp-linear"},
+        "oracle": {"centers": [[1.0, 0.0], [-1.0, 0.0]]},
+        "nfe": [5],
+        "variants": ["baseline-o1", "LML-o1"],
+        "chains": 64,
+        "seeds": [0, 1],
+        "geometry_grid": [{"lam": 0.01, "kappa": 1e-4}],
+    },
+    "stationarity": {
+        "schedule": {"kind": "ve", "sigma_min": 0.01, "sigma_max": 100.0},
+        "oracle": {"centers": [[0.0]]},
+        "t": 0.5,
+        "variant": "damped-exact",
+        "lam": 1.0,
+        "h": 0.01,
+        "n_steps": 20,
+        "chains": 64,
+    },
+    "convergence": {
+        "schedule": {"kind": "ve", "sigma_min": 0.01, "sigma_max": 100.0},
+        "oracle": {"centers": [[0.0]]},
+        "t": 0.5,
+        "variant": "damped-exact",
+        "lams": [0.0, 1.0],
+        "h": 0.05,
+        "n_steps": 60,
+        "snapshot_every": 2,
+        "chains": 2000,
+    },
+    "hessian-error": {
+        "schedule": {"kind": "vp-linear"},
+        "oracle": {"centers": [[1.0, 0.5], [-1.0, -0.5]]},
+        "ts": [0.3],
+        "n_points": 5,
+    },
+    "bench": {"d": 64, "reps": 5},
+}
+
+
+@pytest.mark.parametrize("command", list(_SMALL_DOCS))
+def test_seed_override_stamps_every_file(tmp_path, command) -> None:
+    # --seed 5 must run the command exactly as a config that holds seed 5
+    # (compare: seeds 5, 6), and stamp that seed and the hash in every file.
+    doc = _SMALL_DOCS[command]
+    direct = json.loads(json.dumps(doc))
+    if command == "sample":
+        direct["sampler"]["seed"] = 5
+    elif command == "compare":
+        direct["seeds"] = [5, 6]
+    else:
+        direct["seed"] = 5
+    out1, out2 = tmp_path / "override", tmp_path / "direct"
+    assert main([command, "--config", _write(tmp_path, "a.json", doc), "--out", str(out1), "--seed", "5"]) == 0
+    assert main([command, "--config", _write(tmp_path, "b.json", direct), "--out", str(out2)]) == 0
+    meta = _meta(out1)
+    assert meta["seed"] == 5
+    csvs = sorted(p.name for p in out1.glob("*.csv"))
+    assert csvs == sorted(meta.get("extra", {}).get("files", []))
+    for name in csvs:
+        first = (out1 / name).read_text().splitlines()[0]
+        assert first.split()[:3] == ["#", f"config_hash={meta['config_hash']}", "seed=5"]
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+    other = _meta(out2)
+    for m in (meta, other):
+        m.pop("timing")
+    assert meta == other
+
+
 def test_negative_seed_override_is_config_error(tmp_path, capsys) -> None:
     cfg = _write(tmp_path, "c.json", _sample_doc())
     out = tmp_path / "out"
@@ -299,6 +370,72 @@ def test_annealed_blow_up_is_exit_3(tmp_path, capsys) -> None:
     assert "annealed Langevin run" in capsys.readouterr().err
     assert not (out / "compare.csv").exists()
     assert not (out / "meta.json").exists()
+
+
+def test_compare_overflowing_cell_is_exit_3(tmp_path, capsys) -> None:
+    # At step_scale 1e6 the annealed chains stay finite (|x| ~ 1e240), but
+    # squaring their projections in sliced W2 overflows: the cell is named
+    # and nothing is written, rather than a row of inf.
+    doc = {
+        "schedule": {"kind": "vp-linear"},
+        "oracle": {"centers": [[1.0, 0.0], [-1.0, 0.0]]},
+        "nfe": [40],
+        "variants": ["baseline-o1", "annealed"],
+        "chains": 64,
+        "seeds": [0],
+        "annealed": {"inner_steps": 20, "step_scale": 1e6},
+    }
+    out = tmp_path / "out"
+    with np.errstate(all="ignore"):
+        rc = main(["compare", "--config", _write(tmp_path, "c.json", doc), "--out", str(out)])
+    assert rc == 3
+    assert "sliced W2 of annealed at NFE 40, seed 0 overflowed" in capsys.readouterr().err
+    assert not (out / "compare.csv").exists()
+    assert not (out / "meta.json").exists()
+
+
+def _compare_table(out):
+    """compare.csv as {(variant, lam, kappa): (means, stderrs)}."""
+    lines = (out / "compare.csv").read_text().splitlines()[2:]
+    table = {}
+    for line in lines:
+        variant, lam, kappa, *cells = line.split(",")
+        vals = np.array(cells, dtype=float)
+        table[variant, lam, kappa] = (vals[0::2], vals[1::2])
+    return table
+
+
+def test_compare_table_over_seeds(tmp_path) -> None:
+    # Each seed's cells do not depend on the other seeds, so a 2-seed table
+    # is the mean and standard error of the two 1-seed tables.  On this grid
+    # two of three points beat the first-order baseline and none the second.
+    doc = dict(
+        _compare_doc(),
+        variants=["baseline-o1", "baseline-o2", "LML-o1", "LML-o2"],
+        geometry_grid=[{"lam": 0.001, "kappa": 1e-8}, {"lam": 0.01, "kappa": 1e-4}, {"lam": 0.1, "kappa": 0.01}],
+    )
+    outs = {}
+    for name, seeds in (("both", [0, 1]), ("s0", [0]), ("s1", [1])):
+        outs[name] = tmp_path / name
+        cfg = _write(tmp_path, f"{name}.json", dict(doc, seeds=seeds))
+        assert main(["compare", "--config", cfg, "--out", str(outs[name])]) == 0
+    both, a, b = (_compare_table(outs[n]) for n in ("both", "s0", "s1"))
+    assert both.keys() == a.keys() == b.keys()
+    for key, (means, stderr) in both.items():
+        (ma, ea), (mb, eb) = a[key], b[key]
+        assert np.all(ea == 0.0) and np.all(eb == 0.0)
+        np.testing.assert_array_equal(means, (ma + mb) / 2)
+        np.testing.assert_allclose(stderr, np.abs(ma - mb) / 2, rtol=1e-12)
+    dominating = {}
+    for order in ("o1", "o2"):
+        base = both[f"baseline-{order}", "", ""][0]
+        dominating[order] = [
+            {"lam": float(lam), "kappa": float(kappa)}
+            for (variant, lam, kappa), (means, _) in both.items()
+            if variant == f"LML-{order}" and np.all(means <= base)
+        ]
+    assert len(dominating["o1"]) == 2 and not dominating["o2"]
+    assert _meta(outs["both"])["extra"]["dominating_combos"] == dominating
 
 
 def test_compare_rerun_identical(tmp_path) -> None:

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -393,6 +394,21 @@ def test_diameter() -> None:
     sch = NoiseSchedule.vp_linear()
     orc = GaussianMixtureOracle([[0.0, 0.0], [3.0, 4.0], [1.0, 1.0]], None, sch)
     assert orc.diameter == pytest.approx(5.0)
+
+
+def test_many_centers_build_in_little_memory() -> None:
+    # Only the error-bound diagnostics read the diameter, so building an
+    # oracle forms no (n, n, d) array of pairwise differences (153 MB here).
+    centers = np.random.default_rng(0).normal(size=(2000, 2))
+    tracemalloc.start()
+    try:
+        orc = GaussianMixtureOracle(centers, None, NoiseSchedule.vp_linear())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    diff = centers[:, None, :] - centers[None, :, :]
+    assert orc.diameter == float(np.sqrt((diff**2).sum(-1)).max())
 
 
 def test_schedule_table_under_concurrent_callers() -> None:
