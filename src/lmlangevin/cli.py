@@ -337,14 +337,6 @@ def _gaussian_chi2_stderr(m: float, s: float, m2: float, s2: float, n: int) -> f
     return float(np.sqrt(dm * dm * s * s / n + ds * ds * s * s / (2.0 * n)))
 
 
-def _histogram_chi2_stderr(p_hat: np.ndarray, n: int) -> float:
-    """Delta-method stderr of the binned chi-square under multinomial counts."""
-    bins = p_hat.size
-    g = 2.0 * (p_hat - 1.0 / bins) * bins
-    quad = float(np.sum(g * g * p_hat) - (g @ p_hat) ** 2)
-    return float(np.sqrt(max(quad, 0.0) / n))
-
-
 def _reference_rate(variant: str, lam: float, sigma: float):
     if variant in ("damped-exact", "damped-exact-corrected"):
         return 2.0 / (1.0 + lam * sigma * sigma)
@@ -383,10 +375,7 @@ def _cmd_convergence(doc, ctx, stamp, out: Path, threads: int):
                 errs[k] = _gaussian_chi2_stderr(m_hat, s_hat, mu, sigma, samples.size)
             else:
                 # Histogram estimate: biased, trend-only; fine inside the fit window.
-                counts = np.bincount(np.searchsorted(edges, samples), minlength=64)
-                p_hat = counts / samples.size
-                vals[k] = chi2_histogram(samples, edges)
-                errs[k] = _histogram_chi2_stderr(p_hat, samples.size)
+                vals[k], errs[k] = chi2_histogram(samples, edges, with_stderr=True)
         del run, samples
 
         name = f"convergence_lam{li}.csv"

@@ -21,6 +21,13 @@ to their mean ybar0, as two-operand contractions: no (m, n, d) difference
 tensor is formed, and offset mixtures keep their digits.  ``np.einsum`` is
 used rather than ``@`` because BLAS sends a one-row product to a different
 kernel, which would make a single point's result differ from its batch row.
+
+The weights' layout depends only on d.  At d = 1 they stay components-major,
+(n, m), normalised in place, and each posterior moment is a one-column table
+summed component by component over contiguous rows.  At d >= 2 they are
+point-major, (m, n), and the moments are einsum contractions over the
+contiguous component axis.  :meth:`GaussianMixtureOracle.posterior_weights`
+returns (m, n) rows at every d.
 """
 
 from __future__ import annotations
@@ -160,15 +167,36 @@ class GaussianMixtureOracle:
         return ll, r, alpha, sigma
 
     def _posterior(self, x2, t):
-        """Responsibilities (m, n), each row summing to 1, the residual r, alpha_t and sigma_t.
+        """Responsibilities, the residual r, alpha_t and sigma_t; each point's weights sum to 1.
 
-        The weights come back point-major and C-contiguous: contracted over a
+        At d = 1 the weights are the (n, m) logits normalised in place,
+        components-major, for :meth:`_moment`'s ordered sum.  At d >= 2 they
+        come back point-major, (m, n) and C-contiguous: contracted over a
         contiguous axis, a single point's moments do not depend on how many
         points share the call.
         """
         ll, r, alpha, sigma = self._log_posterior(x2, t)
         _, total = _shift_exp_sum(ll)
+        if self.dim == 1:
+            ll /= total
+            return ll, r, alpha, sigma
         return np.divide(ll.T, total[:, None], order="C"), r, alpha, sigma
+
+    def _moment(self, w, table):
+        """sum_i w_i table_i as (m, k), for :meth:`_posterior`'s weights and an (n, k) table.
+
+        At d = 1 the table is one column, and the components are summed in
+        order over contiguous (m,) rows, as in ``_shift_exp_sum``; wider
+        tables go through einsum.
+        """
+        if self.dim > 1:
+            return np.einsum("mn,nk->mk", w, table)
+        col = table[:, 0]
+        acc = w[0] * col[0]
+        term = np.empty_like(acc)
+        for wi, ci in zip(w[1:], col[1:]):
+            acc += np.multiply(wi, ci, out=term)
+        return acc[:, None]
 
     def _derivatives(self, x, t, order: int):
         """[score, Hessian (order >= 2), its gradient (order 3)] and sigma_t from one posterior evaluation.
@@ -187,22 +215,22 @@ class GaussianMixtureOracle:
         yc = self._yc
         n, d = yc.shape
         s2 = sigma * sigma
-        mean = np.einsum("mn,nd->md", w, yc)
+        mean = self._moment(w, yc)
         # The score -(r - alpha mean) / s2 is formed in r's buffer: at large d it is memory-bound.
         r -= alpha * mean
         r /= -s2
         out = [r]
         if order > 1:
             outer2 = yc[:, :, None] * yc[:, None, :]
-            m2 = np.einsum("mn,nk->mk", w, outer2.reshape(n, d * d)).reshape(-1, d, d)
+            m2 = self._moment(w, outer2.reshape(n, d * d)).reshape(-1, d, d)
             cov = m2 - mean[:, :, None] * mean[:, None, :]
             hess = (alpha * alpha / (s2 * s2)) * cov
-            idx = np.arange(d)
-            hess[:, idx, idx] -= 1.0 / s2
+            # hess is freshly allocated and C-contiguous, so the reshape is a view and [:, ::d+1] its diagonal.
+            hess.reshape(-1, d * d)[:, :: d + 1] -= 1.0 / s2
             out.append(hess)
         if order > 2:
             outer3 = outer2[:, :, :, None] * yc[:, None, None, :]
-            m3 = np.einsum("mn,nk->mk", w, outer3.reshape(n, d * d * d)).reshape(-1, d, d, d)
+            m3 = self._moment(w, outer3.reshape(n, d * d * d)).reshape(-1, d, d, d)
             # dC[j,k]/dx_l = (alpha/s2) * (M3 - mean_l M2 - C_{jl} mean_k - mean_j C_{kl})
             dcov = m3 - m2[:, :, :, None] * mean[:, None, None, :]
             dcov -= cov[:, :, None, :] * mean[:, None, :, None]
@@ -214,16 +242,18 @@ class GaussianMixtureOracle:
     # -- densities and derivatives ---------------------------------------
 
     def posterior_weights(self, x, t):
-        """Softmax responsibilities of each component at (x, t); rows sum to 1."""
+        """Softmax responsibilities of each component at (x, t); (m, n) C-contiguous rows that sum to 1."""
         x2, single = self._prep(x)
         w = self._posterior(x2, t)[0]
+        if self.dim == 1:
+            w = np.ascontiguousarray(w.T)
         return w[0] if single else w
 
     def posterior_mean(self, x, t):
         """Posterior mean of the clean data, ybar(x, t) = sum_i wtilde_i y_i."""
         x2, single = self._prep(x)
         w = self._posterior(x2, t)[0]
-        ybar = self._ybar0 + np.einsum("mn,nd->md", w, self._yc)
+        ybar = self._ybar0 + self._moment(w, self._yc)
         return ybar[0] if single else ybar
 
     def logpdf(self, x, t):

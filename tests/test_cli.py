@@ -560,6 +560,35 @@ def test_convergence_gates_no_gaussian_rate_on_a_mixture(tmp_path) -> None:
     assert entry["r_squared"] > 0.95
 
 
+def test_convergence_bins_each_snapshot_once(tmp_path, monkeypatch) -> None:
+    # The histogram branch reads a snapshot's chi-square and its stderr off one binning.
+    doc = {
+        "schedule": {"kind": "ve", "sigma_min": 0.01, "sigma_max": 100.0},
+        "oracle": {"centers": [[0.6], [-0.6]]},
+        "t": 0.5,
+        "variant": "damped-exact",
+        "lams": [0.0, 1.0],
+        "h": 0.01,
+        "n_steps": 300,
+        "chains": 2000,
+        "snapshot_every": 10,
+        "init": {"mean": 2.0, "std": 0.5},
+        "fit_window": [0.01, 0.5],
+        "seed": 0,
+    }
+    calls = []
+    real = np.searchsorted
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, "searchsorted", counted)
+    rc = main(["convergence", "--config", _write(tmp_path, "c.json", doc), "--out", str(tmp_path / "out")])
+    assert rc == 0
+    assert len(calls) == 2 * 31
+
+
 def test_convergence_keeps_one_lam_alive(tmp_path) -> None:
     # Each lam's snapshot array is read and dropped before the next lam runs,
     # so three lams peak near one array rather than three.

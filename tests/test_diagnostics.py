@@ -195,6 +195,18 @@ def test_equal_mass_edges_and_histogram_chi2() -> None:
     assert shifted > 100 * null
 
 
+def test_chi2_histogram_stderr_matches_the_spread() -> None:
+    # One binning gives the value and its delta-method stderr; the stderr
+    # agrees with the spread of the value over independent samples.
+    edges = equal_mass_edges(norm.ppf, bins=16)
+    rng = np.random.default_rng(57)
+    pairs = [chi2_histogram(rng.standard_normal(4000) + 0.3, edges, with_stderr=True) for _ in range(300)]
+    vals, errs = np.array(pairs).T
+    sample = rng.standard_normal(4000) + 0.3
+    assert chi2_histogram(sample, edges, with_stderr=True)[0] == chi2_histogram(sample, edges)
+    assert np.median(errs) == pytest.approx(vals.std(ddof=1), rel=0.15)
+
+
 def test_ks_statistic_exact_and_scipy() -> None:
     assert ks_statistic(np.array([0.5]), lambda u: u) == pytest.approx(0.5)
     xs = np.random.default_rng(55).standard_normal(5000)

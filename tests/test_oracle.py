@@ -136,7 +136,9 @@ def test_eps_evaluates_the_schedule_once(monkeypatch) -> None:
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("d, n", [(1, 2), (1, 9), (2, 2), (2, 4), (8, 4), (64, 8), (1000, 4)])
+@pytest.mark.parametrize(
+    "d, n", [(1, 2), (1, 3), (1, 5), (1, 9), (1, 33), (2, 2), (2, 4), (8, 4), (64, 8), (1000, 4)]
+)
 def test_rows_do_not_depend_on_batch_size(d, n) -> None:
     # A sampler that steps one point must take the same step as that point's
     # row of a batch, bit for bit.  At d = 1 and n >= 4 a contraction whose
@@ -167,6 +169,43 @@ def test_rows_do_not_depend_on_batch_size(d, n) -> None:
                 assert np.array_equal(part, row[i]), (order, i)
         for part, rows in zip(orc.derivatives(xs[:3], t, order), batch):
             assert np.array_equal(part, rows[:3]), order
+
+
+def test_two_center_1d_moments_are_the_einsum_forms() -> None:
+    # At d = 1 the moments are summed component by component over the
+    # components-major weights.  With two components that sum has one
+    # addition, so the moments, and everything read off them, keep the bits
+    # of the einsum contraction over point-major weights.
+    sch = NoiseSchedule.ve(0.01, 100.0)
+    rng = np.random.default_rng(21)
+    oracles = [GaussianMixtureOracle([[1.5], [-1.5]], [0.7, 0.3], sch), _random_oracle(rng, 1, 2, sch)]
+    for orc in oracles:
+        y = orc._yc
+        tables = (y, y * y, (y * y) * y)
+        for m in (1, 7, 4096):
+            x2 = rng.normal(scale=2.0, size=(m, 1))
+            for t in (0.3, 0.5):
+                w = orc._posterior(x2, t)[0]
+                rows = orc.posterior_weights(x2, t)
+                assert np.array_equal(rows, w.T)
+                for table in tables:
+                    assert np.array_equal(orc._moment(w, table), np.einsum("mn,nk->mk", rows, table))
+                want = orc._ybar0 + np.einsum("mn,nd->md", rows, y)
+                assert np.array_equal(orc.posterior_mean(x2, t), want)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_posterior_weights_are_point_major_rows(d) -> None:
+    rng = np.random.default_rng(22 + d)
+    orc = _random_oracle(rng, d, 5, NoiseSchedule.vp_linear())
+    xs = rng.normal(size=(11, d))
+    w = orc.posterior_weights(xs, 0.4)
+    assert w.shape == (11, 5)
+    assert w.flags.c_contiguous
+    np.testing.assert_allclose(w.sum(axis=1), 1.0, rtol=1e-14)
+    one = orc.posterior_weights(xs[4], 0.4)
+    assert one.shape == (5,) and one.flags.c_contiguous
+    assert np.array_equal(one, w[4])
 
 
 def test_derivatives_order_and_dense_cap() -> None:
