@@ -375,7 +375,7 @@ def _cmd_convergence(doc, ctx, stamp, out: Path, threads: int):
                 errs[k] = _gaussian_chi2_stderr(m_hat, s_hat, mu, sigma, samples.size)
             else:
                 # Histogram estimate: biased, trend-only; fine inside the fit window.
-                vals[k], errs[k] = chi2_histogram(samples, edges, with_stderr=True)
+                vals[k], errs[k] = chi2_histogram(samples, edges)
         del run, samples
 
         name = f"convergence_lam{li}.csv"

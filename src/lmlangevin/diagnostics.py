@@ -243,13 +243,13 @@ def equal_mass_edges(quantile_fn: Callable, bins: int = 64) -> np.ndarray:
     return np.asarray(quantile_fn(np.arange(1, bins) / bins), dtype=np.float64)
 
 
-def chi2_histogram(samples, edges, with_stderr: bool = False):
-    """Pearson chi-square of a 1-d sample against equal-mass reference bins.
+def chi2_histogram(samples, edges) -> tuple[float, float]:
+    """Pearson chi-square of a 1-d sample against equal-mass reference bins, and its stderr.
 
     A biased plug-in estimate; used for decay *trends* on targets without a
-    Gaussian closed form, never as an absolute divergence value.  With
-    ``with_stderr`` it returns ``(value, stderr)`` from the one binning, the
-    stderr by the delta method under multinomial counts.
+    Gaussian closed form, never as an absolute divergence value.  Returns
+    ``(value, stderr)`` from one binning, the stderr by the delta method
+    under multinomial counts.
     """
     samples = np.asarray(samples, dtype=np.float64).ravel()
     edges = np.asarray(edges, dtype=np.float64)
@@ -258,8 +258,6 @@ def chi2_histogram(samples, edges, with_stderr: bool = False):
     p_hat = counts / samples.size
     q = 1.0 / bins
     value = float(np.sum((p_hat - q) ** 2 / q))
-    if not with_stderr:
-        return value
     g = 2.0 * (p_hat - q) * bins
     quad = float(np.sum(g * g * p_hat) - (g @ p_hat) ** 2)
     return value, float(np.sqrt(max(quad, 0.0) / samples.size))

@@ -23,8 +23,9 @@ used rather than ``@`` because BLAS sends a one-row product to a different
 kernel, which would make a single point's result differ from its batch row.
 
 The weights' layout depends only on d.  At d = 1 they stay components-major,
-(n, m), normalised in place, and each posterior moment is a one-column table
-summed component by component over contiguous rows.  At d >= 2 they are
+(n, m), normalised in place; the posterior moments are one-column tables,
+stacked and summed together component by component over contiguous rows, so
+a call pays two numpy operations per component.  At d >= 2 they are
 point-major, (m, n), and the moments are einsum contractions over the
 contiguous component axis.  :meth:`GaussianMixtureOracle.posterior_weights`
 returns (m, n) rows at every d.
@@ -170,7 +171,7 @@ class GaussianMixtureOracle:
         """Responsibilities, the residual r, alpha_t and sigma_t; each point's weights sum to 1.
 
         At d = 1 the weights are the (n, m) logits normalised in place,
-        components-major, for :meth:`_moment`'s ordered sum.  At d >= 2 they
+        components-major, for :meth:`_moments`'s ordered sum.  At d >= 2 they
         come back point-major, (m, n) and C-contiguous: contracted over a
         contiguous axis, a single point's moments do not depend on how many
         points share the call.
@@ -182,21 +183,21 @@ class GaussianMixtureOracle:
             return ll, r, alpha, sigma
         return np.divide(ll.T, total[:, None], order="C"), r, alpha, sigma
 
-    def _moment(self, w, table):
-        """sum_i w_i table_i as (m, k), for :meth:`_posterior`'s weights and an (n, k) table.
+    def _moments(self, w, tables):
+        """[sum_i w_i table_i as (m, k) for each (n, k) table], for :meth:`_posterior`'s weights.
 
-        At d = 1 the table is one column, and the components are summed in
-        order over contiguous (m,) rows, as in ``_shift_exp_sum``; wider
-        tables go through einsum.
+        At d = 1 every table is one column: the columns are stacked and the
+        components summed in order over contiguous rows, one row per table,
+        as in ``_shift_exp_sum``.  Wider tables go through einsum.
         """
         if self.dim > 1:
-            return np.einsum("mn,nk->mk", w, table)
-        col = table[:, 0]
-        acc = w[0] * col[0]
+            return [np.einsum("mn,nk->mk", w, table) for table in tables]
+        cols = np.concatenate(tables, axis=1)
+        acc = cols[0][:, None] * w[0]
         term = np.empty_like(acc)
-        for wi, ci in zip(w[1:], col[1:]):
-            acc += np.multiply(wi, ci, out=term)
-        return acc[:, None]
+        for wi, ci in zip(w[1:], cols[1:]):
+            acc += np.multiply(ci[:, None], wi, out=term)
+        return [row[:, None] for row in acc]
 
     def _derivatives(self, x, t, order: int):
         """[score, Hessian (order >= 2), its gradient (order 3)] and sigma_t from one posterior evaluation.
@@ -215,22 +216,26 @@ class GaussianMixtureOracle:
         yc = self._yc
         n, d = yc.shape
         s2 = sigma * sigma
-        mean = self._moment(w, yc)
+        tables = [yc]
+        if order > 1:
+            outer2 = yc[:, :, None] * yc[:, None, :]
+            tables.append(outer2.reshape(n, d * d))
+        if order > 2:
+            tables.append((outer2[:, :, :, None] * yc[:, None, None, :]).reshape(n, d * d * d))
+        mean, *higher = self._moments(w, tables)
         # The score -(r - alpha mean) / s2 is formed in r's buffer: at large d it is memory-bound.
         r -= alpha * mean
         r /= -s2
         out = [r]
         if order > 1:
-            outer2 = yc[:, :, None] * yc[:, None, :]
-            m2 = self._moment(w, outer2.reshape(n, d * d)).reshape(-1, d, d)
+            m2 = higher[0].reshape(-1, d, d)
             cov = m2 - mean[:, :, None] * mean[:, None, :]
             hess = (alpha * alpha / (s2 * s2)) * cov
             # hess is freshly allocated and C-contiguous, so the reshape is a view and [:, ::d+1] its diagonal.
             hess.reshape(-1, d * d)[:, :: d + 1] -= 1.0 / s2
             out.append(hess)
         if order > 2:
-            outer3 = outer2[:, :, :, None] * yc[:, None, None, :]
-            m3 = self._moment(w, outer3.reshape(n, d * d * d)).reshape(-1, d, d, d)
+            m3 = higher[1].reshape(-1, d, d, d)
             # dC[j,k]/dx_l = (alpha/s2) * (M3 - mean_l M2 - C_{jl} mean_k - mean_j C_{kl})
             dcov = m3 - m2[:, :, :, None] * mean[:, None, None, :]
             dcov -= cov[:, :, None, :] * mean[:, None, :, None]
@@ -253,7 +258,7 @@ class GaussianMixtureOracle:
         """Posterior mean of the clean data, ybar(x, t) = sum_i wtilde_i y_i."""
         x2, single = self._prep(x)
         w = self._posterior(x2, t)[0]
-        ybar = self._ybar0 + self._moment(w, self._yc)
+        ybar = self._ybar0 + self._moments(w, [self._yc])[0]
         return ybar[0] if single else ybar
 
     def logpdf(self, x, t):

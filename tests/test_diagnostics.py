@@ -188,10 +188,10 @@ def test_equal_mass_edges_and_histogram_chi2() -> None:
     assert np.all(np.diff(edges) > 0)
     assert edges[3] == pytest.approx(0.0, abs=1e-12)
     rng = np.random.default_rng(54)
-    null = chi2_histogram(rng.standard_normal(200_000), edges)
+    null = chi2_histogram(rng.standard_normal(200_000), edges)[0]
     # expected value of the plug-in statistic under H0 is (bins-1)/n
     assert null < 5 * 8 / 200_000
-    shifted = chi2_histogram(rng.standard_normal(200_000) + 0.5, edges)
+    shifted = chi2_histogram(rng.standard_normal(200_000) + 0.5, edges)[0]
     assert shifted > 100 * null
 
 
@@ -200,10 +200,8 @@ def test_chi2_histogram_stderr_matches_the_spread() -> None:
     # agrees with the spread of the value over independent samples.
     edges = equal_mass_edges(norm.ppf, bins=16)
     rng = np.random.default_rng(57)
-    pairs = [chi2_histogram(rng.standard_normal(4000) + 0.3, edges, with_stderr=True) for _ in range(300)]
+    pairs = [chi2_histogram(rng.standard_normal(4000) + 0.3, edges) for _ in range(300)]
     vals, errs = np.array(pairs).T
-    sample = rng.standard_normal(4000) + 0.3
-    assert chi2_histogram(sample, edges, with_stderr=True)[0] == chi2_histogram(sample, edges)
     assert np.median(errs) == pytest.approx(vals.std(ddof=1), rel=0.15)
 
 

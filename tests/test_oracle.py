@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -181,17 +182,42 @@ def test_two_center_1d_moments_are_the_einsum_forms() -> None:
     oracles = [GaussianMixtureOracle([[1.5], [-1.5]], [0.7, 0.3], sch), _random_oracle(rng, 1, 2, sch)]
     for orc in oracles:
         y = orc._yc
-        tables = (y, y * y, (y * y) * y)
+        tables = [y, y * y, (y * y) * y]
         for m in (1, 7, 4096):
             x2 = rng.normal(scale=2.0, size=(m, 1))
             for t in (0.3, 0.5):
                 w = orc._posterior(x2, t)[0]
                 rows = orc.posterior_weights(x2, t)
                 assert np.array_equal(rows, w.T)
-                for table in tables:
-                    assert np.array_equal(orc._moment(w, table), np.einsum("mn,nk->mk", rows, table))
+                for table, moment in zip(tables, orc._moments(w, tables)):
+                    assert np.array_equal(moment, np.einsum("mn,nk->mk", rows, table))
                 want = orc._ybar0 + np.einsum("mn,nd->md", rows, y)
                 assert np.array_equal(orc.posterior_mean(x2, t), want)
+
+
+@pytest.mark.parametrize("n", [64, 256])
+def test_1d_moments_are_within_the_summation_bound(n) -> None:
+    # At d = 1 the mean, M2 and M3 tables are summed component by component.
+    # Against the exact rational sum of the same float64 weights times table
+    # entries, every row stays inside the recursive summation bound
+    # gamma_n sum_i |w_i t_i|, gamma_n = n u / (1 - n u), u = 2^-53.  Centers
+    # of scale 10 at t = 0.05 are where the moments differ most from einsum's.
+    sch = NoiseSchedule.vp_linear()
+    rng = np.random.default_rng(23)
+    orc = GaussianMixtureOracle(rng.normal(scale=10.0, size=(n, 1)), rng.uniform(0.5, 2.0, n), sch)
+    t = 0.05
+    alpha, sigma = orc._level(t)
+    x2 = alpha * orc.centers[rng.integers(n, size=24)] + 3.0 * sigma * rng.standard_normal((24, 1))
+    w = orc._posterior(x2, t)[0]
+    y = orc._yc
+    tables = [y, y * y, (y * y) * y]
+    u = Fraction(1, 2**53)
+    gamma = n * u / (1 - n * u)
+    for table, moment in zip(tables, orc._moments(w, tables)):
+        col = [Fraction(v) for v in table[:, 0]]
+        for j in range(x2.shape[0]):
+            terms = [Fraction(wi) * ci for wi, ci in zip(w[:, j], col)]
+            assert abs(Fraction(moment[j, 0]) - sum(terms)) <= gamma * sum(abs(v) for v in terms)
 
 
 @pytest.mark.parametrize("d", [1, 2])
