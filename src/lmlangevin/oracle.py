@@ -22,13 +22,10 @@ tensor is formed, and offset mixtures keep their digits.  ``np.einsum`` is
 used rather than ``@`` because BLAS sends a one-row product to a different
 kernel, which would make a single point's result differ from its batch row.
 
-The weights' layout depends only on d.  At d = 1 they stay components-major,
-(n, m), normalised in place; the posterior moments are one-column tables,
-stacked and summed together component by component over contiguous rows, so
-a call pays two numpy operations per component.  At d >= 2 they are
-point-major, (m, n), and the moments are einsum contractions over the
-contiguous component axis.  :meth:`GaussianMixtureOracle.posterior_weights`
-returns (m, n) rows at every d.
+The posterior weights stay components-major, (n, m), normalised in place, at
+every d, and every sum over components is one numpy reduction that adds the
+components in order, so a lone point's sums take its batch row's additions.
+:meth:`GaussianMixtureOracle.posterior_weights` returns (m, n) rows.
 """
 
 from __future__ import annotations
@@ -58,18 +55,17 @@ class ScoreProvider(Protocol):
 def _shift_exp_sum(ll):
     """Replace (n, m) logits by exp(ll - column max) in place; return the column maxima and sums.
 
-    Components run along axis 0, so the reductions are elementwise over
-    contiguous rows.  The rows are summed in order: numpy's own reduction
-    would sum a single column pairwise, and a single point's result would
-    then differ from its row of a batch.
+    Components run along axis 0.  numpy adds the rows of a C-contiguous
+    (n, m) array in order when m >= 2, but sums a single column pairwise, so
+    a lone point is reduced as the first of two stride-0 copies and keeps its
+    row of a batch's bits.
     """
     top = ll.max(axis=0)
     ll -= top
     np.exp(ll, out=ll)
-    total = ll[0].copy()
-    for row in ll[1:]:
-        total += row
-    return top, total
+    if ll.shape[1] == 1:
+        return top, np.broadcast_to(ll, (ll.shape[0], 2)).sum(axis=0)[:1]
+    return top, ll.sum(axis=0)
 
 
 class GaussianMixtureOracle:
@@ -168,36 +164,29 @@ class GaussianMixtureOracle:
         return ll, r, alpha, sigma
 
     def _posterior(self, x2, t):
-        """Responsibilities, the residual r, alpha_t and sigma_t; each point's weights sum to 1.
+        """Responsibilities (n, m), the residual r, alpha_t and sigma_t; each point's weights sum to 1.
 
-        At d = 1 the weights are the (n, m) logits normalised in place,
-        components-major, for :meth:`_moments`'s ordered sum.  At d >= 2 they
-        come back point-major, (m, n) and C-contiguous: contracted over a
-        contiguous axis, a single point's moments do not depend on how many
-        points share the call.
+        The weights are the logits normalised in place, components-major.
         """
         ll, r, alpha, sigma = self._log_posterior(x2, t)
-        _, total = _shift_exp_sum(ll)
-        if self.dim == 1:
-            ll /= total
-            return ll, r, alpha, sigma
-        return np.divide(ll.T, total[:, None], order="C"), r, alpha, sigma
+        ll /= _shift_exp_sum(ll)[1]
+        return ll, r, alpha, sigma
 
     def _moments(self, w, tables):
         """[sum_i w_i table_i as (m, k) for each (n, k) table], for :meth:`_posterior`'s weights.
 
-        At d = 1 every table is one column: the columns are stacked and the
-        components summed in order over contiguous rows, one row per table,
-        as in ``_shift_exp_sum``.  Wider tables go through einsum.
+        Each einsum keeps the component axis outside its inner loop, so the
+        components are added in order.  At d = 1 every table is one column,
+        and the columns are contracted together: einsum takes a lone column
+        as a dot product and sums it pairwise, so a single table gets a zero
+        column beside it.  Wider tables are contracted one at a time, which
+        is faster than the stacked form on a few wide rows.
         """
         if self.dim > 1:
-            return [np.einsum("mn,nk->mk", w, table) for table in tables]
-        cols = np.concatenate(tables, axis=1)
-        acc = cols[0][:, None] * w[0]
-        term = np.empty_like(acc)
-        for wi, ci in zip(w[1:], cols[1:]):
-            acc += np.multiply(ci[:, None], wi, out=term)
-        return [row[:, None] for row in acc]
+            return [np.einsum("nm,nk->mk", w, table) for table in tables]
+        cols = tables if len(tables) > 1 else tables + [np.zeros_like(tables[0])]
+        acc = np.einsum("nm,nt->tm", w, np.concatenate(cols, axis=1))
+        return [row[:, None] for row in acc[: len(tables)]]
 
     def _derivatives(self, x, t, order: int):
         """[score, Hessian (order >= 2), its gradient (order 3)] and sigma_t from one posterior evaluation.
@@ -249,9 +238,7 @@ class GaussianMixtureOracle:
     def posterior_weights(self, x, t):
         """Softmax responsibilities of each component at (x, t); (m, n) C-contiguous rows that sum to 1."""
         x2, single = self._prep(x)
-        w = self._posterior(x2, t)[0]
-        if self.dim == 1:
-            w = np.ascontiguousarray(w.T)
+        w = np.ascontiguousarray(self._posterior(x2, t)[0].T)
         return w[0] if single else w
 
     def posterior_mean(self, x, t):

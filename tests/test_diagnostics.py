@@ -288,12 +288,15 @@ def test_overhead_benchmark_sanity() -> None:
 
 def test_overhead_extra_cost_scales_linearly() -> None:
     # Absolute extra cost is O(d): doubling d should not much more than
-    # double it. Generous slack absorbs scheduler noise.
-    small = overhead_benchmark(d=8192, reps=30)
-    large = overhead_benchmark(d=16384, reps=30)
-    extra_small = small.lml_ns - small.baseline_ns
-    extra_large = large.lml_ns - large.baseline_ns
-    assert extra_large < 3.0 * extra_small
+    # double it. Generous slack absorbs scheduler noise, and the two sizes
+    # are timed in alternation and compared by their medians, so host load
+    # that lands on one call does not decide the verdict.
+    extra = {8192: [], 16384: []}
+    for _ in range(3):
+        for d, costs in extra.items():
+            res = overhead_benchmark(d=d, reps=30)
+            costs.append(res.lml_ns - res.baseline_ns)
+    assert np.median(extra[16384]) < 3.0 * np.median(extra[8192])
 
 
 def test_overhead_validation() -> None:

@@ -21,6 +21,7 @@ from lmlangevin import (
     finite_diff_gradient,
     finite_diff_jacobian,
 )
+from lmlangevin.oracle import _shift_exp_sum
 from lmlangevin.rng import stream
 
 
@@ -138,7 +139,8 @@ def test_eps_evaluates_the_schedule_once(monkeypatch) -> None:
 
 
 @pytest.mark.parametrize(
-    "d, n", [(1, 2), (1, 3), (1, 5), (1, 9), (1, 33), (2, 2), (2, 4), (8, 4), (64, 8), (1000, 4)]
+    "d, n",
+    [(1, 2), (1, 3), (1, 5), (1, 9), (1, 33), (1, 256), (2, 2), (2, 4), (2, 64), (8, 4), (64, 8), (1000, 4)],
 )
 def test_rows_do_not_depend_on_batch_size(d, n) -> None:
     # A sampler that steps one point must take the same step as that point's
@@ -218,6 +220,49 @@ def test_1d_moments_are_within_the_summation_bound(n) -> None:
         for j in range(x2.shape[0]):
             terms = [Fraction(wi) * ci for wi, ci in zip(w[:, j], col)]
             assert abs(Fraction(moment[j, 0]) - sum(terms)) <= gamma * sum(abs(v) for v in terms)
+
+
+def _ordered_sum(terms):
+    """terms[0] + terms[1] + ..., added one at a time in order."""
+    acc = terms[0].copy()
+    for term in terms[1:]:
+        acc += term
+    return acc
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 9, 64, 256, 4096])
+def test_component_sums_are_the_ordered_loop(n) -> None:
+    # Every sum over components is one numpy reduction that must add the
+    # components in order, as the loop here does, so that a lone point gets
+    # its batch row's bits; a numpy release that reorders one fails here.
+    # One point (m = 1) and one table at d = 1 take the paddings that keep a
+    # lone column from being summed pairwise.
+    sch = NoiseSchedule.vp_linear()
+    rng = np.random.default_rng(24)
+    orc1 = GaussianMixtureOracle(rng.normal(scale=3.0, size=(n, 1)), rng.uniform(0.5, 2.0, n), sch)
+    orc2 = _random_oracle(rng, 2, n, sch)
+    for m in (1, 2, 37, 4096):
+        for orc in (orc1, orc2):
+            x2 = rng.normal(scale=3.0, size=(m, orc.dim))
+            ll = orc._log_posterior(x2, 0.2)[0]
+            e = np.exp(ll - ll.max(axis=0))
+            assert np.array_equal(_shift_exp_sum(ll)[1], _ordered_sum(e))
+            del ll, e
+            w = orc._posterior(x2, 0.2)[0]
+            y = orc._yc
+            outer2 = (y[:, :, None] * y[:, None, :]).reshape(n, -1)
+            tables = [y, outer2, (outer2[:, :, None] * y[:, None, :]).reshape(n, -1)]
+            wants = [_ordered_sum([wi[:, None] * ti for wi, ti in zip(w, table)]) for table in tables]
+            for k in (1, 2, 3):
+                for moment, want in zip(orc._moments(w, tables[:k]), wants[:k], strict=True):
+                    assert np.array_equal(moment, want), (m, orc.dim, k)
+            if orc.dim > 1:
+                # The same bits as einsum over point-major (m, n) weights.
+                rows = np.ascontiguousarray(w.T)
+                for moment, table in zip(orc._moments(w, tables), tables):
+                    assert np.array_equal(moment, np.einsum("mn,nk->mk", rows, table)), m
+                del rows
+            del w
 
 
 @pytest.mark.parametrize("d", [1, 2])
