@@ -26,10 +26,14 @@ The posterior weights stay components-major, (n, m), normalised in place, at
 every d, and every sum over components is one numpy reduction that adds the
 components in order, so a lone point's sums take its batch row's additions.
 :meth:`GaussianMixtureOracle.posterior_weights` returns (m, n) rows.
+
+The 1-d marginal CDF and quantiles use numpy and the standard library only,
+so numpy is the package's one run-time dependency.
 """
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
 from typing import Protocol, runtime_checkable
 
@@ -41,6 +45,12 @@ __all__ = ["ScoreProvider", "GaussianMixtureOracle", "DENSE_DIM_CAP"]
 
 DENSE_DIM_CAP = 64
 
+# 1/sqrt(2) as a product, like the standard CDF's reference implementations:
+# dividing by sqrt(2) rounds the erfc argument differently, which is 3.6e-13
+# relative in the far lower tail.
+_SQRT_HALF = math.sqrt(0.5)
+_FOUR_EPS = 4.0 * np.finfo(np.float64).eps
+
 
 @runtime_checkable
 class ScoreProvider(Protocol):
@@ -50,6 +60,12 @@ class ScoreProvider(Protocol):
     def dim(self) -> int: ...
 
     def eps(self, x, t): ...
+
+
+def _ndtr(z):
+    """Standard normal CDF 1/2 erfc(-z / sqrt 2), by math.erfc over the elements of z."""
+    args = (z * -_SQRT_HALF).ravel().tolist()
+    return 0.5 * np.fromiter(map(math.erfc, args), np.float64, len(args)).reshape(z.shape)
 
 
 def _shift_exp_sum(ll):
@@ -307,30 +323,44 @@ class GaussianMixtureOracle:
             raise ValueError(f"{op} is defined for 1-d oracles only (dim={self.dim})")
 
     def marginal_cdf(self, x, t):
-        """Exact CDF of the 1-d diffused marginal at time t."""
-        from scipy.special import ndtr  # deferred: scipy costs every import of the package
-
+        """Exact CDF of the 1-d diffused marginal at time t, from math.erfc."""
         self._require_1d("marginal_cdf")
         alpha, sigma = self._level(t)
         x = np.asarray(x, dtype=np.float64)
         z = (x[..., None] - alpha * self.centers[:, 0]) / sigma
-        return ndtr(z) @ self.weights
+        return _ndtr(z) @ self.weights
 
     def marginal_quantile(self, q, t):
-        """Quantiles of the 1-d diffused marginal, by bracketed root finding."""
-        from scipy.optimize import brentq
-        from scipy.special import ndtri
+        """Quantiles of the 1-d diffused marginal, all solved by one vectorized bisection.
+
+        A quantile above 1/2 is solved on the upper-tail mass, so q near 1
+        keeps its digits.  Each root is found to within 1e-12 + 4 eps |x|.
+        NaN is rejected with the other q outside (0, 1); an empty q gives an
+        empty result of its shape.
+        """
+        from statistics import NormalDist  # deferred: its fractions and decimal imports cost every command
 
         self._require_1d("marginal_quantile")
         q = np.asarray(q, dtype=np.float64)
-        if np.any((q <= 0.0) | (q >= 1.0)):
+        if not np.all((q > 0.0) & (q < 1.0)):
             raise ValueError("quantiles must lie strictly in (0, 1)")
         alpha, sigma = self._level(t)
         locs = alpha * self.centers[:, 0]
-        # Bracket: each mixture quantile lies between the extreme component quantiles.
-        lo = float(locs.min() + sigma * ndtri(q.min())) - 1e-9
-        hi = float(locs.max() + sigma * ndtri(q.max())) + 1e-9
-        roots = [
-            brentq(lambda x, qq=qq: float(self.marginal_cdf(x, t)) - qq, lo, hi, xtol=1e-12) for qq in q.flat
-        ]
-        return np.reshape(roots, q.shape)
+        flat = q.ravel()
+        upper = flat > 0.5
+        mass = np.where(upper, 1.0 - flat, flat)
+        # Each mixture quantile lies between the extreme component quantiles; the pad covers their rounding.
+        inv_cdf = NormalDist().inv_cdf
+        zq = sigma * np.array([inv_cdf(v) for v in flat.tolist()])
+        pad = 1e-9 * (sigma + np.abs(locs).max())
+        lo, hi = locs.min() + zq - pad, locs.max() + zq + pad
+        sign = np.where(upper, -1.0, 1.0)[:, None]
+        while True:
+            mid = 0.5 * (lo + hi)
+            if not np.any(hi - lo > 1e-12 + _FOUR_EPS * np.maximum(np.abs(lo), np.abs(hi))):
+                return mid.reshape(q.shape)
+            # The mass below mid, or above it for an upper quantile.
+            tail = _ndtr(sign * (mid[:, None] - locs) / sigma) @ self.weights
+            below = np.where(upper, tail > mass, tail < mass)
+            lo = np.where(below, mid, lo)
+            hi = np.where(below, hi, mid)

@@ -480,7 +480,14 @@ def _fixed_level_kernel(cfg: FixedLevelConfig, oracle: GaussianMixtureOracle):
         sd = np.sqrt(2.0 * h) / np.sqrt(g)
 
         def kernel(x, gen):
-            return x + c1 * (mu - x) + sd * gen.standard_normal(x.shape)
+            # x + c1 * (mu - x) + sd * z, bit for bit, with two fresh arrays per step.
+            step = mu - x
+            step *= c1
+            step += x
+            noise = gen.standard_normal(x.shape)
+            noise *= sd
+            step += noise
+            return step
 
         return kernel
     else:

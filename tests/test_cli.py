@@ -668,6 +668,57 @@ def test_module_help_lists_every_command() -> None:
         assert command in proc.stdout
 
 
+_NO_SCIPY_RUN = """
+import sys
+sys.modules["scipy"] = None  # any import of scipy or a submodule now raises ImportError
+from lmlangevin.cli import main
+stat_cfg, stat_out, conv_cfg, conv_out = sys.argv[1:]
+codes = [main(["stationarity", "--config", stat_cfg, "--out", stat_out]),
+         main(["convergence", "--config", conv_cfg, "--out", conv_out])]
+sys.exit(max(codes))
+"""
+
+
+def test_mixture_commands_run_without_scipy(tmp_path) -> None:
+    # numpy is the only run-time dependency: the 1-d KS and equal-mass
+    # histogram references of both mixture commands need no scipy.
+    schedule = {"kind": "ve", "sigma_min": 0.01, "sigma_max": 100.0}
+    stationarity = {
+        "schedule": schedule,
+        "oracle": {"centers": [[1.5], [-1.5]], "weights": [0.7, 0.3]},
+        "t": 0.5,
+        "variant": "damped-exact-corrected",
+        "lam": 2.0,
+        "h": 0.01,
+        "n_steps": 40,
+        "chains": 500,
+        "seed": 1,
+    }
+    convergence = {
+        "schedule": schedule,
+        "oracle": {"centers": [[0.6], [-0.6]]},
+        "t": 0.5,
+        "variant": "plain-langevin",
+        "lams": [0.0],
+        "h": 0.01,
+        "n_steps": 100,
+        "chains": 500,
+        "snapshot_every": 5,
+        "init": {"mean": 2.0, "std": 0.5},
+        "fit_window": [0.3, 30.0],
+        "seed": 0,
+    }
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    stat_out, conv_out = tmp_path / "stationarity", tmp_path / "convergence"
+    args = [_write(tmp_path, "s.json", stationarity), str(stat_out), _write(tmp_path, "c.json", convergence),
+            str(conv_out)]
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_RUN, *args], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert len((stat_out / "histogram.csv").read_text().splitlines()) == 2 + 64
+    assert _data_rows(conv_out / "convergence_lam0.csv").shape == (21, 3)
+
+
 @pytest.mark.skipif(shutil.which("lmlangevin") is None, reason="console script not installed")
 def test_console_script(tmp_path) -> None:
     cfg = _write(tmp_path, "c.json", _sample_doc())

@@ -12,6 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.optimize import brentq
+from scipy.special import ndtr
 from scipy.stats import multivariate_normal
 
 from lmlangevin import (
@@ -354,11 +356,11 @@ def test_centered_moments_match_the_raw_moment_einsums(d) -> None:
 
 
 def test_import_leaves_scipy_unloaded() -> None:
-    # scipy serves only the 1-d CDF and quantile helpers; importing it costs
-    # every command about half a second.
+    # numpy is the only run-time dependency; importing scipy would cost every
+    # command about half a second and 38 MB.
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, lmlangevin, lmlangevin.cli; print([m for m in ('scipy.optimize', 'scipy.special') if m in sys.modules])"
+    code = "import sys, lmlangevin, lmlangevin.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
@@ -445,8 +447,9 @@ def test_marginal_quantile_roundtrip() -> None:
     xs = orc.marginal_quantile(qs, t)
     np.testing.assert_allclose(orc.marginal_cdf(xs, t), qs, atol=1e-10)
     assert np.all(np.diff(xs) > 0)
-    with pytest.raises(ValueError):
-        orc.marginal_quantile(np.array([0.0]), t)
+    for bad in ([0.0], [0.3, 1.0], [0.3, np.nan]):
+        with pytest.raises(ValueError, match="strictly in"):
+            orc.marginal_quantile(np.array(bad), t)
 
 
 def test_marginal_quantile_keeps_the_shape_of_q() -> None:
@@ -460,6 +463,54 @@ def test_marginal_quantile_keeps_the_shape_of_q() -> None:
     xs = orc.marginal_quantile(grid, t)
     assert xs.shape == grid.shape
     np.testing.assert_allclose(orc.marginal_cdf(xs, t), grid, atol=1e-10)
+    empty = orc.marginal_quantile(np.empty((0, 3)), t)
+    assert empty.shape == (0, 3) and empty.dtype == np.float64
+
+
+_CDF_SCHEDULES = {"vp": NoiseSchedule.vp_linear(), "ve": NoiseSchedule.ve(0.01, 100.0)}
+
+
+@pytest.mark.parametrize("offset", [0.0, 10.0, 100.0])
+@pytest.mark.parametrize("kind", sorted(_CDF_SCHEDULES))
+def test_marginal_cdf_matches_ndtr(kind, offset) -> None:
+    orc = GaussianMixtureOracle(np.array([[1.2], [-0.5], [3.0]]) + offset, [0.2, 0.5, 0.3], _CDF_SCHEDULES[kind])
+    z = np.linspace(-37.0, 37.0, 1201)
+    for t in (0.1, 0.5, 0.9):
+        alpha, sigma = orc._level(t)
+        locs = alpha * orc.centers[:, 0]
+        x = (locs[:, None] + sigma * z).ravel()
+        want = ndtr((x[:, None] - locs) / sigma) @ orc.weights
+        err = np.abs(orc.marginal_cdf(x, t) - want)
+        assert err.max() <= 1e-15
+        resolved = want > 1e-300
+        assert (err[resolved] / want[resolved]).max() <= 1e-13
+
+
+def _brentq_quantile(orc, q, t):
+    """Reference quantile: scalar brentq on the lower-tail mass, or on the upper-tail mass above 1/2."""
+    alpha, sigma = orc._level(t)
+    locs = alpha * orc.centers[:, 0]
+    lo, hi = locs.min() - 40.0 * sigma, locs.max() + 40.0 * sigma
+    roots = []
+    for qq in q:
+        if qq > 0.5:
+            f = lambda x, p=1.0 - qq: p - float(ndtr((locs - x) / sigma) @ orc.weights)  # noqa: E731
+        else:
+            f = lambda x, p=qq: float(ndtr((x - locs) / sigma) @ orc.weights) - p  # noqa: E731
+        roots.append(brentq(f, lo, hi, xtol=1e-13))
+    return np.array(roots)
+
+
+@pytest.mark.parametrize("offset", [0.0, 10.0, 100.0])
+@pytest.mark.parametrize("kind", sorted(_CDF_SCHEDULES))
+def test_marginal_quantile_matches_brentq(kind, offset) -> None:
+    # t = 0.5 keeps sigma_t near the centers' spacing, so the density has no
+    # near-empty gap where a quantile would be ill-conditioned.
+    orc = GaussianMixtureOracle(np.array([[1.2], [-0.5], [3.0]]) + offset, [0.2, 0.5, 0.3], _CDF_SCHEDULES[kind])
+    tail = np.geomspace(1e-12, 0.4, 24)
+    qs = np.concatenate((tail, np.arange(1, 64) / 64, 1.0 - tail))
+    xs = orc.marginal_quantile(qs, 0.5)
+    np.testing.assert_allclose(xs, _brentq_quantile(orc, qs, 0.5), rtol=0, atol=1e-11)
 
 
 def test_marginal_helpers_require_1d() -> None:
