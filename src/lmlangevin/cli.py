@@ -169,7 +169,7 @@ def _cmd_sample(doc, ctx, stamp, out: Path, threads: int):
         eps_clip=block["eps_clip"],
         dtype=block["dtype"],
     )
-    run = lml_sample(scfg, oracle)
+    run = lml_sample(scfg, oracle, record=False)
     finals = np.atleast_2d(run.final_states)
 
     header = ["chain_id"] + [f"x{j}" for j in range(oracle.dim)]
@@ -214,7 +214,7 @@ def _compare_run(variant, geo, nfe, seed, doc, ctx, threads):
         n_steps=nfe, solver_order=order, geometry=geo, schedule=schedule,
         seed=seed, chains=doc["chains"], eps_clip=doc["eps_clip"],
     )
-    return lml_sample(scfg, oracle).final_states
+    return lml_sample(scfg, oracle, record=False).final_states
 
 
 def _cmd_compare(doc, ctx, stamp, out: Path, threads: int):

@@ -19,7 +19,9 @@ b = kappa (|c|^2 + kappa <c,delta>): four row dot products and no mixed
 vector, so no difference of nearly equal vectors.
 
 All vector routines accept a single vector ``(d,)`` or a row batch ``(m, d)``
-and treat rows independently.
+and treat rows independently.  They return arrays in their input's memory
+order; at d <= 2 each row dot is at most one addition, so an F-ordered batch
+(chains innermost, the samplers' tile layout there) gets the C batch's bits.
 """
 
 from __future__ import annotations

@@ -27,6 +27,13 @@ every d, and every sum over components is one numpy reduction that adds the
 components in order, so a lone point's sums take its batch row's additions.
 :meth:`GaussianMixtureOracle.posterior_weights` returns (m, n) rows.
 
+Memory order: an F-ordered batch (chains innermost, as the samplers hold
+their tiles at d <= 2) gets every output in F order too, and a C-ordered or
+single-point input gets C order.  At d <= 2 every sum over coordinates has at
+most one addition, so the two layouts give the same bits; the tests check
+that at d <= 2 only, since at larger d a contiguous reduction over
+coordinates may be reassociated.
+
 The 1-d marginal CDF and quantiles use numpy and the standard library only,
 so numpy is the package's one run-time dependency.
 """
@@ -66,6 +73,11 @@ def _ndtr(z):
     """Standard normal CDF 1/2 erfc(-z / sqrt 2), by math.erfc over the elements of z."""
     args = (z * -_SQRT_HALF).ravel().tolist()
     return 0.5 * np.fromiter(map(math.erfc, args), np.float64, len(args)).reshape(z.shape)
+
+
+def _layout(a) -> str:
+    """"F" for an array whose first axis runs innermost (and that is not also C-contiguous), else "C"."""
+    return "F" if a.flags.f_contiguous and not a.flags.c_contiguous else "C"
 
 
 def _shift_exp_sum(ll):
@@ -165,7 +177,7 @@ class GaussianMixtureOracle:
         return pair
 
     def _log_posterior(self, x2, t):
-        """Component logits (n, m), the residual r = x - alpha_t ybar0 (m, d), alpha_t and sigma_t.
+        """Component logits (n, m), the residual r = x - alpha_t ybar0 (m, d, in x's layout), alpha_t and sigma_t.
 
         log w_i + log N(x; alpha y_i, sigma^2 I) equals the returned logit
         log w_i + (alpha <r, yc_i> - alpha^2 |yc_i|^2 / 2) / sigma^2 plus
@@ -188,7 +200,7 @@ class GaussianMixtureOracle:
         ll /= _shift_exp_sum(ll)[1]
         return ll, r, alpha, sigma
 
-    def _moments(self, w, tables):
+    def _moments(self, w, tables, layout: str = "C"):
         """[sum_i w_i table_i as (m, k) for each (n, k) table], for :meth:`_posterior`'s weights.
 
         Each einsum keeps the component axis outside its inner loop, so the
@@ -196,9 +208,13 @@ class GaussianMixtureOracle:
         and the columns are contracted together: einsum takes a lone column
         as a dot product and sums it pairwise, so a single table gets a zero
         column beside it.  Wider tables are contracted one at a time, which
-        is faster than the stacked form on a few wide rows.
+        is faster than the stacked form on a few wide rows; with ``layout``
+        "F" each is contracted to (k, m), chains innermost, and returned as
+        its (m, k) transpose.
         """
         if self.dim > 1:
+            if layout == "F":
+                return [np.einsum("nm,nk->km", w, table).T for table in tables]
             return [np.einsum("nm,nk->mk", w, table) for table in tables]
         cols = tables if len(tables) > 1 else tables + [np.zeros_like(tables[0])]
         acc = np.einsum("nm,nt->tm", w, np.concatenate(cols, axis=1))
@@ -212,11 +228,12 @@ class GaussianMixtureOracle:
         posterior-moment identities d ybar/dx = (alpha/sigma^2) C and
         d wtilde_i/dx = wtilde_i (alpha/sigma^2)(y_i - ybar).  The moments are
         taken about ybar0; C and the third central moment do not depend on
-        the shift.
+        the shift.  Every part comes back in x's memory order.
         """
         if order > 1 and self.dim > DENSE_DIM_CAP:
             raise ValueError(f"dense Hessian capped at d <= {DENSE_DIM_CAP}")
         x2, single = self._prep(x)
+        layout = _layout(x2)
         w, r, alpha, sigma = self._posterior(x2, t)
         yc = self._yc
         n, d = yc.shape
@@ -227,8 +244,8 @@ class GaussianMixtureOracle:
             tables.append(outer2.reshape(n, d * d))
         if order > 2:
             tables.append((outer2[:, :, :, None] * yc[:, None, None, :]).reshape(n, d * d * d))
-        mean, *higher = self._moments(w, tables)
-        # The score -(r - alpha mean) / s2 is formed in r's buffer: at large d it is memory-bound.
+        mean, *higher = self._moments(w, tables, layout)
+        # The score -(r - alpha mean) / s2 is formed in r's buffer (x's layout): at large d it is memory-bound.
         r -= alpha * mean
         r /= -s2
         out = [r]
@@ -236,8 +253,8 @@ class GaussianMixtureOracle:
             m2 = higher[0].reshape(-1, d, d)
             cov = m2 - mean[:, :, None] * mean[:, None, :]
             hess = (alpha * alpha / (s2 * s2)) * cov
-            # hess is freshly allocated and C-contiguous, so the reshape is a view and [:, ::d+1] its diagonal.
-            hess.reshape(-1, d * d)[:, :: d + 1] -= 1.0 / s2
+            diag = np.einsum("mii->mi", hess)  # a writeable view in either layout
+            diag -= 1.0 / s2
             out.append(hess)
         if order > 2:
             m3 = higher[1].reshape(-1, d, d, d)
@@ -247,21 +264,25 @@ class GaussianMixtureOracle:
             dcov -= cov[:, None, :, :] * mean[:, :, None, None]
             dcov *= alpha / s2
             out.append((alpha * alpha / (s2 * s2)) * dcov)
+        if layout == "F":
+            # The score already is; the Hessian parts come out with the chains innermost but their
+            # coordinate axes C-ordered, so they are copied.
+            out = [np.asfortranarray(part) for part in out]
         return [part[0] if single else part for part in out], sigma
 
     # -- densities and derivatives ---------------------------------------
 
     def posterior_weights(self, x, t):
-        """Softmax responsibilities of each component at (x, t); (m, n) C-contiguous rows that sum to 1."""
+        """Softmax responsibilities of each component at (x, t); (m, n) rows, in x's memory order, that sum to 1."""
         x2, single = self._prep(x)
-        w = np.ascontiguousarray(self._posterior(x2, t)[0].T)
+        w = np.asarray(self._posterior(x2, t)[0].T, order=_layout(x2))
         return w[0] if single else w
 
     def posterior_mean(self, x, t):
         """Posterior mean of the clean data, ybar(x, t) = sum_i wtilde_i y_i."""
         x2, single = self._prep(x)
         w = self._posterior(x2, t)[0]
-        ybar = self._ybar0 + self._moments(w, [self._yc])[0]
+        ybar = self._ybar0 + self._moments(w, [self._yc], _layout(x2))[0]
         return ybar[0] if single else ybar
 
     def logpdf(self, x, t):

@@ -30,6 +30,17 @@ Two families live here.
 Every Langevin run is one chain walk over per-block :mod:`.rng` streams, so
 results do not depend on the thread count.  A run stops at its last snapshot,
 and every snapshot is checked finite as it is written.
+
+Both families advance their chains in tiles, and :func:`_tile_order` picks a
+tile's memory order.  At d <= 2 a tile is F-ordered, (rows, d) with the chain
+index innermost, so every row dot, contraction over d and (rows, 1)
+broadcast in the oracle, the geometry and the solver runs along the chains
+rather than an inner loop of length d.  There every sum over coordinates has
+at most one addition, so the layout moves no bit.  Larger d keeps
+row-contiguous tiles: a contiguous reduction over coordinates may be
+reassociated there, and a lone last row, which is both layouts at once,
+would break tile invariance.  Every recorded array stays C-contiguous
+(snapshots, chains, d).
 """
 
 from __future__ import annotations
@@ -96,8 +107,12 @@ def _eig_apply(w, v, vec, power: float):
 
 
 def _langevin_step(x, metric, h: float, gen):
-    """x + h (P s + div P) + sqrt(2h) P^{1/2} xi, with ``metric(x, xi)`` giving the drift and the noise."""
-    drift, noise = metric(x, gen.standard_normal(x.shape))
+    """x + h (P s + div P) + sqrt(2h) P^{1/2} xi, with ``metric(x, xi)`` giving the drift and the noise.
+
+    xi is drawn row by row, then held in x's memory order, so the draws do not depend on the layout.
+    """
+    xi = np.asarray(gen.standard_normal(x.shape), order="F" if x.flags.f_contiguous else "C")
+    drift, noise = metric(x, xi)
     return x + h * drift + np.sqrt(2.0 * h) * noise
 
 
@@ -118,6 +133,8 @@ def _exact_metric(oracle: GaussianMixtureOracle, t: float, lam: float, newton: b
     order = 3 if corrected else 2
 
     def metric(x, xi):
+        # Row-contiguous: eigh and the dense contractions gain nothing from a chains-innermost tile.
+        x, xi = np.ascontiguousarray(x), np.ascontiguousarray(xi)
         parts = oracle.derivatives(x, t, order)
         score, neg = parts[0], -parts[1]
         d = neg.shape[-1]
@@ -207,20 +224,27 @@ def multistep2_step(x, eps_hat, prev_eps_hat, i: int, grid: TimestepGrid):
 # chain-block driver
 
 
+def _tile_order(d: int) -> str:
+    """Memory order of a tile of chains at dimension d: "F" (chains innermost) at d <= 2, else "C"."""
+    return "F" if d <= 2 else "C"
+
+
 def _run_chain_blocks(seed: int, out: np.ndarray, threads: int, init, legs, name: str) -> np.ndarray:
     """Fill ``out`` (snapshots, chains, d) in place: the one walk of every Langevin chain block.
 
     A block starts at ``init(z)``, z standard normal from its own :mod:`.rng`
-    stream.  Each ``(kernel, steps)`` leg makes ``steps`` calls ``x =
-    kernel(x, gen)``, checks x finite (raising FloatingPointError naming
-    ``name`` and the step) and writes it as the leg's snapshot.  Blocks write
-    only their own columns, so ``out`` does not depend on ``threads``.
+    stream, held in :func:`_tile_order`'s layout.  Each ``(kernel, steps)``
+    leg makes ``steps`` calls ``x = kernel(x, gen)``, checks x finite
+    (raising FloatingPointError naming ``name`` and the step) and writes it
+    as the leg's snapshot.  Blocks write only their own columns, so ``out``
+    does not depend on ``threads``.
     """
+    order = _tile_order(out.shape[2])
 
     def one(block) -> None:
         b, (lo, hi) = block
         gen = _rng.stream(seed, b)
-        x = init(gen.standard_normal((hi - lo,) + out.shape[2:]))
+        x = init(np.asarray(gen.standard_normal((hi - lo,) + out.shape[2:]), order=order))
         step = 0
         for k, (kernel, steps) in enumerate(legs):
             for _ in range(steps):
@@ -292,7 +316,7 @@ class SamplerRun:
         return self.states[-1]
 
 
-def lml_sample(cfg: SamplerConfig, provider: ScoreProvider) -> SamplerRun:
+def lml_sample(cfg: SamplerConfig, provider: ScoreProvider, record: bool = True) -> SamplerRun:
     """Run the guided (or baseline) denoiser over a fresh uniform grid.
 
     Starts from x ~ N(0, sigma(t_max)^2 I).  When cfg.geometry is set, every
@@ -306,27 +330,37 @@ def lml_sample(cfg: SamplerConfig, provider: ScoreProvider) -> SamplerRun:
     The chains are advanced in contiguous row tiles of TILE_BYTES // (8 d)
     rows, each through all n steps before the next, so one tile's working set
     stays in cache across the prediction, the guided update and the solver
-    step.  All three treat rows independently, so the bits do not depend on
-    the tiling.  Each chain still costs one prediction per step (the NFE),
-    but ``provider.eps`` is called n_steps times per tile.  Each new state is
-    checked finite as it is written; a blow-up raises FloatingPointError
-    naming the step and its time.
+    step.  A tile is held in :func:`_tile_order`'s layout.  All three treat
+    rows independently, so the bits do not depend on the tiling.  Each chain
+    still costs one prediction per step (the NFE), but ``provider.eps`` is
+    called n_steps times per tile.  Each new state is checked finite; a
+    blow-up raises FloatingPointError naming the step and its time.
+
+    With ``record=False`` only the final states are kept: ``states`` is
+    (1, m, d), and ``eps_raw`` and ``eps_used`` are None.  The final states
+    have the bits of a recorded run.
     """
     grid = make_grid(cfg.schedule, cfg.n_steps, cfg.eps_clip)
     d = provider.dim
     n, m = cfg.n_steps, cfg.chains
     dt = np.dtype(cfg.dtype)
+    order = _tile_order(d)
 
-    states = np.empty((n + 1, m, d), dtype=dt)
-    eps_raw = np.empty((n, m, d), dtype=dt)
-    eps_used = np.empty((n, m, d), dtype=dt)
+    start = (float(grid.sigma[0]) * _rng.ensemble_normal(cfg.seed, m, d)).astype(dt, copy=False)
     step_times = np.zeros(n, dtype=np.float64)
-    states[0] = float(grid.sigma[0]) * _rng.ensemble_normal(cfg.seed, m, d)
+    if record:
+        states = np.empty((n + 1, m, d), dtype=dt)
+        states[0] = start
+        eps_raw = np.empty((n, m, d), dtype=dt)
+        eps_used = np.empty((n, m, d), dtype=dt)
+    else:
+        states = np.empty((1, m, d), dtype=dt)
+        eps_raw = eps_used = None
 
     rows = max(1, TILE_BYTES // (8 * d))
     for lo in range(0, m, rows):
         tile = slice(lo, lo + rows)
-        work = states[0, tile].astype(np.float64)
+        work = np.array(start[tile], dtype=np.float64, order=order)
         prev_raw = prev_used = None
         for k, level in enumerate(range(n, 0, -1)):
             t_level = grid.level_time(level)
@@ -340,18 +374,21 @@ def lml_sample(cfg: SamplerConfig, provider: ScoreProvider) -> SamplerRun:
                 work = ddim_step(work, used, level, grid)
             step_times[k] += time.perf_counter() - tic
             prev_used = used
-            eps_raw[k, tile] = raw
-            eps_used[k, tile] = used
-            states[k + 1, tile] = work
-            if not np.isfinite(states[k + 1, tile]).all():
+            if dt != np.float64:
+                # float32 mode: states round-trip through float32 between steps.
+                work = work.astype(dt).astype(np.float64)
+            if record:
+                eps_raw[k, tile] = raw
+                eps_used[k, tile] = used
+                states[k + 1, tile] = work
+            if not np.isfinite(work).all():
                 cause = "finite" if np.isfinite(raw).all() else "already non-finite"
                 raise FloatingPointError(
                     f"lml_sample produced non-finite states at step {k + 1} of {n} "
                     f"(t = {t_level:.6g}); the provider's prediction was {cause}"
                 )
-            if dt != np.float64:
-                # float32 mode: states round-trip through float32 between steps.
-                work = states[k + 1, tile].astype(np.float64)
+        if not record:
+            states[0, tile] = work
     return SamplerRun(
         grid=grid,
         states=states,
@@ -507,7 +544,8 @@ def fixed_level_run(cfg: FixedLevelConfig, oracle: GaussianMixtureOracle, thread
         snap = np.array([cfg.n_steps], dtype=np.int64)
     else:
         snap = np.arange(0, cfg.n_steps + 1, cfg.snapshot_every, dtype=np.int64)
-    legs = [(_fixed_level_kernel(cfg, oracle), int(steps)) for steps in np.diff(snap, prepend=0)]
+    kernel = _fixed_level_kernel(cfg, oracle)
+    legs = [(kernel, int(steps)) for steps in np.diff(snap, prepend=0)]
     states = _run_chain_blocks(
         cfg.seed, np.empty((snap.size, cfg.chains, oracle.dim)), threads,
         lambda z: cfg.init_mean + cfg.init_std * z, legs, f"fixed-level {cfg.variant} run",

@@ -282,11 +282,13 @@ def test_rank1_operators_are_exact_along_eps(sigma, lam) -> None:
     )
 
 
-@pytest.mark.parametrize("d", [64, 4096, 16384])
+@pytest.mark.parametrize("d", [1, 2, 64, 4096, 16384])
 def test_rows_do_not_depend_on_batch_size(d) -> None:
     # lml_sample advances its chains in row tiles, down to a lone row, so a
     # row must get the bits it gets in a batch.  Past 8192 elements einsum
-    # would sum a lone row in buffer-sized chunks, in another order.
+    # would sum a lone row in buffer-sized chunks, in another order.  At
+    # d <= 2 the tiles are F-ordered, which must give the C batch's bits in F
+    # order.
     gen = np.random.default_rng(d)
     cur, prev, v = (gen.standard_normal((64, d)) for _ in range(3))
     cfg = DampedGeometryConfig(lam=1e-3, kappa=0.3)
@@ -300,3 +302,6 @@ def test_rows_do_not_depend_on_batch_size(d) -> None:
         assert np.array_equal(op(cur[0], prev[0], v[0]), batch[0]), name
         for k in (1, 3):
             assert np.array_equal(op(cur[:k], prev[:k], v[:k]), batch[:k]), (name, k)
+        if d <= 2:
+            out = op(*(np.asfortranarray(a) for a in (cur, prev, v)))
+            assert np.array_equal(out, batch) and out.flags.f_contiguous, name

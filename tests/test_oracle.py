@@ -154,12 +154,24 @@ def test_rows_do_not_depend_on_batch_size(d, n) -> None:
     t = 0.4
     methods = ("eps", "score", "logpdf", "posterior_weights", "posterior_mean")
     methods += ("hessian", "hessian_grad") if d <= DENSE_DIM_CAP else ()
+    # At d <= 2 the samplers hold their tiles F-ordered (chains innermost):
+    # that batch must give the C batch's bits, in F order.  At d = 1 it is
+    # the same memory as the C batch, and both orders at once.
+    layouts = (xs, np.asfortranarray(xs)) if d <= 2 else (xs,)
+
+    def in_order(out, x) -> bool:
+        return out.flags.c_contiguous if x.flags.c_contiguous else out.flags.f_contiguous
+
     for name in methods:
         f = getattr(orc, name)
         batch = f(xs, t)
+        assert batch.flags.c_contiguous, name
         for i in (0, 17, 36):
             assert np.array_equal(f(xs[i], t), batch[i]), (name, i)
         assert np.array_equal(f(xs[:3], t), batch[:3]), name
+        for x in layouts[1:]:
+            out = f(x, t)
+            assert np.array_equal(out, batch) and in_order(out, x), name
     if d > DENSE_DIM_CAP:
         return
     # One posterior evaluation gives the same bits as the separate methods.
@@ -174,6 +186,10 @@ def test_rows_do_not_depend_on_batch_size(d, n) -> None:
                 assert np.array_equal(part, row[i]), (order, i)
         for part, rows in zip(orc.derivatives(xs[:3], t, order), batch):
             assert np.array_equal(part, rows[:3]), order
+        for x in layouts:
+            for part, want in zip(orc.derivatives(x, t, order), batch):
+                assert np.array_equal(part, want), order
+                assert in_order(part, x), order
 
 
 def test_two_center_1d_moments_are_the_einsum_forms() -> None:
@@ -238,7 +254,8 @@ def test_component_sums_are_the_ordered_loop(n) -> None:
     # components in order, as the loop here does, so that a lone point gets
     # its batch row's bits; a numpy release that reorders one fails here.
     # One point (m = 1) and one table at d = 1 take the paddings that keep a
-    # lone column from being summed pairwise.
+    # lone column from being summed pairwise.  At d = 2 the moments of an
+    # F-ordered batch, contracted chains innermost, are checked too.
     sch = NoiseSchedule.vp_linear()
     rng = np.random.default_rng(24)
     orc1 = GaussianMixtureOracle(rng.normal(scale=3.0, size=(n, 1)), rng.uniform(0.5, 2.0, n), sch)
@@ -256,8 +273,9 @@ def test_component_sums_are_the_ordered_loop(n) -> None:
             tables = [y, outer2, (outer2[:, :, None] * y[:, None, :]).reshape(n, -1)]
             wants = [_ordered_sum([wi[:, None] * ti for wi, ti in zip(w, table)]) for table in tables]
             for k in (1, 2, 3):
-                for moment, want in zip(orc._moments(w, tables[:k]), wants[:k], strict=True):
-                    assert np.array_equal(moment, want), (m, orc.dim, k)
+                for layout in ("C", "F"):
+                    for moment, want in zip(orc._moments(w, tables[:k], layout), wants[:k], strict=True):
+                        assert np.array_equal(moment, want), (m, orc.dim, k, layout)
             if orc.dim > 1:
                 # The same bits as einsum over point-major (m, n) weights.
                 rows = np.ascontiguousarray(w.T)

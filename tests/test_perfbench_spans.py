@@ -41,13 +41,14 @@ def test_tracer_install_uninstall_restores_every_attribute() -> None:
             assert ("lmlangevin.samplers", name) in changed
         assert ("GaussianMixtureOracle", "hessian") in changed
 
-        # Under the tracer every fixed-level step is one kernel step, and only
-        # the rank-1 variant reaches the geometry functions (two per step).
+        # Under the tracer every fixed-level step is one kernel step, however
+        # many snapshot legs the run takes, and only the rank-1 variant reaches
+        # the geometry functions (two per step).
         orc = GaussianMixtureOracle([[0.3], [-0.3]], None, NoiseSchedule.ve(0.01, 100.0))
         for variant in FIXED_LEVEL_VARIANTS:
             steps, geo = tracer.counts["samplers.steps"], tracer.counts["geometry.calls"]
             lam = 0.0 if variant in ("newton", "plain-langevin") else 0.5  # those take no damping
-            cfg = FixedLevelConfig(t=0.5, h=0.01, n_steps=3, variant=variant, lam=lam, chains=4)
+            cfg = FixedLevelConfig(t=0.5, h=0.01, n_steps=3, variant=variant, lam=lam, chains=4, snapshot_every=1)
             samplers.fixed_level_run(cfg, orc)
             assert tracer.counts["samplers.steps"] - steps == 3, variant
             assert tracer.counts["geometry.calls"] - geo == (6 if variant == "damped-lm" else 0), variant

@@ -247,7 +247,9 @@ def test_bits_do_not_depend_on_the_tiles(monkeypatch, d) -> None:
     # The oracle, the guided update and the solver treat rows alone, so the
     # default tiles and 3-row tiles give the bits of one whole-batch tile.
     # At d = 16384 the default tile is 4 rows, which leaves 65 chains a lone
-    # last row.
+    # last row.  At d = 2 the tiles are F-ordered, and row-contiguous tiles
+    # give the same bits.  A run with record=False keeps only the final
+    # states, with those bits.
     gen = np.random.default_rng(d)
     orc = GaussianMixtureOracle(gen.standard_normal((4, d)) / np.sqrt(d), None, NoiseSchedule.vp_linear())
     default = samplers.TILE_BYTES
@@ -262,10 +264,43 @@ def test_bits_do_not_depend_on_the_tiles(monkeypatch, d) -> None:
                     for tile_bytes in (8 * d * chains, default, 8 * d * 3):
                         monkeypatch.setattr(samplers, "TILE_BYTES", tile_bytes)
                         runs.append(lml_sample(cfg, orc))
+                    if samplers._tile_order(d) == "F":
+                        with monkeypatch.context() as patch:
+                            patch.setattr(samplers, "TILE_BYTES", default)
+                            patch.setattr(samplers, "_tile_order", lambda d: "C")
+                            runs.append(lml_sample(cfg, orc))
                     whole = runs[0]
                     for run in runs[1:]:
                         for name in ("states", "eps_raw", "eps_used"):
                             assert np.array_equal(getattr(run, name), getattr(whole, name)), (chains, name)
+                    final = lml_sample(cfg, orc, record=False)
+                    assert final.states.shape == (1, chains, d) and final.states.dtype == np.dtype(dtype)
+                    assert final.eps_raw is None and final.eps_used is None
+                    assert np.array_equal(final.final_states, whole.final_states), chains
+
+
+def test_langevin_bits_do_not_depend_on_the_tile_layout(monkeypatch) -> None:
+    # The chain walk holds d = 2 blocks F-ordered, with each step's noise
+    # drawn row by row whatever the layout; row-contiguous blocks give the
+    # same bits on every metric.
+    sch = _unit_sigma_schedule()
+    orc = GaussianMixtureOracle([[0.3, 0.1], [-0.3, 0.2]], [0.6, 0.4], sch)
+    assert samplers._tile_order(2) == "F"
+    runs = {}
+    for layout in ("F", "C"):
+        with monkeypatch.context() as patch:
+            patch.setattr(samplers, "_tile_order", lambda d: layout)
+            cfg = SamplerConfig(n_steps=4, schedule=sch, seed=3, chains=37)
+            got = [annealed_langevin_sample(cfg, orc, inner_steps=2, step_scale=0.1).states]
+            for variant in samplers.FIXED_LEVEL_VARIANTS:
+                lam = 0.0 if variant in ("newton", "plain-langevin") else 0.5
+                fixed = FixedLevelConfig(
+                    t=0.5, h=0.05, n_steps=6, variant=variant, lam=lam, chains=37, snapshot_every=3, seed=4
+                )
+                got.append(fixed_level_run(fixed, orc).states)
+            runs[layout] = got
+    for name, f_run, c_run in zip(("annealed",) + samplers.FIXED_LEVEL_VARIANTS, runs["F"], runs["C"]):
+        assert np.array_equal(f_run, c_run) and f_run.flags.c_contiguous, name
 
 
 class _BlowUpProvider:
@@ -285,12 +320,13 @@ def test_blow_up_names_the_step() -> None:
     t3 = make_grid(sch, 6).level_time(6 - 2)  # step 3 of 6 runs at level 4
     cfg = SamplerConfig(n_steps=6, solver_order=2, geometry=DampedGeometryConfig(), schedule=sch, chains=5)
     named = rf"step 3 of 6 \(t = {t3:.6g}\).*already non-finite"
-    with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError, match=named):
-        lml_sample(cfg, _BlowUpProvider(t3, np.inf))
-    # A finite prediction whose state overflows float32 is named as finite.
-    cfg32 = SamplerConfig(n_steps=6, schedule=sch, chains=5, dtype="float32")
-    with np.errstate(over="ignore"), pytest.raises(FloatingPointError, match="step 3 of 6.*was finite"):
-        lml_sample(cfg32, _BlowUpProvider(t3, 1e300))
+    for record in (True, False):
+        with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError, match=named):
+            lml_sample(cfg, _BlowUpProvider(t3, np.inf), record=record)
+        # A finite prediction whose state overflows float32 is named as finite.
+        cfg32 = SamplerConfig(n_steps=6, schedule=sch, chains=5, dtype="float32")
+        with np.errstate(over="ignore"), pytest.raises(FloatingPointError, match="step 3 of 6.*was finite"):
+            lml_sample(cfg32, _BlowUpProvider(t3, 1e300), record=record)
 
 
 def test_run_shapes_and_grid() -> None:
@@ -680,6 +716,24 @@ def test_fixed_level_threads_invariance() -> None:
             a = fixed_level_run(cfg, orc, threads=1)
             for threads in (2, 4):
                 assert np.array_equal(a.states, fixed_level_run(cfg, orc, threads=threads).states)
+
+
+def test_fixed_level_run_builds_its_kernel_once(monkeypatch) -> None:
+    # One kernel serves every snapshot leg of a run.
+    built = []
+    real = samplers._fixed_level_kernel
+
+    def counted(cfg, oracle):
+        built.append(cfg.variant)
+        return real(cfg, oracle)
+
+    monkeypatch.setattr(samplers, "_fixed_level_kernel", counted)
+    orc = GaussianMixtureOracle([[1.5], [-1.5]], [0.7, 0.3], _unit_sigma_schedule())
+    for variant in ("damped-exact", "damped-lm"):
+        built.clear()
+        cfg = FixedLevelConfig(t=0.5, h=0.01, n_steps=12, variant=variant, lam=2.0, chains=8, snapshot_every=2)
+        assert fixed_level_run(cfg, orc).states.shape == (7, 8, 1)
+        assert built == [variant]
 
 
 @pytest.mark.parametrize("threads", [1, 2])
