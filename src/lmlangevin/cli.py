@@ -82,27 +82,21 @@ def _write_csv(path: Path, comment: str, header: list, rows: list) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _apply_seed_override(command: str, doc: dict, seed) -> dict:
-    if seed is None:
-        return doc
-    if seed < 0:
-        raise ConfigError("--seed: must be >= 0")
-    if command == "sample":
-        doc["sampler"]["seed"] = seed
-    elif command == "compare":
-        doc["seeds"] = [seed + i for i in range(len(doc["seeds"]))]
-    else:
-        doc["seed"] = seed
-    return doc
+# Where each command keeps its seed, as a path into its config.  compare keeps a
+# list: its first seed stamps the files, and --seed N makes it N, N + 1, ...
+_SEED_PATHS = {"sample": ("sampler", "seed"), "compare": ("seeds",)}
 
 
-def _seed(command: str, doc: dict) -> int:
-    """The seed a command's files are stamped with: the sampler's, compare's first, or the config's."""
-    if command == "sample":
-        return doc["sampler"]["seed"]
-    if command == "compare":
-        return doc["seeds"][0]
-    return doc["seed"]
+def _seed(command: str, doc: dict, override=None) -> int:
+    """The seed a command's files are stamped with, after ``override`` (--seed) replaces the config's."""
+    *parents, key = _SEED_PATHS.get(command, ("seed",))
+    for name in parents:
+        doc = doc[name]
+    if override is not None:
+        if override < 0:
+            raise ConfigError("--seed: must be >= 0")
+        doc[key] = [override + i for i in range(len(doc[key]))] if isinstance(doc[key], list) else override
+    return doc[key][0] if isinstance(doc[key], list) else doc[key]
 
 
 # ---------------------------------------------------------------------------
@@ -497,13 +491,12 @@ def main(argv=None) -> int:
         return 2
     try:
         validate_config(doc, COMMAND_SCHEMAS[args.command])
-        doc = _apply_seed_override(args.command, doc, args.seed)
+        seed = _seed(args.command, doc, args.seed)
         ctx = _build_context(args.command, doc)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     chash = config_hash(doc)
-    seed = _seed(args.command, doc)
     stamp = f"# config_hash={chash} seed={seed}"
     if args.threads < 1:
         print("config error: --threads must be >= 1", file=sys.stderr)

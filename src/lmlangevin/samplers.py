@@ -27,12 +27,14 @@ Two families live here.
   :func:`newton_langevin_step` and :func:`damped_step` are one step of the
   fixed-level chain.
 
-Every Langevin run is one chain walk over per-block :mod:`.rng` streams, so
-results do not depend on the thread count.  A run stops at its last snapshot,
-and every snapshot is checked finite as it is written.
+Every run is one chain walk over per-block :mod:`.rng` streams, so results
+do not depend on the thread count: a denoising run takes one leg per solver
+step, a Langevin run one leg per snapshot.  A run stops at its last snapshot,
+and the chains are checked finite after every leg.
 
-Both families advance their chains in tiles, and :func:`_tile_order` picks a
-tile's memory order.  At d <= 2 a tile is F-ordered, (rows, d) with the chain
+The walk advances each block in tiles: whole blocks for Langevin runs,
+whose noise is drawn in sequence, and cache-sized row tiles for denoising
+runs.  :func:`_tile_order` picks a tile's memory order.  At d <= 2 a tile is F-ordered, (rows, d) with the chain
 index innermost, so every row dot, contraction over d and (rows, 1)
 broadcast in the oracle, the geometry and the solver runs along the chains
 rather than an inner loop of length d.  There every sum over coordinates has
@@ -229,38 +231,50 @@ def _tile_order(d: int) -> str:
     return "F" if d <= 2 else "C"
 
 
-def _run_chain_blocks(seed: int, out: np.ndarray, threads: int, init, legs, name: str) -> np.ndarray:
-    """Fill ``out`` (snapshots, chains, d) in place: the one walk of every Langevin chain block.
+def _run_chain_blocks(seed: int, outs, threads: int, init, legs, message, rows: int = _rng.BLOCK) -> np.ndarray:
+    """Fill the (snapshots, chains, d) arrays ``outs`` in place: the one walk over chains.
 
-    A block starts at ``init(z)``, z standard normal from its own :mod:`.rng`
-    stream, held in :func:`_tile_order`'s layout.  Each ``(kernel, steps)``
-    leg makes ``steps`` calls ``x = kernel(x, gen)``, checks x finite
-    (raising FloatingPointError naming ``name`` and the step) and writes it
-    as the leg's snapshot.  Blocks write only their own columns, so ``out``
-    does not depend on ``threads``.
+    Each block draws z standard normal from its own :mod:`.rng` stream in
+    :func:`_tile_order`'s layout and advances it in tiles of at most ``rows``
+    chains (a kernel that draws noise needs whole blocks).  A tile's state is
+    ``init(z)``, a tuple led by the positions.  Each ``(kernel, steps, snap)``
+    leg makes ``steps`` calls ``state = kernel(state, gen)``, checks the
+    positions finite (else FloatingPointError(``message(step, state)``)) and,
+    unless snap is None, writes each state entry that is not None into
+    ``outs[j][snap]``.  Blocks write only their own columns, so ``outs`` does
+    not depend on ``threads``.  Returns each leg's time summed over tiles and blocks.
     """
-    order = _tile_order(out.shape[2])
+    order = _tile_order(outs[0].shape[2])
 
-    def one(block) -> None:
+    def one(block) -> np.ndarray:
         b, (lo, hi) = block
         gen = _rng.stream(seed, b)
-        x = init(np.asarray(gen.standard_normal((hi - lo,) + out.shape[2:]), order=order))
-        step = 0
-        for k, (kernel, steps) in enumerate(legs):
-            for _ in range(steps):
-                x = kernel(x, gen)
-            step += steps
-            if not np.isfinite(x).all():
-                raise FloatingPointError(f"{name} produced non-finite states at step {step}")
-            out[k, lo:hi] = x
+        z = np.asarray(gen.standard_normal((hi - lo,) + outs[0].shape[2:]), order=order)
+        times = np.zeros(len(legs))
+        for a in range(lo, hi, rows):
+            cols = slice(a, min(a + rows, hi))
+            state, step = init(np.asarray(z[a - lo : cols.stop - lo], order=order)), 0
+            for k, (kernel, steps, snap) in enumerate(legs):
+                tic = time.perf_counter()
+                for _ in range(steps):
+                    state = kernel(state, gen)
+                times[k] += time.perf_counter() - tic
+                step += steps
+                if not np.isfinite(state[0]).all():
+                    raise FloatingPointError(message(step, state))
+                if snap is not None:
+                    for out, part in zip(outs, state):
+                        if part is not None:
+                            out[snap, cols] = part
+        return times
 
-    blocks = enumerate(_rng.block_bounds(out.shape[1]))
+    blocks = enumerate(_rng.block_bounds(outs[0].shape[1]))
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(one, blocks))  # list() re-raises a block's error here
+            times = list(pool.map(one, blocks))  # list() re-raises a block's error here
     else:
-        list(map(one, blocks))
-    return out
+        times = list(map(one, blocks))
+    return np.sum(times, axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -299,10 +313,10 @@ class SamplerConfig:
 class SamplerRun:
     """Everything a denoising run produced; states[k] sits at grid.times[k].
 
-    From :func:`lml_sample`, ``step_times[k]`` is the wall time of step
-    k + 1, summed over the row tiles it advances one after another.
-    :func:`annealed_langevin_sample` writes the mean step time (the run's
-    wall time over n_steps) into every entry.
+    ``step_times[k]`` is the wall time of step k + 1 of :func:`lml_sample`,
+    summed over the row tiles it advances one after another, or of level
+    k + 1's inner steps in :func:`annealed_langevin_sample`, summed over the
+    chain blocks (which can exceed the wall time when blocks run on threads).
     """
 
     grid: TimestepGrid
@@ -327,75 +341,61 @@ def lml_sample(cfg: SamplerConfig, provider: ScoreProvider, record: bool = True)
     Stepping is deterministic given the initial draw, which is block-split by
     chain index.
 
-    The chains are advanced in contiguous row tiles of TILE_BYTES // (8 d)
-    rows, each through all n steps before the next, so one tile's working set
-    stays in cache across the prediction, the guided update and the solver
-    step.  A tile is held in :func:`_tile_order`'s layout.  All three treat
-    rows independently, so the bits do not depend on the tiling.  Each chain
-    still costs one prediction per step (the NFE), but ``provider.eps`` is
-    called n_steps times per tile.  Each new state is checked finite; a
-    blow-up raises FloatingPointError naming the step and its time.
+    The run is the chain walk with one leg per step, a tile's state being
+    (x, previous raw prediction, previous guided prediction).  A block is
+    advanced in row tiles of min(BLOCK, TILE_BYTES // (8 d)) rows, each
+    through all n steps before the next, so a tile's working set stays in
+    cache across the prediction, the guided update and the solver step; all
+    three treat rows independently, so the bits do not depend on the tiling.
+    Each chain still costs one prediction per step (the NFE), but
+    ``provider.eps`` is called n_steps times per tile.  Each new state is
+    checked finite; a blow-up raises FloatingPointError naming the step and
+    its time.
 
-    With ``record=False`` only the final states are kept: ``states`` is
-    (1, m, d), and ``eps_raw`` and ``eps_used`` are None.  The final states
-    have the bits of a recorded run.
+    With ``record=False`` only the last leg writes: ``states`` is (1, m, d),
+    and ``eps_raw`` and ``eps_used`` are None.  The final states have the
+    bits of a recorded run.
     """
     grid = make_grid(cfg.schedule, cfg.n_steps, cfg.eps_clip)
     d = provider.dim
     n, m = cfg.n_steps, cfg.chains
     dt = np.dtype(cfg.dtype)
-    order = _tile_order(d)
+    sigma_top = float(grid.sigma[0])
 
-    start = (float(grid.sigma[0]) * _rng.ensemble_normal(cfg.seed, m, d)).astype(dt, copy=False)
-    step_times = np.zeros(n, dtype=np.float64)
-    if record:
-        states = np.empty((n + 1, m, d), dtype=dt)
-        states[0] = start
-        eps_raw = np.empty((n, m, d), dtype=dt)
-        eps_used = np.empty((n, m, d), dtype=dt)
-    else:
-        states = np.empty((1, m, d), dtype=dt)
-        eps_raw = eps_used = None
+    def step_kernel(level: int):
+        t_level = grid.level_time(level)
 
-    rows = max(1, TILE_BYTES // (8 * d))
-    for lo in range(0, m, rows):
-        tile = slice(lo, lo + rows)
-        work = np.array(start[tile], dtype=np.float64, order=order)
-        prev_raw = prev_used = None
-        for k, level in enumerate(range(n, 0, -1)):
-            t_level = grid.level_time(level)
-            tic = time.perf_counter()
-            raw = np.asarray(provider.eps(work, t_level), dtype=np.float64)
+        def kernel(state, gen):
+            x, prev_raw, prev_used = state
+            raw = np.asarray(provider.eps(x, t_level), dtype=np.float64)
             used = raw if cfg.geometry is None else lm_guided_eps(raw, prev_raw, cfg.geometry)
-            prev_raw = raw
             if cfg.solver_order == 2 and prev_used is not None:
-                work = multistep2_step(work, used, prev_used, level, grid)
+                x = multistep2_step(x, used, prev_used, level, grid)
             else:
-                work = ddim_step(work, used, level, grid)
-            step_times[k] += time.perf_counter() - tic
-            prev_used = used
+                x = ddim_step(x, used, level, grid)
             if dt != np.float64:
                 # float32 mode: states round-trip through float32 between steps.
-                work = work.astype(dt).astype(np.float64)
-            if record:
-                eps_raw[k, tile] = raw
-                eps_used[k, tile] = used
-                states[k + 1, tile] = work
-            if not np.isfinite(work).all():
-                cause = "finite" if np.isfinite(raw).all() else "already non-finite"
-                raise FloatingPointError(
-                    f"lml_sample produced non-finite states at step {k + 1} of {n} "
-                    f"(t = {t_level:.6g}); the provider's prediction was {cause}"
-                )
-        if not record:
-            states[0, tile] = work
-    return SamplerRun(
-        grid=grid,
-        states=states,
-        step_times=step_times,
-        eps_raw=eps_raw,
-        eps_used=eps_used,
-    )
+                x = x.astype(dt).astype(np.float64)
+            return x, raw, used
+
+        return kernel
+
+    def message(step: int, state) -> str:
+        cause = "finite" if np.isfinite(state[1]).all() else "already non-finite"
+        where = f"step {step} of {n} (t = {grid.level_time(n + 1 - step):.6g})"
+        return f"lml_sample produced non-finite states at {where}; the provider's prediction was {cause}"
+
+    def init(z):
+        return (sigma_top * z).astype(dt, copy=False).astype(np.float64, copy=False), None, None
+
+    # Snapshot indices count from the end, where states[k + 1], eps_raw[k] and eps_used[k] hold
+    # step k + 1.  A recorded run writes the start and every step, any other only its last step.
+    legs = [(None, 0, 0)] if record else []
+    legs += [(step_kernel(n - k), 1, k - n if record or k == n - 1 else None) for k in range(n)]
+    outs = [np.empty(shape, dtype=dt) for shape in ([(n + 1, m, d), (n, m, d), (n, m, d)] if record else [(1, m, d)])]
+    rows = min(_rng.BLOCK, max(1, TILE_BYTES // (8 * d)))
+    times = _run_chain_blocks(cfg.seed, outs, 1, init, legs, message, rows)
+    return SamplerRun(grid, outs[0], times[-n:], *outs[1:])
 
 
 def annealed_langevin_sample(
@@ -411,12 +411,15 @@ def annealed_langevin_sample(
     with step size step_scale * sigma(t_i)^2 / sigma(t_max)^2, the classical
     geometric scaling that keeps the per-step contraction uniform across
     levels.  inner_steps >= 1 because a level visited zero times would leave
-    the annealing path disconnected from its target.
+    the annealing path disconnected from its target.  The run takes no
+    geometry, no solver order above 1 and no dtype but float64.
     """
     if inner_steps < 1:
         raise ValueError("inner_steps must be >= 1: each level needs at least one Langevin step")
     if not step_scale > 0.0:
         raise ValueError("step_scale must be > 0")
+    if cfg.geometry is not None or cfg.solver_order != 1 or cfg.dtype != "float64":
+        raise ValueError("annealed Langevin takes geometry=None, solver_order=1 and dtype='float64' only")
     grid = make_grid(cfg.schedule, cfg.n_steps, cfg.eps_clip)
     n = cfg.n_steps
     sigma_top = float(grid.sigma[0])
@@ -426,16 +429,16 @@ def annealed_langevin_sample(
         t_level, sig = float(grid.times[k + 1]), float(grid.sigma[k + 1])
         h = step_scale * sig * sig / (sigma_top * sigma_top)
         metric = _identity_metric(lambda x: -np.asarray(provider.eps(x, t_level), dtype=np.float64) / sig)
-        return lambda x, gen: _langevin_step(x, metric, h, gen)
+        return lambda state, gen: (_langevin_step(state[0], metric, h, gen),)
 
-    legs = [(None, 0)] + [(level_kernel(k), inner_steps) for k in range(n)]
-    tic = time.perf_counter()
-    states = _run_chain_blocks(
-        cfg.seed, np.empty((n + 1, cfg.chains, provider.dim)), threads,
-        lambda z: sigma_top * z, legs, f"annealed Langevin run ({inner_steps} steps per level)",
+    states = np.empty((n + 1, cfg.chains, provider.dim))
+    legs = [(None, 0, 0)] + [(level_kernel(k), inner_steps, k + 1) for k in range(n)]
+    name = f"annealed Langevin run ({inner_steps} steps per level)"
+    times = _run_chain_blocks(
+        cfg.seed, (states,), threads, lambda z: (sigma_top * z,), legs,
+        lambda step, _: f"{name} produced non-finite states at step {step}",
     )
-    step_times = np.full(n, (time.perf_counter() - tic) / n)
-    return SamplerRun(grid=grid, states=states, step_times=step_times)
+    return SamplerRun(grid=grid, states=states, step_times=times[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -545,10 +548,13 @@ def fixed_level_run(cfg: FixedLevelConfig, oracle: GaussianMixtureOracle, thread
     else:
         snap = np.arange(0, cfg.n_steps + 1, cfg.snapshot_every, dtype=np.int64)
     kernel = _fixed_level_kernel(cfg, oracle)
-    legs = [(kernel, int(steps)) for steps in np.diff(snap, prepend=0)]
-    states = _run_chain_blocks(
-        cfg.seed, np.empty((snap.size, cfg.chains, oracle.dim)), threads,
-        lambda z: cfg.init_mean + cfg.init_std * z, legs, f"fixed-level {cfg.variant} run",
+    legs = [
+        (lambda state, gen: (kernel(state[0], gen),), int(steps), k) for k, steps in enumerate(np.diff(snap, prepend=0))
+    ]
+    states = np.empty((snap.size, cfg.chains, oracle.dim))
+    _run_chain_blocks(
+        cfg.seed, (states,), threads, lambda z: (cfg.init_mean + cfg.init_std * z,), legs,
+        lambda step, _: f"fixed-level {cfg.variant} run produced non-finite states at step {step}",
     )
     return FixedLevelRun(snapshot_steps=snap, times=snap * cfg.h, states=states)
 

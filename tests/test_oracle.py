@@ -241,9 +241,10 @@ def test_1d_moments_are_within_the_summation_bound(n) -> None:
 
 
 def _ordered_sum(terms):
-    """terms[0] + terms[1] + ..., added one at a time in order."""
-    acc = terms[0].copy()
-    for term in terms[1:]:
+    """terms[0] + terms[1] + ..., added one at a time in order; ``terms`` may be a generator."""
+    terms = iter(terms)
+    acc = next(terms).copy()
+    for term in terms:
         acc += term
     return acc
 
@@ -271,7 +272,7 @@ def test_component_sums_are_the_ordered_loop(n) -> None:
             y = orc._yc
             outer2 = (y[:, :, None] * y[:, None, :]).reshape(n, -1)
             tables = [y, outer2, (outer2[:, :, None] * y[:, None, :]).reshape(n, -1)]
-            wants = [_ordered_sum([wi[:, None] * ti for wi, ti in zip(w, table)]) for table in tables]
+            wants = [_ordered_sum(wi[:, None] * ti for wi, ti in zip(w, table)) for table in tables]
             for k in (1, 2, 3):
                 for layout in ("C", "F"):
                     for moment, want in zip(orc._moments(w, tables[:k], layout), wants[:k], strict=True):

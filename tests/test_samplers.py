@@ -28,7 +28,7 @@ from lmlangevin import (
     newton_langevin_step,
 )
 from lmlangevin import samplers
-from lmlangevin.rng import BLOCK, stream
+from lmlangevin.rng import BLOCK, ensemble_normal, stream
 
 
 def _mixture2d(schedule):
@@ -248,12 +248,16 @@ def test_bits_do_not_depend_on_the_tiles(monkeypatch, d) -> None:
     # default tiles and 3-row tiles give the bits of one whole-batch tile.
     # At d = 16384 the default tile is 4 rows, which leaves 65 chains a lone
     # last row.  At d = 2 the tiles are F-ordered, and row-contiguous tiles
-    # give the same bits.  A run with record=False keeps only the final
-    # states, with those bits.
+    # give the same bits; BLOCK + 1 chains there end the tiles at a block
+    # edge, leaving a lone last block.  Each run starts from the block-split
+    # ensemble draw of rng.ensemble_normal.  A run with record=False keeps
+    # only the final states, with those bits.
     gen = np.random.default_rng(d)
     orc = GaussianMixtureOracle(gen.standard_normal((4, d)) / np.sqrt(d), None, NoiseSchedule.vp_linear())
     default = samplers.TILE_BYTES
-    for chains in (1, 5, 64, 65):
+    sigma_top = float(make_grid(NoiseSchedule.vp_linear(), 2).sigma[0])
+    for chains in (1, 5, 64, 65) + ((BLOCK + 1,) if d == 2 else ()):
+        start = sigma_top * ensemble_normal(5, chains, d)
         for order in (1, 2):
             for geometry in (None, DampedGeometryConfig(lam=1e-3, kappa=0.3)):
                 for dtype in ("float32", "float64"):
@@ -261,7 +265,8 @@ def test_bits_do_not_depend_on_the_tiles(monkeypatch, d) -> None:
                         n_steps=2, solver_order=order, geometry=geometry, seed=5, chains=chains, dtype=dtype
                     )
                     runs = []
-                    for tile_bytes in (8 * d * chains, default, 8 * d * 3):
+                    # Past one block, tiles of a third of a block leave a lone row at the block edge.
+                    for tile_bytes in (8 * d * chains, default, 8 * d * (3 if chains < BLOCK else BLOCK // 3)):
                         monkeypatch.setattr(samplers, "TILE_BYTES", tile_bytes)
                         runs.append(lml_sample(cfg, orc))
                     if samplers._tile_order(d) == "F":
@@ -270,6 +275,7 @@ def test_bits_do_not_depend_on_the_tiles(monkeypatch, d) -> None:
                             patch.setattr(samplers, "_tile_order", lambda d: "C")
                             runs.append(lml_sample(cfg, orc))
                     whole = runs[0]
+                    assert np.array_equal(whole.states[0], start.astype(dtype)), chains
                     for run in runs[1:]:
                         for name in ("states", "eps_raw", "eps_used"):
                             assert np.array_equal(getattr(run, name), getattr(whole, name)), (chains, name)
@@ -376,6 +382,19 @@ def test_annealed_langevin_smoke() -> None:
     assert np.all(np.isfinite(xs))
     frac = float(np.mean(xs[:, 0] > 0))
     assert 0.4 < frac < 0.6
+
+
+def test_annealed_rejects_denoiser_settings_and_times_each_level() -> None:
+    # The annealed run has no geometry, solver order or float32 mode, so
+    # asking for one is an error rather than silently ignored.
+    sch = NoiseSchedule.vp_linear()
+    orc = _mixture2d(sch)
+    for bad in ({"geometry": DampedGeometryConfig()}, {"solver_order": 2}, {"dtype": "float32"}):
+        with pytest.raises(ValueError, match="annealed Langevin takes"):
+            annealed_langevin_sample(SamplerConfig(n_steps=3, schedule=sch, **bad), orc, 2, 0.1)
+    run = annealed_langevin_sample(SamplerConfig(n_steps=3, schedule=sch, chains=8), orc, 2, 0.1, threads=2)
+    assert run.step_times.shape == (3,) and (run.step_times > 0).all()
+    assert len(set(run.step_times.tolist())) == 3  # each level's own time, not one mean
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
