@@ -3,7 +3,7 @@
 Outputs land under demo_output/ next to the current working directory.
 Each command writes a meta.json (config hash, seed, metrics, timing) plus
 command-specific CSVs; rerunning with the same config and seed reproduces
-the data files byte for byte.
+the data files byte for byte.  Exits 1 if any command failed.
 """
 import json
 import pathlib
@@ -23,12 +23,14 @@ jobs = [
     ("bench", "bench_overhead.json"),
 ]
 
+failed = []
 for command, config in jobs:
     out_dir = OUT / command
     print(f"=== {command} ({config}) -> {out_dir}")
     rc = main([command, "--config", str(HERE / "configs" / config), "--out", str(out_dir)])
     if rc != 0:
         print(f"{command} exited {rc}", file=sys.stderr)
+        failed.append(command)
         continue
     meta = json.loads((out_dir / "meta.json").read_text())
     if command == "compare":
@@ -38,3 +40,6 @@ for command, config in jobs:
     else:
         print("  metrics:", json.dumps(meta["metrics"]))
     print("  files  :", sorted(p.name for p in out_dir.iterdir()))
+
+if failed:
+    sys.exit(1)  # every command still ran, but the demo does not pass

@@ -46,7 +46,6 @@ from .samplers import (
 from .diagnostics import (
     BoundCheckResult,
     DecayFit,
-    DiagnosticsReport,
     ErrorBoundInputs,
     OverheadResult,
     SlicedReference,
@@ -105,7 +104,6 @@ __all__ = [
     "newton_langevin_step",
     "BoundCheckResult",
     "DecayFit",
-    "DiagnosticsReport",
     "ErrorBoundInputs",
     "OverheadResult",
     "SlicedReference",

@@ -7,11 +7,13 @@ the canonical config hash and seed in every file.  Reruns with the same
 config and seed are byte-identical except for the meta.json "timing" object,
 regardless of --threads.
 
-Each command heads its CSV files with the stamp ``# config_hash=<hash>
-seed=<seed>`` that :func:`main` hands it, and returns its metrics, extra
-fields, timing fields and --assert failure (or None).  :func:`main` is the one
-place that reads the seed and builds the report: it times the whole
-invocation, writes meta.json and turns a failure under --assert into exit 4.
+Each command writes nothing: it returns its tables (CSV name -> comment
+notes, header, rows), metrics, extra fields, timing fields and --assert
+failure (or None).  :func:`main` is the one place that reads the seed and
+writes under --out.  Only after the command has returned and its metrics are
+all finite does it write each table under the stamp ``# config_hash=<hash>
+seed=<seed>`` and then meta.json, so a run that fails writes no file.  It times
+the whole invocation and turns a failure under --assert into exit 4.
 
 Exit codes: 0 success, 2 invalid config, 3 numeric or I/O failure while
 running, 4 threshold violated under --assert.
@@ -37,7 +39,6 @@ from .config import (
     validate_config,
 )
 from .diagnostics import (
-    DiagnosticsReport,
     bound_check,
     chi2_gaussians,
     chi2_histogram,
@@ -48,11 +49,9 @@ from .diagnostics import (
     sliced_reference,
     sliced_wasserstein,
 )
-from .geometry import DampedGeometryConfig, DegenerateDirectionError
+from .geometry import DampedGeometryConfig
 from .samplers import (
-    DampingTooSmallError,
     FixedLevelConfig,
-    NotLogConcaveError,
     SamplerConfig,
     annealed_langevin_sample,
     fixed_level_run,
@@ -72,11 +71,9 @@ def _f(x) -> str:
     return format(float(x), ".17g")
 
 
-def _comment(stamp: str, **extra) -> str:
-    return " ".join([stamp] + [f"{k}={_f(v)}" for k, v in extra.items() if v is not None])
-
-
-def _write_csv(path: Path, comment: str, header: list, rows: list) -> None:
+def _write_csv(path: Path, stamp: str, notes: dict, header: list, rows: list) -> None:
+    """One table: the stamp plus its notes that are not None as the comment line, then header and rows."""
+    comment = " ".join([stamp] + [f"{k}={_f(v)}" for k, v in notes.items() if v is not None])
     lines = [comment, ",".join(header)]
     lines += [",".join(cells) for cells in rows]
     path.write_text("\n".join(lines) + "\n")
@@ -150,7 +147,7 @@ def _build_context(command: str, doc: dict) -> dict:
 # commands
 
 
-def _cmd_sample(doc, ctx, stamp, out: Path, threads: int):
+def _cmd_sample(doc, ctx, threads: int):
     oracle = ctx["oracle"]
     block = doc["sampler"]
     scfg = SamplerConfig(
@@ -164,14 +161,13 @@ def _cmd_sample(doc, ctx, stamp, out: Path, threads: int):
         dtype=block["dtype"],
     )
     run = lml_sample(scfg, oracle, record=False)
-    finals = np.atleast_2d(run.final_states)
+    finals = run.final_states
 
     header = ["chain_id"] + [f"x{j}" for j in range(oracle.dim)]
     rows = [[str(i)] + [_f(v) for v in row] for i, row in enumerate(finals)]
     geo = scfg.geometry
     lam = None if geo is None else geo.lam
     kappa = None if geo is None else geo.kappa
-    _write_csv(out / "samples.csv", _comment(stamp, lam=lam, kappa=kappa), header, rows)
 
     diag = doc["diagnostics"]
     truth = oracle.sample_data(_rng.stream(scfg.seed, _rng.GT_STREAM_OFFSET), scfg.chains)
@@ -185,9 +181,9 @@ def _cmd_sample(doc, ctx, stamp, out: Path, threads: int):
         "order": scfg.solver_order,
         "chains": scfg.chains,
         "dtype": scfg.dtype,
-        "files": ["samples.csv"],
     }
-    return {"sw2_to_truth": sw2}, extra, {"per_step_s": list(run.step_times)}, None
+    tables = {"samples.csv": ({"lam": lam, "kappa": kappa}, header, rows)}
+    return tables, {"sw2_to_truth": sw2}, extra, {"per_step_s": list(run.step_times)}, None
 
 
 def _compare_run(variant, geo, nfe, seed, doc, ctx, threads):
@@ -211,7 +207,7 @@ def _compare_run(variant, geo, nfe, seed, doc, ctx, threads):
     return lml_sample(scfg, oracle, record=False).final_states
 
 
-def _cmd_compare(doc, ctx, stamp, out: Path, threads: int):
+def _cmd_compare(doc, ctx, threads: int):
     oracle = ctx["oracle"]
     nfe_list, seeds, variants = doc["nfe"], doc["seeds"], doc["variants"]
     n_proj = doc["diagnostics"]["n_projections"]
@@ -248,7 +244,6 @@ def _cmd_compare(doc, ctx, stamp, out: Path, threads: int):
     for (variant, gdict), m, e in zip(plan, means, stderr):
         geo_cells = ["", ""] if gdict is None else [_f(gdict["lam"]), _f(gdict["kappa"])]
         rows.append([variant] + geo_cells + [_f(v) for pair in zip(m, e) for v in pair])
-    _write_csv(out / "compare.csv", _comment(stamp), header, rows)
 
     # For each solver order present as both guided and baseline rows: does
     # some grid point match-or-beat the baseline at every NFE?
@@ -269,11 +264,10 @@ def _cmd_compare(doc, ctx, stamp, out: Path, threads: int):
         "nfe": list(nfe_list),
         "chains": doc["chains"],
         "dominating_combos": dominating,
-        "files": ["compare.csv"],
     }
     failed = doc["assert"]["lml_not_worse"] and bool(failed_orders)
     msg = f"no (lam, kappa) matches or beats baseline at every NFE for order(s) {failed_orders}"
-    return {}, extra, {}, msg if failed else None
+    return {"compare.csv": ({}, header, rows)}, {}, extra, {}, msg if failed else None
 
 
 def _fixed_cfg(doc, lam: float, snapshot_every) -> FixedLevelConfig:
@@ -291,7 +285,7 @@ def _fixed_cfg(doc, lam: float, snapshot_every) -> FixedLevelConfig:
     )
 
 
-def _cmd_stationarity(doc, ctx, stamp, out: Path, threads: int):
+def _cmd_stationarity(doc, ctx, threads: int):
     oracle = ctx["oracle"]
     t = doc["t"]
     run = fixed_level_run(ctx["fixed"][0], oracle, threads=threads)
@@ -308,8 +302,7 @@ def _cmd_stationarity(doc, ctx, stamp, out: Path, threads: int):
         [str(b), _f(left[b]), _f(right[b]), _f(counts[b] / retained.size), _f(1.0 / bins)]
         for b in range(bins)
     ]
-    comment = _comment(stamp, lam=doc["lam"], t=t)
-    _write_csv(out / "histogram.csv", comment, ["bin", "left", "right", "observed", "expected"], rows)
+    tables = {"histogram.csv": ({"lam": doc["lam"], "t": t}, ["bin", "left", "right", "observed", "expected"], rows)}
 
     extra = {
         "variant": doc["variant"],
@@ -318,10 +311,9 @@ def _cmd_stationarity(doc, ctx, stamp, out: Path, threads: int):
         "h": doc["h"],
         "n_steps": doc["n_steps"],
         "retained": int(retained.size),
-        "files": ["histogram.csv"],
     }
     ks_max = doc["assert"]["ks_max"]
-    return {"ks": ks}, extra, {}, f"ks={ks:.5f} > {ks_max}" if ks > ks_max else None
+    return tables, {"ks": ks}, extra, {}, f"ks={ks:.5f} > {ks_max}" if ks > ks_max else None
 
 
 def _gaussian_chi2_stderr(m: float, s: float, m2: float, s2: float, n: int) -> float:
@@ -341,7 +333,7 @@ def _reference_rate(variant: str, lam: float, sigma: float):
     return None  # damped-lm: state-dependent preconditioner, no closed form
 
 
-def _cmd_convergence(doc, ctx, stamp, out: Path, threads: int):
+def _cmd_convergence(doc, ctx, threads: int):
     oracle = ctx["oracle"]
     t = doc["t"]
     alpha, sigma = oracle._level(t)
@@ -352,7 +344,7 @@ def _cmd_convergence(doc, ctx, stamp, out: Path, threads: int):
     if not single:
         edges = equal_mass_edges(lambda q: oracle.marginal_quantile(q, t), 64)
 
-    files = []
+    tables = {}
     metrics = {}
     details = []
     ok = True
@@ -373,9 +365,8 @@ def _cmd_convergence(doc, ctx, stamp, out: Path, threads: int):
         del run, samples
 
         name = f"convergence_lam{li}.csv"
-        files.append(name)
         rows = [[_f(times[k]), _f(vals[k]), _f(errs[k])] for k in range(times.size)]
-        _write_csv(out / name, _comment(stamp, lam=lam, t=t), ["time", "value", "stderr"], rows)
+        tables[name] = ({"lam": lam, "t": t}, ["time", "value", "stderr"], rows)
 
         sel = (vals >= lo) & (vals <= hi) & (times > 0.0)
         if int(sel.sum()) < 3:
@@ -401,11 +392,11 @@ def _cmd_convergence(doc, ctx, stamp, out: Path, threads: int):
         if fit.r_squared < doc["assert"]["r2_min"]:
             ok = False
 
-    extra = {"variant": doc["variant"], "t": t, "h": doc["h"], "per_lam": details, "files": files}
-    return metrics, extra, {}, None if ok else "fitted rate or fit quality outside tolerance; see meta.json"
+    extra = {"variant": doc["variant"], "t": t, "h": doc["h"], "per_lam": details}
+    return tables, metrics, extra, {}, None if ok else "fitted rate or fit quality outside tolerance; see meta.json"
 
 
-def _cmd_hessian_error(doc, ctx, stamp, out: Path, threads: int):
+def _cmd_hessian_error(doc, ctx, threads: int):
     oracle = ctx["oracle"]
     rows = []
     per_t = []
@@ -426,13 +417,13 @@ def _cmd_hessian_error(doc, ctx, stamp, out: Path, threads: int):
                 "violations": res.violations,
             }
         )
-    _write_csv(out / "bound_check.csv", _comment(stamp), ["t", "point", "empirical", "bound"], rows)
-    extra = {"per_t": per_t, "n_points": doc["n_points"], "files": ["bound_check.csv"]}
+    tables = {"bound_check.csv": ({}, ["t", "point", "empirical", "bound"], rows)}
+    extra = {"per_t": per_t, "n_points": doc["n_points"]}
     failed = violations > doc["assert"]["max_violations"]
-    return {"violations": float(violations)}, extra, {}, f"{violations} bound violations" if failed else None
+    return tables, {"violations": float(violations)}, extra, {}, f"{violations} bound violations" if failed else None
 
 
-def _cmd_bench(doc, ctx, stamp, out: Path, threads: int):
+def _cmd_bench(doc, ctx, threads: int):
     res = overhead_benchmark(d=doc["d"], reps=doc["reps"], seed=doc["seed"])
     timing = {"baseline_ns": res.baseline_ns, "lml_ns": res.lml_ns, "ratio": res.ratio}
     # bench gates only on a threshold the config sets: no default is reachable
@@ -440,7 +431,7 @@ def _cmd_bench(doc, ctx, stamp, out: Path, threads: int):
     ratio_max = doc.get("assert", {}).get("ratio_max")
     failed = ratio_max is not None and res.ratio > ratio_max
     failure = f"overhead ratio {res.ratio:.4f} > {ratio_max}" if failed else None
-    return {}, {"d": res.d, "reps": res.reps}, timing, failure
+    return {}, {}, {"d": res.d, "reps": res.reps}, timing, failure
 
 
 _DISPATCH = {
@@ -504,18 +495,19 @@ def main(argv=None) -> int:
     out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
-        metrics, extra, timing, failure = _DISPATCH[args.command](doc, ctx, stamp, out, args.threads)
-        meta = DiagnosticsReport(args.command, chash, seed, metrics, extra=extra).as_dict()
+        tables, metrics, extra, timing, failure = _DISPATCH[args.command](doc, ctx, args.threads)
+        for key, val in metrics.items():
+            if not np.isfinite(val):
+                raise ValueError(f"metric {key!r} is not finite: {val!r}")
+        # Nothing is written until the command has returned and its metrics are finite.
+        for name, (notes, header, rows) in tables.items():
+            _write_csv(out / name, stamp, notes, header, rows)
+        if tables:
+            extra["files"] = list(tables)
+        meta = {"command": args.command, "config_hash": chash, "seed": seed, "metrics": metrics, "extra": extra}
         meta["timing"] = {"total_s": time.perf_counter() - tic, **timing}  # the one rerun-variable section
         (out / "meta.json").write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
-    except (
-        FloatingPointError,
-        NotLogConcaveError,
-        DampingTooSmallError,
-        DegenerateDirectionError,
-        np.linalg.LinAlgError,
-        ValueError,
-    ) as exc:
+    except (FloatingPointError, ValueError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

@@ -14,7 +14,7 @@ Finite-difference helpers require the callable to accept row batches
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -45,7 +45,6 @@ __all__ = [
     "decay_fit",
     "OverheadResult",
     "overhead_benchmark",
-    "DiagnosticsReport",
 ]
 
 
@@ -403,40 +402,3 @@ def overhead_benchmark(d: int = 16384, reps: int = 200, seed: int = 0) -> Overhe
     base = median_ns(baseline_op)
     guided = median_ns(guided_op)
     return OverheadResult(baseline_ns=base, lml_ns=guided, ratio=guided / base, d=d, reps=reps)
-
-
-# ---------------------------------------------------------------------------
-# reports
-
-
-@dataclass
-class DiagnosticsReport:
-    """Uniform result container written by the command layer.
-
-    Provenance (config hash and seed) is mandatory; metric values must be
-    finite, so NaN or inf never leaks into output files silently.
-    """
-
-    command: str
-    config_hash: str
-    seed: int
-    metrics: dict = field(default_factory=dict)
-    series: dict = field(default_factory=dict)
-    extra: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not self.config_hash:
-            raise ValueError("config_hash is mandatory")
-        for key, val in self.metrics.items():
-            if not np.isfinite(val):
-                raise ValueError(f"metric {key!r} is not finite: {val!r}")
-
-    def as_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "config_hash": self.config_hash,
-            "seed": self.seed,
-            "metrics": dict(self.metrics),
-            "series": {k: {kk: list(map(float, vv)) for kk, vv in v.items()} for k, v in self.series.items()},
-            **({"extra": self.extra} if self.extra else {}),
-        }

@@ -155,6 +155,40 @@ def test_sample_blow_up_is_exit_3(tmp_path, monkeypatch, capsys) -> None:
     assert not (out / "meta.json").exists()
 
 
+def test_non_finite_metric_is_exit_3(tmp_path, monkeypatch, capsys) -> None:
+    # A finite run whose metric is not finite writes neither its CSV nor its summary.
+    monkeypatch.setattr("lmlangevin.cli.sliced_wasserstein", lambda *args: float("nan"))
+    out = tmp_path / "out"
+    rc = main(["sample", "--config", _write(tmp_path, "c.json", _sample_doc()), "--out", str(out)])
+    assert rc == 3
+    assert "not finite" in capsys.readouterr().err
+    assert not (out / "samples.csv").exists()
+    assert not (out / "meta.json").exists()
+
+
+def test_failed_rerun_leaves_out_untouched(tmp_path) -> None:
+    # lam 1000 slows the decay ~1000-fold, so its chi-square never enters the
+    # fit window and the rerun exits 3 after lam 0 has finished: the files of
+    # the first run must keep their bytes, not mix two config hashes.
+    doc = {
+        "schedule": {"kind": "ve", "sigma_min": 0.01, "sigma_max": 100.0},
+        "oracle": {"centers": [[0.0]]},
+        "t": 0.5,
+        "variant": "damped-exact",
+        "lams": [0.0, 1.0],
+        "h": 0.01,
+        "n_steps": 400,
+        "chains": 4000,
+    }
+    out = tmp_path / "out"
+    assert main(["convergence", "--config", _write(tmp_path, "a.json", doc), "--out", str(out)]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert sorted(before) == ["convergence_lam0.csv", "convergence_lam1.csv", "meta.json"]
+    doc.update(lams=[0.0, 1000.0], seed=2)
+    assert main(["convergence", "--config", _write(tmp_path, "b.json", doc), "--out", str(out)]) == 3
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
 def test_assert_threshold_failure_is_exit_4(tmp_path) -> None:
     # The guided update does strictly more arithmetic than the bare solver
     # step, so a tiny-d benchmark can never meet ratio <= 1.05.
@@ -192,7 +226,9 @@ def test_sample_outputs(tmp_path) -> None:
     assert meta["command"] == "sample"
     assert meta["seed"] == 7
     assert meta["metrics"]["sw2_to_truth"] >= 0.0
-    assert "timing" in meta and "total_s" in meta["timing"]
+    assert set(meta) == {"command", "config_hash", "seed", "metrics", "extra", "timing"}
+    assert meta["extra"]["files"] == ["samples.csv"]
+    assert "total_s" in meta["timing"]
     assert meta["config_hash"] == lines[0].split()[1].split("=")[1]
 
 

@@ -9,7 +9,6 @@ from scipy.stats import kstest, norm
 
 from lmlangevin import (
     BoundCheckResult,
-    DiagnosticsReport,
     ErrorBoundInputs,
     GaussianMixtureOracle,
     NoiseSchedule,
@@ -302,31 +301,3 @@ def test_overhead_extra_cost_scales_linearly() -> None:
 def test_overhead_validation() -> None:
     with pytest.raises(ValueError):
         overhead_benchmark(d=0)
-
-
-# ---------------------------------------------------------------------------
-# report container
-
-
-def test_report_requires_finite_metrics() -> None:
-    with pytest.raises(ValueError, match="not finite"):
-        DiagnosticsReport("sample", "abc123", 0, metrics={"ks": float("nan")})
-    with pytest.raises(ValueError, match="config_hash"):
-        DiagnosticsReport("sample", "", 0)
-
-
-def test_report_as_dict() -> None:
-    rep = DiagnosticsReport(
-        "stationarity",
-        "deadbeef",
-        7,
-        metrics={"ks": 0.01},
-        series={"hist": {"left": np.array([0.0, 1.0]), "count": np.array([3.0, 4.0])}},
-        extra={"variant": "damped-exact"},
-    )
-    doc = rep.as_dict()
-    assert doc["command"] == "stationarity"
-    assert doc["seed"] == 7
-    assert doc["metrics"]["ks"] == 0.01
-    assert doc["series"]["hist"]["left"] == [0.0, 1.0]
-    assert doc["extra"]["variant"] == "damped-exact"
