@@ -56,14 +56,12 @@ from .diagnostics import (
     decay_fit,
     equal_mass_edges,
     finite_diff_gradient,
-    finite_diff_hessian,
     finite_diff_jacobian,
     hs_error,
     hs_norm,
     ks_statistic,
     overhead_benchmark,
     rank1_approx_error,
-    residual_norm,
     sliced_reference,
     sliced_wasserstein,
 )
@@ -114,14 +112,12 @@ __all__ = [
     "decay_fit",
     "equal_mass_edges",
     "finite_diff_gradient",
-    "finite_diff_hessian",
     "finite_diff_jacobian",
     "hs_error",
     "hs_norm",
     "ks_statistic",
     "overhead_benchmark",
     "rank1_approx_error",
-    "residual_norm",
     "sliced_reference",
     "sliced_wasserstein",
     "ConfigError",

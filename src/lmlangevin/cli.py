@@ -50,6 +50,7 @@ from .diagnostics import (
     sliced_wasserstein,
 )
 from .geometry import DampedGeometryConfig
+from .oracle import DENSE_DIM_CAP
 from .samplers import (
     FixedLevelConfig,
     SamplerConfig,
@@ -118,6 +119,8 @@ def _build_context(command: str, doc: dict) -> dict:
             make_grid(ctx["schedule"], 1, doc["eps_clip"])
     except ValueError as exc:
         raise ConfigError(f"config: time out of schedule range: {exc}") from exc
+    if command == "hessian-error" and ctx["oracle"].dim > DENSE_DIM_CAP:
+        raise ConfigError(f"config.oracle: hessian-error needs dim <= {DENSE_DIM_CAP} (got dim={ctx['oracle'].dim})")
     if command in ("stationarity", "convergence") and ctx["oracle"].dim != 1:
         raise ConfigError(f"config.oracle: {command} needs a 1-d oracle (got dim={ctx['oracle'].dim})")
     if command == "convergence":
@@ -403,7 +406,7 @@ def _cmd_hessian_error(doc, ctx, threads: int):
     violations = 0
     for ti, t in enumerate(doc["ts"]):
         xs = oracle.sample_diffused(_rng.stream(doc["seed"], ti), doc["n_points"], t)
-        res = bound_check(oracle, t, xs, fd_step=doc["fd_step"])
+        res = bound_check(oracle, t, xs)
         violations += res.violations
         for j, emp in enumerate(res.empirical):
             rows.append([_f(t), str(j), _f(emp), _f(res.bound)])

@@ -325,7 +325,6 @@ COMMAND_SCHEMAS = {
             "oracle": _ORACLE_SCHEMA,
             "ts": {"type": "array", "min_len": 1, "items": {"type": "number", "exclusive_min": 0.0}},
             "n_points": {"type": "int", "min": 1},
-            "fd_step": {"type": "number", "exclusive_min": 0.0, "default": 1e-4},
             "seed": _SEED,
             "assert": {
                 "type": "object",

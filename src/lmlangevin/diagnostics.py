@@ -25,13 +25,11 @@ from .oracle import GaussianMixtureOracle
 __all__ = [
     "finite_diff_gradient",
     "finite_diff_jacobian",
-    "finite_diff_hessian",
     "hs_norm",
     "hs_error",
     "rank1_approx_error",
     "ErrorBoundInputs",
     "curvature_error_bound",
-    "residual_norm",
     "BoundCheckResult",
     "bound_check",
     "chi2_gaussians",
@@ -67,35 +65,6 @@ def finite_diff_jacobian(f: Callable, x, h: float = 1e-6):
     pts[2 * idx + 1, idx] -= h
     vals = np.asarray(f(pts), dtype=np.float64)
     return ((vals[2 * idx] - vals[2 * idx + 1]) / (2.0 * h)).T
-
-
-def finite_diff_hessian(f: Callable, x, h: float = 1e-4):
-    """Second-derivative matrix of a scalar function via central stencils.
-
-    Diagonal entries use the 3-point stencil, off-diagonals the 4-point mixed
-    stencil; one batched call to f evaluates every stencil point.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    d = x.size
-    pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
-    pts = [x[None, :]]
-    eye = np.eye(d) * h
-    pts.append(x[None, :] + eye)
-    pts.append(x[None, :] - eye)
-    for i, j in pairs:
-        pts.append(np.array([x + eye[i] + eye[j], x + eye[i] - eye[j], x - eye[i] + eye[j], x - eye[i] - eye[j]]))
-    vals = np.asarray(f(np.concatenate(pts, axis=0)), dtype=np.float64)
-    f0 = vals[0]
-    fp = vals[1 : 1 + d]
-    fm = vals[1 + d : 1 + 2 * d]
-    out = np.zeros((d, d))
-    out[np.arange(d), np.arange(d)] = (fp - 2.0 * f0 + fm) / (h * h)
-    cursor = 1 + 2 * d
-    for i, j in pairs:
-        quad = vals[cursor : cursor + 4]
-        cursor += 4
-        out[i, j] = out[j, i] = (quad[0] - quad[1] - quad[2] + quad[3]) / (4.0 * h * h)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -158,13 +127,6 @@ def curvature_error_bound(inp: ErrorBoundInputs) -> float:
     return (inp.delta1 + a * inp.delta2 + a * dia) * (2.0 + inp.delta3 + 2.0 * (a * a) / (s * s) * dia * dia)
 
 
-def residual_norm(oracle: GaussianMixtureOracle, x, t):
-    """r(x) = ||x - alpha_t ybar(x, t)|| with the posterior mean re-evaluated at x."""
-    x = np.asarray(x, dtype=np.float64)
-    ybar = oracle.posterior_mean(x, t)
-    return np.linalg.norm(x - oracle._level(t)[0] * ybar, axis=-1)
-
-
 @dataclass
 class BoundCheckResult:
     """Per-point empirical curvature products against the assembled bound."""
@@ -175,27 +137,43 @@ class BoundCheckResult:
     violations: int
 
 
+# bound_check evaluates its points in batches whose third-derivative tensor
+# (points, d, d, d) holds at most this many floats (8 MB).
+_BOUND_CHECK_ELEMS = 1 << 20
+
+
 def bound_check(
     oracle: GaussianMixtureOracle,
     t: float,
     xs,
-    fd_step: float = 1e-4,
     delta2: float = 0.0,
 ) -> BoundCheckResult:
     """Check ||r(x) * d^2 r/dx^2||_HS <= bound at every supplied point.
 
-    delta1 and delta3 are taken as maxima over the supplied set, so the bound
-    is a single number per (oracle, t, set); the empirical left side uses the
-    same finite-difference second derivative that defines delta3.
+    r(x) = |v| with v = x - alpha_t ybar(x, t) = -sigma^2 s, whose Jacobian
+    is J = -sigma^2 H.  With g = J v / r the gradient of r, the exact second
+    derivative is (J J - sigma^2 sum_k v_k T[k] - g g^T) / r, read off one
+    ``derivatives(x, t, 3)`` call (s, H and T = grad H) per batch of points;
+    d <= DENSE_DIM_CAP.  delta1 and delta3 are taken as maxima over the
+    supplied set, so the bound is a single number per (oracle, t, set); the
+    empirical left side uses the same second derivative that defines delta3.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
     alpha, sigma = oracle._level(t)
-
-    def r_fn(z):
-        return residual_norm(oracle, z, t)
-
-    curv = np.array([hs_norm(finite_diff_hessian(r_fn, x, fd_step)) for x in xs])
-    rvals = r_fn(xs)
+    s2 = sigma * sigma
+    rvals = np.empty(xs.shape[0])
+    curv = np.empty(xs.shape[0])
+    step = max(1, _BOUND_CHECK_ELEMS // xs.shape[1] ** 3)
+    for lo in range(0, xs.shape[0], step):
+        score, hess, third = oracle.derivatives(xs[lo : lo + step], t, 3)
+        v = -s2 * score
+        jac = -s2 * hess
+        r = np.linalg.norm(v, axis=-1)
+        g = np.einsum("mij,mj->mi", jac, v) / r[:, None]
+        d2r = jac @ jac - s2 * np.einsum("mk,mkij->mij", v, third) - g[:, :, None] * g[:, None, :]
+        d2r /= r[:, None, None]
+        rvals[lo : lo + step] = r
+        curv[lo : lo + step] = np.linalg.norm(d2r, axis=(1, 2))
     empirical = rvals * curv
     inputs = ErrorBoundInputs(
         delta1=float(np.linalg.norm(xs, axis=-1).max()),

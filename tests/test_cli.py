@@ -64,7 +64,7 @@ def test_missing_config_file(tmp_path) -> None:
     assert main(["sample", "--config", str(tmp_path / "absent.json"), "--out", str(tmp_path / "o")]) == 2
 
 
-def test_semantic_config_errors(tmp_path) -> None:
+def test_semantic_config_errors(tmp_path, capsys) -> None:
     stat = {
         "schedule": {"kind": "ve", "sigma_min": 0.01, "sigma_max": 100.0},
         "oracle": {"centers": [[0.0]]},
@@ -83,6 +83,12 @@ def test_semantic_config_errors(tmp_path) -> None:
     bad_type = _sample_doc()
     bad_type["sampler"]["n_steps"] = "ten"
     assert main(["sample", "--config", _write(tmp_path, "c.json", bad_type), "--out", str(tmp_path / "o3")]) == 2
+    # the exact second derivative needs the dense third-derivative tensor, capped like the Hessian
+    wide = {"schedule": {"kind": "vp-linear"}, "oracle": {"centers": [[1.0] * 65]}, "ts": [0.5], "n_points": 2}
+    out = tmp_path / "o4"
+    assert main(["hessian-error", "--config", _write(tmp_path, "d.json", wide), "--out", str(out)]) == 2
+    assert "needs dim <= 64 (got dim=65)" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_malformed_fit_window_is_config_error(tmp_path) -> None:

@@ -160,7 +160,6 @@ CASES = {
             "oracle": {"centers": [[1.0, 0.0]]},
             "ts": [0.5],
             "n_points": 3,
-            "fd_step": 1e-4,
             "seed": 0,
             "assert": {"max_violations": 0},
         },
@@ -199,7 +198,7 @@ def test_each_fill_is_a_fresh_copy() -> None:
         ("compare", "compare_low_nfe.json", "eeae3e5e9ed32562"),
         ("stationarity", "stationarity_damped.json", "5b7faacf16ec172f"),
         ("convergence", "convergence_rates.json", "7ed877a30d94d4ff"),
-        ("hessian-error", "hessian_error_bound.json", "6e3dfdbb860534e4"),
+        ("hessian-error", "hessian_error_bound.json", "33aa78b0c93c0f2d"),
         ("bench", "bench_overhead.json", "ed9cf9bd89d1e03b"),
     ],
 )

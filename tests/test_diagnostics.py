@@ -19,14 +19,12 @@ from lmlangevin import (
     decay_fit,
     equal_mass_edges,
     finite_diff_gradient,
-    finite_diff_hessian,
     finite_diff_jacobian,
     hs_error,
     hs_norm,
     ks_statistic,
     overhead_benchmark,
     rank1_approx_error,
-    residual_norm,
     sliced_reference,
     sliced_wasserstein,
 )
@@ -49,13 +47,6 @@ def test_finite_diff_jacobian_linear_map() -> None:
     a = np.array([[1.0, 2.0, -1.0], [0.5, 0.0, 3.0]])
     f = lambda p: p @ a.T
     np.testing.assert_allclose(finite_diff_jacobian(f, np.array([0.2, -0.4, 1.0])), a, atol=1e-9)
-
-
-def test_finite_diff_hessian_polynomial() -> None:
-    f = lambda p: p[:, 0] ** 2 * p[:, 1] + 3.0 * p[:, 1] ** 3
-    x = np.array([1.3, -0.7])
-    expected = np.array([[2 * -0.7, 2 * 1.3], [2 * 1.3, 18 * -0.7]])
-    np.testing.assert_allclose(finite_diff_hessian(f, x), expected, rtol=1e-6, atol=1e-6)
 
 
 def test_hs_norms() -> None:
@@ -103,14 +94,38 @@ def test_bound_inputs_validation() -> None:
         ErrorBoundInputs(0.1, 0.0, 0.0, 1.0, 0.9, 0.0)
 
 
-def test_residual_norm_single_center() -> None:
-    # One center: ybar = y everywhere, so r(x) = ||x - alpha y||.
+@pytest.mark.parametrize("d", [1, 2, 8])
+def test_bound_check_single_center_closed_form(d) -> None:
+    # One center: v = x - alpha y and J = I, so r * d^2 r = I - u u^T with
+    # u = v / r, whose HS norm is sqrt(d - 1) at every point.
     sch = NoiseSchedule.vp_linear()
-    orc = GaussianMixtureOracle([[0.5, -0.5]], None, sch)
-    alpha, _ = sch.alpha_sigma(0.3)
-    xs = np.array([[1.0, 2.0], [0.0, 0.0]])
-    expected = np.linalg.norm(xs - alpha * orc.centers[0], axis=-1)
-    np.testing.assert_allclose(residual_norm(orc, xs, 0.3), expected, rtol=1e-12)
+    orc = GaussianMixtureOracle(np.full((1, d), 0.4), None, sch)
+    for t in (0.15, 0.45, 0.8):
+        xs = orc.sample_diffused(stream(55, d), 40, t)
+        res = bound_check(orc, t, xs)
+        np.testing.assert_allclose(res.empirical, math.sqrt(d - 1), rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("d", [2, 8])
+def test_bound_check_matches_a_jacobian_of_the_exact_gradient(d) -> None:
+    # Reference independent of bound_check's formula: a central-difference
+    # Jacobian of r's exact gradient J v / r, with J = -sigma^2 H and v =
+    # -sigma^2 s, times r = |x - alpha ybar| from the posterior mean.
+    sch = NoiseSchedule.vp_linear()
+    orc = GaussianMixtureOracle(np.random.default_rng(56 + d).normal(scale=1.5, size=(3, d)), [0.5, 0.3, 0.2], sch)
+    for t in (0.15, 0.45, 0.8):
+        alpha, sigma = sch.alpha_sigma(t)
+        s2 = sigma * sigma
+
+        def grad_r(z):
+            score, hess = orc.derivatives(z, t, 2)
+            v = -s2 * score
+            return np.einsum("mij,mj->mi", -s2 * hess, v) / np.linalg.norm(v, axis=-1)[:, None]
+
+        xs = orc.sample_diffused(stream(57, d), 20, t)
+        r = np.linalg.norm(xs - alpha * orc.posterior_mean(xs, t), axis=-1)
+        expected = [ri * hs_norm(finite_diff_jacobian(grad_r, x)) for ri, x in zip(r, xs)]
+        np.testing.assert_allclose(bound_check(orc, t, xs).empirical, expected, rtol=1e-6)
 
 
 def test_bound_check_no_violations_on_sampled_points() -> None:
@@ -136,9 +151,9 @@ def test_bound_grows_with_delta2() -> None:
 
 
 def test_bound_check_asks_the_schedule_once_per_time(monkeypatch) -> None:
-    # residual_norm runs on every finite-difference evaluation inside
-    # bound_check; it and bound_check read alpha_t and sigma_t from the
-    # oracle's per-time table, so one time costs one schedule evaluation.
+    # bound_check reads alpha_t and sigma_t, and its derivatives calls read
+    # the level, from the oracle's per-time table, so one time costs one
+    # schedule evaluation.
     orc = GaussianMixtureOracle([[1.0, 0.0], [-0.5, 0.8], [0.3, -1.2]], [0.5, 0.3, 0.2], NoiseSchedule.vp_linear())
     xs = stream(54).standard_normal((5, 2))
     schedule = []
