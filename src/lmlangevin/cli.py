@@ -474,27 +474,20 @@ def main(argv=None) -> int:
     tic = time.perf_counter()
     args = _parser().parse_args(argv)
     try:
-        raw = Path(args.config).read_text()
-    except OSError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        doc = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        print(f"config error: not valid JSON: {exc}", file=sys.stderr)
-        return 2
-    try:
+        try:
+            doc = json.loads(Path(args.config).read_text())
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"not valid JSON: {exc}") from exc
         validate_config(doc, COMMAND_SCHEMAS[args.command])
         seed = _seed(args.command, doc, args.seed)
         ctx = _build_context(args.command, doc)
-    except ConfigError as exc:
+        if args.threads < 1:
+            raise ConfigError("--threads must be >= 1")
+    except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     chash = config_hash(doc)
     stamp = f"# config_hash={chash} seed={seed}"
-    if args.threads < 1:
-        print("config error: --threads must be >= 1", file=sys.stderr)
-        return 2
     out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)

@@ -157,12 +157,12 @@ def _exact_metric(oracle: GaussianMixtureOracle, t: float, lam: float, newton: b
             if corrected:
                 drift = drift + parts[2][..., 0, 0, 0] / (g * g)
             return drift[..., None], (xi[..., 0] / np.sqrt(g))[..., None]
-        drift = _eig_apply(g, v, score, -1.0)
         if corrected:
-            # div(P)_i = sum_j [P (dH/dx_j) P]_{ij}; dP = P dH P for P = (-H + lam I)^{-1}.
+            # dP = P dH P for P = (-H + lam I)^{-1}, so div(P)_i = sum_j [P (dH/dx_j) P]_{ij} = [P (T:P)]_i
+            # with (T:P)_a = sum_{b,j} T_abj P_bj, and P s + div P = P (s + T:P).
             p = np.einsum("...ij,...j,...kj->...ik", v, 1.0 / g, v)
-            drift = drift + np.einsum("...ia,...abj,...bj->...i", p, parts[2], p)
-        return drift, _eig_apply(g, v, xi, -0.5)
+            score = score + np.einsum("...abj,...bj->...a", parts[2], p)
+        return _eig_apply(g, v, score, -1.0), _eig_apply(g, v, xi, -0.5)
 
     return metric
 

@@ -52,16 +52,18 @@ def test_unknown_key_is_config_error(tmp_path) -> None:
     assert not out.exists()  # nothing is written on config errors
 
 
-def test_bad_json_is_config_error(tmp_path) -> None:
+def test_bad_json_is_config_error(tmp_path, capsys) -> None:
     p = tmp_path / "broken.json"
     p.write_text("{nope")
     out = tmp_path / "out"
     assert main(["sample", "--config", str(p), "--out", str(out)]) == 2
+    assert "config error: not valid JSON: " in capsys.readouterr().err
     assert not out.exists()
 
 
-def test_missing_config_file(tmp_path) -> None:
+def test_missing_config_file(tmp_path, capsys) -> None:
     assert main(["sample", "--config", str(tmp_path / "absent.json"), "--out", str(tmp_path / "o")]) == 2
+    assert "config error: [Errno 2] No such file or directory" in capsys.readouterr().err
 
 
 def test_semantic_config_errors(tmp_path, capsys) -> None:
@@ -88,6 +90,12 @@ def test_semantic_config_errors(tmp_path, capsys) -> None:
     out = tmp_path / "o4"
     assert main(["hessian-error", "--config", _write(tmp_path, "d.json", wide), "--out", str(out)]) == 2
     assert "needs dim <= 64 (got dim=65)" in capsys.readouterr().err
+    assert not out.exists()
+    # --threads is checked after the document, with the same exit and no file written
+    out = tmp_path / "o5"
+    argv = ["sample", "--config", _write(tmp_path, "e.json", _sample_doc()), "--out", str(out), "--threads", "0"]
+    assert main(argv) == 2
+    assert "config error: --threads must be >= 1" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -708,6 +716,21 @@ def test_module_help_lists_every_command() -> None:
     assert proc.returncode == 0, proc.stderr
     for command in ("sample", "compare", "stationarity", "convergence", "hessian-error", "bench"):
         assert command in proc.stdout
+
+
+def test_package_namespace_is_the_modules_all() -> None:
+    # The package re-exports each module's __all__ as the same objects, plus
+    # config's three public names and the version, with no name twice.
+    import lmlangevin
+    from lmlangevin import diagnostics, geometry, oracle, samplers, schedule
+
+    names = []
+    for module in (schedule, oracle, geometry, samplers, diagnostics):
+        for name in module.__all__:
+            assert getattr(lmlangevin, name) is getattr(module, name), name
+        names += module.__all__
+    assert len(lmlangevin.__all__) == len(set(lmlangevin.__all__))
+    assert set(lmlangevin.__all__) == {*names, "ConfigError", "config_hash", "validate_config", "__version__"}
 
 
 _NO_SCIPY_RUN = """

@@ -677,29 +677,42 @@ def test_damped_lm_requires_positive_lam() -> None:
 
 def test_corrected_drift_matches_fd_divergence() -> None:
     # The corrected variant adds div(P) with P = (-H + lam I)^{-1}; check the
-    # analytic term against finite differences of the dense inverse.
+    # analytic term against finite differences of the dense inverse, at d = 2
+    # and at d = 5 with three centers.
     sch = _unit_sigma_schedule()
-    orc = GaussianMixtureOracle([[1.0, 0.2], [-0.8, -0.5]], None, sch)
-    t, lam, h = 0.5, 0.7, 1.0
-    x = np.array([[0.35, -0.15], [1.1, 0.6]])
+    t, h = 0.5, 1.0
+    cases = [
+        (GaussianMixtureOracle([[1.0, 0.2], [-0.8, -0.5]], None, sch), 0.7, np.array([[0.35, -0.15], [1.1, 0.6]])),
+        (
+            GaussianMixtureOracle(
+                [[1.0, 0.2, -0.4, 0.0, 0.6], [-0.8, -0.5, 0.3, 0.9, -0.2], [0.1, 0.7, 0.5, -0.6, -0.9]],
+                [0.5, 0.3, 0.2],
+                sch,
+            ),
+            1.5,
+            np.array([[0.35, -0.15, 0.2, 0.4, -0.3], [1.1, 0.6, -0.5, 0.1, 0.8], [-0.4, 0.2, 0.9, -0.7, 0.05]]),
+        ),
+    ]
+    for orc, lam, x in cases:
+        d = x.shape[1]
 
-    def run_once(corrected):
-        return damped_step(x, orc, t, lam, h, stream(99), mode="exact", corrected=corrected)
+        def run_once(corrected, x=x):
+            return damped_step(x, orc, t, lam, h, stream(99), mode="exact", corrected=corrected)
 
-    div_impl = (run_once(True) - run_once(False)) / h
+        div_impl = (run_once(True) - run_once(False)) / h
 
-    fd = np.zeros_like(x)
-    step = 1e-6
-    for j in range(2):
-        e = np.zeros(2)
-        e[j] = step
-        pp = np.linalg.inv(-orc.hessian(x + e, t) + lam * np.eye(2))
-        pm = np.linalg.inv(-orc.hessian(x - e, t) + lam * np.eye(2))
-        fd += (pp[:, :, j] - pm[:, :, j]) / (2 * step)
-    np.testing.assert_allclose(div_impl, fd, rtol=1e-5, atol=1e-8)
-    # a single (d,) point takes the same corrected step as its row of a batch
-    single = damped_step(x[0], orc, t, lam, h, stream(99), mode="exact", corrected=True)
-    np.testing.assert_array_equal(single, run_once(True)[0])
+        fd = np.zeros_like(x)
+        step = 1e-6
+        for j in range(d):
+            e = np.zeros(d)
+            e[j] = step
+            pp = np.linalg.inv(-orc.hessian(x + e, t) + lam * np.eye(d))
+            pm = np.linalg.inv(-orc.hessian(x - e, t) + lam * np.eye(d))
+            fd += (pp[:, :, j] - pm[:, :, j]) / (2 * step)
+        np.testing.assert_allclose(div_impl, fd, rtol=1e-5, atol=1e-8)
+        # a single (d,) point takes the same corrected step as its row of a batch
+        single = damped_step(x[0], orc, t, lam, h, stream(99), mode="exact", corrected=True)
+        np.testing.assert_array_equal(single, run_once(True)[0])
 
 
 def test_fixed_level_snapshots() -> None:
