@@ -353,11 +353,11 @@ def _cmd_convergence(doc, ctx, threads: int):
     ok = True
     for li, fixed in enumerate(ctx["fixed"]):
         lam = fixed.lam
-        run = fixed_level_run(fixed, oracle, threads=threads)
-        times = run.times
-        vals, errs = np.empty((2, times.size))
-        # Moments per snapshot (in one pass, std copies every snapshot) and the del below keep the peak at one lam's.
-        for k, samples in enumerate(run.states[:, :, 0]):
+        vals, errs = np.empty((2, fixed.snapshot_steps.size))
+
+        def reduce(k, states):
+            # Each snapshot is reduced as the walk reaches it, so no lam's snapshots are ever held.
+            samples = states[:, 0]
             if single:
                 m_hat, s_hat = float(samples.mean()), float(samples.std(ddof=1))
                 vals[k] = chi2_gaussians(m_hat, s_hat, mu, sigma)
@@ -365,7 +365,8 @@ def _cmd_convergence(doc, ctx, threads: int):
             else:
                 # Histogram estimate: biased, trend-only; fine inside the fit window.
                 vals[k], errs[k] = chi2_histogram(samples, edges)
-        del run, samples
+
+        times = fixed_level_run(fixed, oracle, threads=threads, on_snapshot=reduce).times
 
         name = f"convergence_lam{li}.csv"
         rows = [[_f(times[k]), _f(vals[k]), _f(errs[k])] for k in range(times.size)]

@@ -30,7 +30,10 @@ Two families live here.
 Every run is one chain walk over per-block :mod:`.rng` streams, so results
 do not depend on the thread count: a denoising run takes one leg per solver
 step, a Langevin run one leg per snapshot.  A run stops at its last snapshot,
-and the chains are checked finite after every leg.
+and the chains are checked finite after every leg.  A fixed-level run can
+hand each snapshot on instead of storing it: the walk then takes its legs in
+groups of SNAPSHOT_GROUP snapshots, every block finishing a group before any
+block starts the next, so it holds one group's snapshots at a time.
 
 The walk advances each block in tiles: whole blocks for Langevin runs,
 whose noise is drawn in sequence, and cache-sized row tiles for denoising
@@ -47,6 +50,7 @@ would break tile invariance.  Every recorded array stays C-contiguous
 
 from __future__ import annotations
 
+import contextlib
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -231,8 +235,10 @@ def _tile_order(d: int) -> str:
     return "F" if d <= 2 else "C"
 
 
-def _run_chain_blocks(seed: int, outs, threads: int, init, legs, message, rows: int = _rng.BLOCK) -> np.ndarray:
-    """Fill the (snapshots, chains, d) arrays ``outs`` in place: the one walk over chains.
+def _run_chain_blocks(
+    seed: int, outs, threads: int, init, legs, message, rows: int = _rng.BLOCK, on_group=None
+) -> np.ndarray:
+    """Fill the arrays ``outs`` in place: the one walk over chains.
 
     Each block draws z standard normal from its own :mod:`.rng` stream in
     :func:`_tile_order`'s layout and advances it in tiles of at most ``rows``
@@ -243,10 +249,20 @@ def _run_chain_blocks(seed: int, outs, threads: int, init, legs, message, rows: 
     unless snap is None, writes each state entry that is not None into
     ``outs[j][snap]``.  Blocks write only their own columns, so ``outs`` does
     not depend on ``threads``.  Returns each leg's time summed over tiles and blocks.
+
+    Without ``on_group`` the walk is one group: ``outs`` are (snapshots,
+    chains, d), and each tile runs through every leg before the next tile
+    starts.  With it, every block must be one tile, and the legs are cut into
+    groups of SNAPSHOT_GROUP: every block finishes a group, whose leg
+    first + i writes row snap - first of the (SNAPSHOT_GROUP, chains, d)
+    ``outs``, before any block starts the next, and ``on_group(ks)`` then runs
+    on the calling thread with the range ks of the group's legs.
     """
     order = _tile_order(outs[0].shape[2])
+    group = len(legs) if on_group is None else SNAPSHOT_GROUP
 
-    def one(block) -> np.ndarray:
+    def walk(block):
+        # A generator over one block: it yields the block's leg times at the end of each group.
         b, (lo, hi) = block
         gen = _rng.stream(seed, b)
         z = np.asarray(gen.standard_normal((hi - lo,) + outs[0].shape[2:]), order=order)
@@ -254,7 +270,11 @@ def _run_chain_blocks(seed: int, outs, threads: int, init, legs, message, rows: 
         for a in range(lo, hi, rows):
             cols = slice(a, min(a + rows, hi))
             state, step = init(np.asarray(z[a - lo : cols.stop - lo], order=order)), 0
+            if cols.stop == hi:
+                del z  # the last tile has started: the block's draws are not needed again
             for k, (kernel, steps, snap) in enumerate(legs):
+                if k and k % group == 0:
+                    yield times  # wait here until every block has finished the group
                 tic = time.perf_counter()
                 for _ in range(steps):
                     state = kernel(state, gen)
@@ -263,17 +283,18 @@ def _run_chain_blocks(seed: int, outs, threads: int, init, legs, message, rows: 
                 if not np.isfinite(state[0]).all():
                     raise FloatingPointError(message(step, state))
                 if snap is not None:
-                    for out, part in zip(outs, state):
-                        if part is not None:
-                            out[snap, cols] = part
-        return times
+                    for j, out in enumerate(outs):
+                        if state[j] is not None:
+                            out[snap - (k - k % group), cols] = state[j]
+            del state  # the tile has ended: a finished block holds no chains while the others run
+        yield times
 
-    blocks = enumerate(_rng.block_bounds(outs[0].shape[1]))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            times = list(pool.map(one, blocks))  # list() re-raises a block's error here
-    else:
-        times = list(map(one, blocks))
+    walkers = [walk(block) for block in enumerate(_rng.block_bounds(outs[0].shape[1]))]
+    with ThreadPoolExecutor(max_workers=threads) if threads > 1 else contextlib.nullcontext() as pool:
+        for first in range(0, len(legs), group):
+            times = list((pool.map if pool else map)(next, walkers))  # list() re-raises a block's error here
+            if on_group is not None:
+                on_group(range(first, min(first + group, len(legs))))
     return np.sum(times, axis=0)
 
 
@@ -283,6 +304,11 @@ def _run_chain_blocks(seed: int, outs, threads: int, init, legs, message, rows: 
 # Bytes of float64 per chain-row tile in lml_sample: one tile's predictions,
 # guided update and solver step stay within a core's L2 cache.
 TILE_BYTES = 512 * 1024
+
+# Snapshots per group of a walk that hands each snapshot on as the blocks reach
+# it (fixed_level_run's on_snapshot): the (SNAPSHOT_GROUP, chains, d) buffer
+# stays small while one barrier over the blocks serves SNAPSHOT_GROUP snapshots.
+SNAPSHOT_GROUP = 8
 
 
 @dataclass(frozen=True)
@@ -482,15 +508,25 @@ class FixedLevelConfig:
             raise ValueError("damped-lm requires lam > 0")
         if self.variant in ("newton", "plain-langevin") and self.lam != 0.0:
             raise ValueError(f"{self.variant} takes no damping; use lam=0")
-        if self.snapshot_every is not None and self.snapshot_every < 1:
-            raise ValueError("snapshot_every must be >= 1")
+        if self.snapshot_every is not None and not 1 <= self.snapshot_every <= self.n_steps:
+            raise ValueError(f"snapshot_every must lie in [1, n_steps = {self.n_steps}]")
         if not self.init_std >= 0.0:
             raise ValueError("init_std must be >= 0")
+
+    @property
+    def snapshot_steps(self) -> np.ndarray:
+        """The steps after which the snapshots are taken."""
+        if self.snapshot_every is None:
+            return np.array([self.n_steps], dtype=np.int64)
+        return np.arange(0, self.n_steps + 1, self.snapshot_every, dtype=np.int64)
 
 
 @dataclass
 class FixedLevelRun:
-    """Snapshots of a fixed-level study; states[k] was taken after snapshot_steps[k] steps; final_states is the last."""
+    """Snapshots of a fixed-level study; states[k] was taken after snapshot_steps[k] steps; final_states is the last.
+
+    A run that handed its snapshots on keeps only the last: ``states`` is then (1, chains, d).
+    """
 
     snapshot_steps: np.ndarray
     times: np.ndarray
@@ -502,7 +538,10 @@ class FixedLevelRun:
 
 
 def _fixed_level_kernel(cfg: FixedLevelConfig, oracle: GaussianMixtureOracle):
-    """Build the per-step transition closure for the configured variant: its metric is built once, here."""
+    """Build the per-step transition closure for the configured variant: its metric is built once, here.
+
+    The closure may update the positions it is given in place, so the one-step functions pass it a copy.
+    """
     t, lam, h = cfg.t, cfg.lam, cfg.h
     if cfg.variant == "plain-langevin":
         metric = _identity_metric(lambda x: oracle.score(x, t))
@@ -520,14 +559,15 @@ def _fixed_level_kernel(cfg: FixedLevelConfig, oracle: GaussianMixtureOracle):
         sd = np.sqrt(2.0 * h) / np.sqrt(g)
 
         def kernel(x, gen):
-            # x + c1 * (mu - x) + sd * z, bit for bit, with two fresh arrays per step.
+            # x + c1 * (mu - x) + sd * z, bit for bit, in place with one fresh array at a time.
             step = mu - x
             step *= c1
-            step += x
+            x += step
+            del step
             noise = gen.standard_normal(x.shape)
             noise *= sd
-            step += noise
-            return step
+            x += noise
+            return x
 
         return kernel
     else:
@@ -535,27 +575,50 @@ def _fixed_level_kernel(cfg: FixedLevelConfig, oracle: GaussianMixtureOracle):
     return lambda x, gen: _langevin_step(x, metric, h, gen)
 
 
-def fixed_level_run(cfg: FixedLevelConfig, oracle: GaussianMixtureOracle, threads: int = 1) -> FixedLevelRun:
+def fixed_level_run(
+    cfg: FixedLevelConfig, oracle: GaussianMixtureOracle, threads: int = 1, on_snapshot=None
+) -> FixedLevelRun:
     """Evolve a chain ensemble at a frozen level, recording snapshots.
 
     Chains are advanced block by block with per-block random streams, so the
     result is independent of ``threads``; the run stops at its last snapshot.
     Each snapshot is checked finite as it is taken, so a numeric blow-up
     raises FloatingPointError naming the variant and the step.
+
+    With ``on_snapshot``, the walk hands on each snapshot as every block has
+    reached it: ``on_snapshot(k, states)`` runs in snapshot order on the
+    calling thread, ``states`` being a (chains, d) view into a reused buffer
+    that is valid during the call only.  The run then holds only the final
+    snapshot, so ``states`` is (1, chains, d); the bits are those of a run
+    that stores every snapshot.
     """
-    if cfg.snapshot_every is None:
-        snap = np.array([cfg.n_steps], dtype=np.int64)
-    else:
-        snap = np.arange(0, cfg.n_steps + 1, cfg.snapshot_every, dtype=np.int64)
+    snap = cfg.snapshot_steps
     kernel = _fixed_level_kernel(cfg, oracle)
-    legs = [
-        (lambda state, gen: (kernel(state[0], gen),), int(steps), k) for k, steps in enumerate(np.diff(snap, prepend=0))
-    ]
-    states = np.empty((snap.size, cfg.chains, oracle.dim))
+
+    def advance(state, gen):
+        return (kernel(state[0], gen),)
+
+    legs = [(advance, int(steps), k) for k, steps in enumerate(np.diff(snap, prepend=0))]
+    held = snap.size if on_snapshot is None else min(SNAPSHOT_GROUP, snap.size)
+    states = np.empty((held, cfg.chains, oracle.dim))
+
+    def start(z):
+        # init_mean + init_std * z, bit for bit, with one array beside z rather than two
+        x = cfg.init_std * z
+        x += cfg.init_mean
+        return (x,)
+
+    def on_group(ks):
+        for i, k in enumerate(ks):
+            on_snapshot(k, states[i])
+
     _run_chain_blocks(
-        cfg.seed, (states,), threads, lambda z: (cfg.init_mean + cfg.init_std * z,), legs,
+        cfg.seed, (states,), threads, start, legs,
         lambda step, _: f"fixed-level {cfg.variant} run produced non-finite states at step {step}",
+        on_group=None if on_snapshot is None else on_group,
     )
+    if on_snapshot is not None:
+        states = states[(snap.size - 1) % held, None].copy()
     return FixedLevelRun(snapshot_steps=snap, times=snap * cfg.h, states=states)
 
 
@@ -568,7 +631,7 @@ def newton_langevin_step(x, oracle: GaussianMixtureOracle, t: float, h: float, r
     NotLogConcaveError.
     """
     cfg = FixedLevelConfig(t=t, h=h, n_steps=1, variant="newton")
-    return _fixed_level_kernel(cfg, oracle)(np.asarray(x, dtype=np.float64), rng)
+    return _fixed_level_kernel(cfg, oracle)(np.array(x, dtype=np.float64), rng)
 
 
 # damped_step's (mode, corrected) -> the fixed-level variant it takes one step of
@@ -609,4 +672,4 @@ def damped_step(
             f"no damped step for mode={mode!r}, corrected={corrected}; modes: exact, rank1 (div P in exact only)"
         )
     cfg = FixedLevelConfig(t=t, h=h, n_steps=1, variant=variant, lam=lam)
-    return _fixed_level_kernel(cfg, oracle)(np.asarray(x, dtype=np.float64), rng)
+    return _fixed_level_kernel(cfg, oracle)(np.array(x, dtype=np.float64), rng)

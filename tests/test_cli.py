@@ -11,8 +11,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lmlangevin import GaussianMixtureOracle
+from lmlangevin import FixedLevelConfig, GaussianMixtureOracle, cli, fixed_level_run
 from lmlangevin.cli import main
+from lmlangevin.config import build_oracle, build_schedule
+from lmlangevin.diagnostics import chi2_gaussians, chi2_histogram, equal_mass_edges
+from lmlangevin.rng import BLOCK
+from lmlangevin.samplers import SNAPSHOT_GROUP
 
 
 def _write(tmp_path, name, doc):
@@ -96,6 +100,13 @@ def test_semantic_config_errors(tmp_path, capsys) -> None:
     argv = ["sample", "--config", _write(tmp_path, "e.json", _sample_doc()), "--out", str(out), "--threads", "0"]
     assert main(argv) == 2
     assert "config error: --threads must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+    # a snapshot interval longer than the run would take no step at all
+    conv = dict(stat, lams=[1.0], n_steps=10, snapshot_every=20)
+    del conv["lam"]
+    out = tmp_path / "o6"
+    assert main(["convergence", "--config", _write(tmp_path, "f.json", conv), "--out", str(out)]) == 2
+    assert "config error: config: snapshot_every must lie in [1, n_steps = 10]" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -610,6 +621,58 @@ def test_convergence_gates_no_gaussian_rate_on_a_mixture(tmp_path) -> None:
     assert entry["r_squared"] > 0.95
 
 
+@pytest.mark.parametrize(
+    "oracle, variant, lams, extra",
+    [
+        ({"centers": [[0.0]]}, "damped-exact", [0.0, 1.0], {"h": 0.05, "n_steps": 60, "snapshot_every": 3}),
+        (
+            {"centers": [[0.6], [-0.6]]}, "plain-langevin", [0.0],
+            {"h": 0.01, "n_steps": 300, "snapshot_every": 11, "init": {"mean": 2.0, "std": 0.5},
+             "fit_window": [0.01, 0.5]},
+        ),
+    ],
+    ids=["moments", "histogram"],
+)
+def test_convergence_rows_are_the_stored_snapshots(tmp_path, oracle, variant, lams, extra) -> None:
+    # convergence reduces each snapshot as the walk hands it on, in groups
+    # that do not divide the snapshot count, over a partial last block: its
+    # rows do not depend on --threads and are, bit for bit, the chi-square of
+    # a storing run's snapshots.
+    doc = {
+        "schedule": {"kind": "ve", "sigma_min": 0.01, "sigma_max": 100.0},
+        "oracle": oracle, "t": 0.5, "variant": variant, "lams": lams, "chains": 2 * BLOCK + 5, "seed": 8, **extra,
+    }
+    config = _write(tmp_path, "c.json", doc)
+    for threads in (1, 2):
+        argv = ["convergence", "--config", config, "--out", str(tmp_path / f"t{threads}"), "--threads", str(threads)]
+        assert main(argv) == 0
+    schedule = build_schedule(doc["schedule"])
+    orc = build_oracle(doc["oracle"], schedule)
+    alpha, sigma = orc._level(0.5)
+    edges = equal_mass_edges(lambda q: orc.marginal_quantile(q, 0.5), 64)
+    init = extra.get("init", {"mean": 0.5, "std": 1.0})
+    for i, lam in enumerate(lams):
+        name = f"convergence_lam{i}.csv"
+        text = (tmp_path / "t1" / name).read_text()
+        assert (tmp_path / "t2" / name).read_text() == text
+        cfg = FixedLevelConfig(
+            t=0.5, h=extra["h"], n_steps=extra["n_steps"], variant=variant, lam=lam, chains=2 * BLOCK + 5,
+            snapshot_every=extra["snapshot_every"], init_mean=init["mean"], init_std=init["std"], seed=8,
+        )
+        run = fixed_level_run(cfg, orc)
+        assert run.states.shape[0] % SNAPSHOT_GROUP != 0
+        rows = []
+        for when, states in zip(run.times, run.states[:, :, 0]):
+            if len(oracle["centers"]) == 1:
+                m, s = float(states.mean()), float(states.std(ddof=1))
+                mu = alpha * oracle["centers"][0][0]
+                value, err = chi2_gaussians(m, s, mu, sigma), cli._gaussian_chi2_stderr(m, s, mu, sigma, states.size)
+            else:
+                value, err = chi2_histogram(states, edges)
+            rows.append(",".join(cli._f(v) for v in (when, value, err)))
+        assert text.splitlines()[2:] == rows
+
+
 def test_convergence_bins_each_snapshot_once(tmp_path, monkeypatch) -> None:
     # The histogram branch reads a snapshot's chi-square and its stderr off one binning.
     doc = {
@@ -640,8 +703,8 @@ def test_convergence_bins_each_snapshot_once(tmp_path, monkeypatch) -> None:
 
 
 def test_convergence_keeps_one_lam_alive(tmp_path) -> None:
-    # Each lam's snapshot array is read and dropped before the next lam runs,
-    # so three lams peak near one array rather than three.
+    # Each snapshot is reduced as the walk hands it on, so no lam's
+    # (151, 12000) snapshot array is built, let alone three of them.
     doc = {
         "schedule": {"kind": "ve", "sigma_min": 0.01, "sigma_max": 100.0},
         "oracle": {"centers": [[0.0]]},
@@ -663,7 +726,7 @@ def test_convergence_keeps_one_lam_alive(tmp_path) -> None:
         tracemalloc.stop()
     assert rc == 0
     one_lam = (300 // 2 + 1) * 12000 * 8
-    assert peak <= 1.5 * one_lam
+    assert peak <= 0.25 * one_lam
 
 
 # ---------------------------------------------------------------------------

@@ -597,7 +597,7 @@ def test_public_steps_are_one_step_of_the_fixed_level_chain(variant, centers) ->
     # One block of chains (<= BLOCK) draws its start and every step's noise
     # from stream(seed, 0); n public steps on that generator must land on the
     # run's final states bit for bit, on the single-component 1-d OU update
-    # as on the generic metrics.
+    # as on the generic metrics, and leave the caller's positions as they were.
     orc = GaussianMixtureOracle(centers, None, _unit_sigma_schedule())
     lam = 0.0 if variant == "newton" else 0.5
     cfg = FixedLevelConfig(
@@ -606,7 +606,10 @@ def test_public_steps_are_one_step_of_the_fixed_level_chain(variant, centers) ->
     gen = stream(cfg.seed, 0)
     x = cfg.init_mean + cfg.init_std * gen.standard_normal((cfg.chains, orc.dim))
     for _ in range(cfg.n_steps):
-        x = _ONE_STEP_CALLS[variant](x, orc, cfg, gen)
+        before = x.copy()
+        y = _ONE_STEP_CALLS[variant](x, orc, cfg, gen)
+        np.testing.assert_array_equal(x, before)
+        x = y
     np.testing.assert_array_equal(x, fixed_level_run(cfg, orc).final_states)
 
 
@@ -788,6 +791,51 @@ def test_fixed_level_snapshots_are_filled_in_place(threads) -> None:
     assert peak <= 1.2 * run.states.nbytes
 
 
+@pytest.mark.parametrize("group", [1, 3, 8])
+def test_streamed_snapshots_are_the_stored_ones(monkeypatch, group) -> None:
+    # Handed on in groups across a partial last block, on the OU shortcut and
+    # the generic posterior path, the snapshots carry a storing run's bits
+    # in snapshot order, and the run keeps the last of them.
+    monkeypatch.setattr(samplers, "SNAPSHOT_GROUP", group)
+    sch = _unit_sigma_schedule()
+    ou = GaussianMixtureOracle([[0.0]], None, sch)
+    mixture = GaussianMixtureOracle([[1.5], [-1.5]], [0.7, 0.3], sch)
+    for orc, variant, lam in ((ou, "damped-exact", 1.0), (mixture, "damped-exact-corrected", 2.0)):
+        cfg = FixedLevelConfig(
+            t=0.5, h=0.01, n_steps=20, variant=variant, lam=lam, chains=2 * BLOCK + 5, snapshot_every=2, seed=6
+        )
+        stored = fixed_level_run(cfg, orc)
+        for threads in (1, 2):
+            seen = []
+            run = fixed_level_run(cfg, orc, threads, lambda k, states: seen.append((k, states.copy())))
+            assert [k for k, _ in seen] == list(range(11))
+            assert np.array_equal(np.stack([states for _, states in seen]), stored.states)
+            assert run.states.shape == (1, 2 * BLOCK + 5, 1)
+            assert np.array_equal(run.final_states, stored.final_states)
+            np.testing.assert_array_equal(run.snapshot_steps, stored.snapshot_steps)
+
+
+def test_streamed_snapshots_hold_one_group() -> None:
+    # 101 snapshots handed on: the run holds one group's buffer, the blocks'
+    # states and one step's temporary, not the (101, chains, 1) array.  One
+    # thread: every block stepping at once would add its own temporary.
+    orc = GaussianMixtureOracle([[0.0]], None, _unit_sigma_schedule())
+    cfg = FixedLevelConfig(
+        t=0.5, h=0.01, n_steps=100, variant="damped-exact", lam=1.0,
+        chains=2 * BLOCK + 5, snapshot_every=1, seed=4,
+    )
+    seen = []
+    fixed_level_run(cfg, orc, on_snapshot=lambda k, states: None)  # warm-up: first-call allocations are not the run's
+    tracemalloc.start()
+    try:
+        run = fixed_level_run(cfg, orc, on_snapshot=lambda k, states: seen.append(k))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert seen == list(range(101)) and run.states.shape == (1, 2 * BLOCK + 5, 1)
+    assert peak < (samplers.SNAPSHOT_GROUP + 2) * cfg.chains * 1 * 8
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_fixed_level_blowup_raises() -> None:
     sch = _unit_sigma_schedule()
@@ -814,6 +862,9 @@ def test_fixed_level_config_validation() -> None:
         FixedLevelConfig(t=0.5, h=0.0, n_steps=10, variant="plain-langevin")
     with pytest.raises(ValueError, match="snapshot_every"):
         FixedLevelConfig(t=0.5, h=0.01, n_steps=10, variant="plain-langevin", snapshot_every=0)
+    # a first snapshot past n_steps would leave the run at its start
+    with pytest.raises(ValueError, match="snapshot_every"):
+        FixedLevelConfig(t=0.5, h=0.01, n_steps=10, variant="plain-langevin", snapshot_every=20)
 
 
 def test_stationarity_ks_smoke() -> None:
