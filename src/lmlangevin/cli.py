@@ -327,10 +327,8 @@ def _gaussian_chi2_stderr(m: float, s: float, m2: float, s2: float, n: int) -> f
 
 
 def _reference_rate(variant: str, lam: float, sigma: float):
-    if variant in ("damped-exact", "damped-exact-corrected"):
-        return 2.0 / (1.0 + lam * sigma * sigma)
-    if variant == "newton":
-        return 2.0
+    if variant in ("newton", "damped-exact", "damped-exact-corrected"):
+        return 2.0 / (1.0 + lam * sigma * sigma)  # newton is lam = 0: exactly 2.0
     if variant == "plain-langevin":
         return 2.0 / (sigma * sigma)
     return None  # damped-lm: state-dependent preconditioner, no closed form

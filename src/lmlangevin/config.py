@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import copy
 import hashlib
+import inspect
 import json
 
 import numpy as np
@@ -355,26 +356,19 @@ COMMAND_SCHEMAS = {
 # builders (run only after validation)
 
 
-_SCHEDULE_KEYS = {
-    VP_LINEAR: {"beta_min", "beta_max"},
-    VE: {"sigma_min", "sigma_max"},
-    COSINE: {"offset", "t_max"},
-}
+# Each kind's constructor; its signature names the keys the kind takes.
+_SCHEDULE_BUILDERS = {VP_LINEAR: NoiseSchedule.vp_linear, VE: NoiseSchedule.ve, COSINE: NoiseSchedule.cosine}
 
 
 def build_schedule(block: dict) -> NoiseSchedule:
     kind = block["kind"]
-    extra = set(block) - {"kind"}
-    stray = extra - _SCHEDULE_KEYS[kind]
+    build = _SCHEDULE_BUILDERS[kind]
+    params = {k: v for k, v in block.items() if k != "kind"}
+    stray = set(params) - set(inspect.signature(build).parameters)
     if stray:
         raise ConfigError(f"config.schedule: keys {sorted(stray)} do not apply to kind {kind!r}")
-    params = {k: block[k] for k in extra}
     try:
-        if kind == VP_LINEAR:
-            return NoiseSchedule.vp_linear(**params)
-        if kind == VE:
-            return NoiseSchedule.ve(**params)
-        return NoiseSchedule.cosine(**params)
+        return build(**params)
     except ValueError as exc:
         raise ConfigError(f"config.schedule: {exc}") from exc
 

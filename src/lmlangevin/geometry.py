@@ -19,7 +19,8 @@ b = kappa (|c|^2 + kappa <c,delta>): four row dot products and no mixed
 vector, so no difference of nearly equal vectors.
 
 All vector routines accept a single vector ``(d,)`` or a row batch ``(m, d)``
-and treat rows independently.  They return arrays in their input's memory
+and treat rows independently; the damped inverse operators broadcast a single
+eps or v against a batch of the other.  They return arrays in their input's memory
 order; at d <= 2 each row dot is at most one addition, so an F-ordered batch
 (chains innermost, the samplers' tile layout there) gets the C batch's bits.
 """
@@ -62,11 +63,6 @@ class DampedGeometryConfig:
             raise ValueError("lam must be finite and > 0")
         if not (np.isfinite(self.kappa) and 0.0 <= self.kappa < 1.0):
             raise ValueError("kappa must lie in [0, 1)")
-
-
-def _rows(v):
-    v = np.asarray(v, dtype=np.float64)
-    return (v[None, :], True) if v.ndim == 1 else (v, False)
 
 
 # einsum sums a lone row as one flat reduction, in chunks of its iterator's
@@ -137,7 +133,7 @@ def _rank1_factors(eps, sigma_t: float, lam: float):
     directly rather than as (1 - beta)/lam with beta = 1/(1 + sigma_t^2 lam),
     which cancels when sigma_t^2 lam is small.  Rows with eps = 0 get u = 0.
     """
-    e, _ = _rows(eps)
+    e = np.asarray(eps, dtype=np.float64)
     n2 = _row_dot(e, e)
     if sigma_t <= 0.0 or not lam > 0.0:
         raise ValueError("need sigma_t > 0 and lam > 0")
@@ -148,14 +144,14 @@ def _rank1_factors(eps, sigma_t: float, lam: float):
 
 
 def _split_apply(u, v, across, along):
-    """across * (w - u <u,w>) + along * u <u,w> row-wise, for v of shape (d,) or (m, d)."""
-    w, single = _rows(v)
+    """across * (w - u <u,w>) + along * u <u,w> row-wise; u and v of shape (d,) or (m, d) broadcast."""
+    w = np.asarray(v, dtype=np.float64)
     par = u * _row_dot(u, w)
     out = w - par
     out *= across
     par *= along
     out += par
-    return out[0] if single else out
+    return out
 
 
 def damped_inverse_apply(eps, sigma_t: float, lam: float, v):

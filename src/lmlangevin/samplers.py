@@ -17,7 +17,8 @@ Two families live here.
   - identity, P = I over a score callable: ``plain-langevin``, and the
     annealed loop with s = -eps/sigma;
   - exact, P = (-H + lam I)^{-1} with s, H and grad H (for div P) from one
-    oracle call: ``newton`` (lam = 0), ``damped-exact[-corrected]``;
+    oracle call: ``damped-exact[-corrected]``, and ``newton``, which is
+    ``damped-exact`` at lam = 0;
   - rank-1, the damped rank-1 proxy without div P on any
     :class:`~.oracle.ScoreProvider` and sigma, with s = -eps/sigma:
     ``damped-lm``.
@@ -94,12 +95,12 @@ FIXED_LEVEL_VARIANTS = (
 )
 
 
-class NotLogConcaveError(ValueError):
-    """The target is not log-concave at the current point; Newton preconditioning fails."""
-
-
 class DampingTooSmallError(ValueError):
     """Damping cannot make the curvature positive definite; message names the needed lam."""
+
+
+class NotLogConcaveError(DampingTooSmallError):
+    """The undamped (lam = 0, Newton) curvature is not positive definite: the target is not log-concave there."""
 
 
 # ---------------------------------------------------------------------------
@@ -127,14 +128,14 @@ def _identity_metric(score):
     return lambda x, xi: (score(x), xi)
 
 
-def _exact_metric(oracle: GaussianMixtureOracle, t: float, lam: float, newton: bool, corrected: bool = False):
+def _exact_metric(oracle: GaussianMixtureOracle, t: float, lam: float, corrected: bool = False):
     """The exact metric P = (-H + lam I)^{-1} at level t, with div P added to the drift when ``corrected``.
 
     Each call takes the score s, the Hessian H and, when ``corrected``, its
     gradient from one oracle call.  A d == 1 metric is a scalar and is applied
     by division; larger ones go through ``eigh``.  A metric that is not
-    positive definite raises NotLogConcaveError (``newton``) or
-    DampingTooSmallError naming the damping it would need.
+    positive definite raises DampingTooSmallError naming the damping it would
+    need, as its subclass NotLogConcaveError at lam = 0.
     """
     order = 3 if corrected else 2
 
@@ -151,9 +152,7 @@ def _exact_metric(oracle: GaussianMixtureOracle, t: float, lam: float, newton: b
             g = w + lam
         gmin = float(g.min())
         if gmin <= 0.0:
-            if newton:
-                raise NotLogConcaveError(f"-hessian has min eigenvalue {gmin:.3e} <= 0; Newton step undefined")
-            raise DampingTooSmallError(
+            raise (NotLogConcaveError if lam == 0.0 else DampingTooSmallError)(
                 f"lam={lam:g} leaves the damped curvature indefinite; need lam > {lam - gmin:.6g}"
             )
         if d == 1:
@@ -571,7 +570,7 @@ def _fixed_level_kernel(cfg: FixedLevelConfig, oracle: GaussianMixtureOracle):
 
         return kernel
     else:
-        metric = _exact_metric(oracle, t, lam, cfg.variant == "newton", cfg.variant == "damped-exact-corrected")
+        metric = _exact_metric(oracle, t, lam, cfg.variant == "damped-exact-corrected")
     return lambda x, gen: _langevin_step(x, metric, h, gen)
 
 
@@ -625,13 +624,10 @@ def fixed_level_run(
 def newton_langevin_step(x, oracle: GaussianMixtureOracle, t: float, h: float, rng: np.random.Generator):
     """Langevin at level t preconditioned by P = (-grad^2 log p_t)^{-1}: one step of the ``newton`` chain.
 
-    Requires the target to be log-concave at x; noise enters through the
-    symmetric square root P^{1/2}.  This is the exact step of
-    :func:`damped_step` at lam = 0, except that an indefinite Hessian raises
-    NotLogConcaveError.
+    This is the exact :func:`damped_step` at lam = 0, so where the target is
+    not log-concave at x it raises NotLogConcaveError.
     """
-    cfg = FixedLevelConfig(t=t, h=h, n_steps=1, variant="newton")
-    return _fixed_level_kernel(cfg, oracle)(np.array(x, dtype=np.float64), rng)
+    return damped_step(x, oracle, t, 0.0, h, rng)
 
 
 # damped_step's (mode, corrected) -> the fixed-level variant it takes one step of
@@ -656,8 +652,9 @@ def damped_step(
       oracle's exact Hessian, taken with the score (and, when corrected, the
       Hessian gradient) from one
       :meth:`~.oracle.GaussianMixtureOracle.derivatives` call.  lam = 0 is
-      the Newton metric of :func:`newton_langevin_step`, which raises
-      NotLogConcaveError where this raises DampingTooSmallError.
+      the Newton metric (:func:`newton_langevin_step`).  A G that is not
+      positive definite raises DampingTooSmallError naming the lam it needs,
+      as NotLogConcaveError at lam = 0.
     * mode ``"rank1"`` (``damped-lm``) uses the O(d) damped rank-1 proxy
       built from the oracle's noise prediction, with its closed-form square
       root, and takes the score s = -eps/sigma from that same prediction.

@@ -4,15 +4,16 @@ A schedule fixes the marginal perturbation kernel of the forward process,
 
     x_t = alpha(t) * x_0 + sigma(t) * z,   z ~ N(0, I),
 
-through the pair (alpha(t), sigma(t)) on t in [t_min, t_max].  Three kinds
-are supported:
+through the pair (alpha(t), sigma(t)) on t in [0, t_max].  Three kinds are
+supported, each built by its constructor, which states its parameters:
 
 * ``vp-linear``: variance preserving with beta(t) = beta_min + t*(beta_max-beta_min),
   so log alpha(t) = -t^2*(beta_max-beta_min)/4 - t*beta_min/2 and
   sigma = sqrt(1 - alpha^2).
 * ``ve``: variance exploding, alpha = 1 and sigma(t) = sigma_min*(sigma_max/sigma_min)^t.
 * ``cosine``: variance preserving with alpha(t) = cos(theta(t))/cos(theta(0)),
-  theta(t) = (t+s)/(1+s) * pi/2.
+  theta(t) = (t+s)/(1+s) * pi/2.  alpha(1) = 0, so it takes a t_max below 1;
+  the other kinds run to t_max = 1.
 
 All derived quantities (log-SNR, drift/diffusion coefficients) are exposed in
 closed form; finite-difference agreement is enforced by the test suite.
@@ -49,15 +50,15 @@ class UnsupportedScheduleError(ValueError):
     """Raised when an operation meets a schedule kind it cannot handle."""
 
 
-def _as_time(t, t_min: float, t_max: float):
-    """Validate t against [t_min, t_max] and return it as a float64 array."""
+def _as_time(t, t_max: float):
+    """Validate t against [0, t_max] and return it as a float64 array."""
     ts = np.asarray(t, dtype=np.float64)
     if not np.all(np.isfinite(ts)):
         raise ValueError("time contains non-finite entries")
     lo, hi = float(np.min(ts)), float(np.max(ts))
-    if lo < t_min - 1e-12 or hi > t_max + 1e-12:
+    if lo < -1e-12 or hi > t_max + 1e-12:
         raise ValueError(
-            f"time out of range: got [{lo}, {hi}], schedule supports [{t_min}, {t_max}]"
+            f"time out of range: got [{lo}, {hi}], schedule supports [0.0, {t_max}]"
         )
     return ts
 
@@ -68,14 +69,13 @@ class NoiseSchedule:
 
     kind: str
     params: dict = field(default_factory=dict)
-    t_min: float = 0.0
     t_max: float = 1.0
 
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise UnsupportedScheduleError(f"unknown schedule kind {self.kind!r}")
-        if not (0.0 <= self.t_min < self.t_max):
-            raise ValueError("need 0 <= t_min < t_max")
+        if not 0.0 < self.t_max:
+            raise ValueError("need t_max > 0")
         p = self.params
         if self.kind == VP_LINEAR:
             if not (0.0 < p["beta_min"] < p["beta_max"]):
@@ -93,33 +93,16 @@ class NoiseSchedule:
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def vp_linear(
-        cls,
-        beta_min: float = 0.1,
-        beta_max: float = 20.0,
-        t_min: float = 0.0,
-        t_max: float = 1.0,
-    ) -> "NoiseSchedule":
-        return cls(VP_LINEAR, {"beta_min": float(beta_min), "beta_max": float(beta_max)}, t_min, t_max)
+    def vp_linear(cls, beta_min: float = 0.1, beta_max: float = 20.0) -> "NoiseSchedule":
+        return cls(VP_LINEAR, {"beta_min": float(beta_min), "beta_max": float(beta_max)})
 
     @classmethod
-    def ve(
-        cls,
-        sigma_min: float = 0.01,
-        sigma_max: float = 50.0,
-        t_min: float = 0.0,
-        t_max: float = 1.0,
-    ) -> "NoiseSchedule":
-        return cls(VE, {"sigma_min": float(sigma_min), "sigma_max": float(sigma_max)}, t_min, t_max)
+    def ve(cls, sigma_min: float = 0.01, sigma_max: float = 50.0) -> "NoiseSchedule":
+        return cls(VE, {"sigma_min": float(sigma_min), "sigma_max": float(sigma_max)})
 
     @classmethod
-    def cosine(
-        cls,
-        offset: float = 0.008,
-        t_min: float = 0.0,
-        t_max: float = 0.999,
-    ) -> "NoiseSchedule":
-        return cls(COSINE, {"offset": float(offset)}, t_min, t_max)
+    def cosine(cls, offset: float = 0.008, t_max: float = 0.999) -> "NoiseSchedule":
+        return cls(COSINE, {"offset": float(offset)}, t_max)
 
     # -- internals ------------------------------------------------------
 
@@ -128,12 +111,10 @@ class NoiseSchedule:
         if self.kind == VP_LINEAR:
             bmin, bmax = self.params["beta_min"], self.params["beta_max"]
             return -0.25 * ts * ts * (bmax - bmin) - 0.5 * ts * bmin
-        if self.kind == COSINE:
-            s = self.params["offset"]
-            theta = (ts + s) / (1.0 + s) * (math.pi / 2.0)
-            theta0 = s / (1.0 + s) * (math.pi / 2.0)
-            return np.log(np.cos(theta)) - math.log(math.cos(theta0))
-        raise UnsupportedScheduleError(f"no log-alpha for kind {self.kind!r}")
+        s = self.params["offset"]
+        theta = (ts + s) / (1.0 + s) * (math.pi / 2.0)
+        theta0 = s / (1.0 + s) * (math.pi / 2.0)
+        return np.log(np.cos(theta)) - math.log(math.cos(theta0))
 
     def _log_sigma(self, ts):
         if self.kind == VE:
@@ -148,7 +129,7 @@ class NoiseSchedule:
 
     def alpha_sigma(self, t):
         """Return (alpha(t), sigma(t)); vectorized over t."""
-        ts = _as_time(t, self.t_min, self.t_max)
+        ts = _as_time(t, self.t_max)
         if self.kind == VE:
             alpha = np.ones_like(ts)
             sigma = np.exp(self._log_sigma(ts))
@@ -161,7 +142,7 @@ class NoiseSchedule:
 
     def log_snr(self, t):
         """log(alpha/sigma), strictly decreasing in t for every supported kind."""
-        ts = _as_time(t, self.t_min, self.t_max)
+        ts = _as_time(t, self.t_max)
         if self.kind == VE:
             return -self._log_sigma(ts)
         return self._log_alpha(ts) - self._log_sigma(ts)
@@ -173,7 +154,7 @@ class NoiseSchedule:
         the VP kinds collapses to g^2 = -2 f (identity alpha^2 + sigma^2 = 1)
         and for VE to g^2 = d sigma^2 / dt.
         """
-        ts = _as_time(t, self.t_min, self.t_max)
+        ts = _as_time(t, self.t_max)
         if self.kind == VP_LINEAR:
             bmin, bmax = self.params["beta_min"], self.params["beta_max"]
             beta = bmin + ts * (bmax - bmin)
@@ -183,12 +164,10 @@ class NoiseSchedule:
             theta = (ts + s) / (1.0 + s) * (math.pi / 2.0)
             f = -(math.pi / (2.0 * (1.0 + s))) * np.tan(theta)
             return f, -2.0 * f
-        if self.kind == VE:
-            smin, smax = self.params["sigma_min"], self.params["sigma_max"]
-            rate = 2.0 * math.log(smax / smin)
-            sigma2 = np.exp(2.0 * self._log_sigma(ts))
-            return np.zeros_like(ts), rate * sigma2
-        raise UnsupportedScheduleError(f"no drift/diffusion for kind {self.kind!r}")
+        smin, smax = self.params["sigma_min"], self.params["sigma_max"]
+        rate = 2.0 * math.log(smax / smin)
+        sigma2 = np.exp(2.0 * self._log_sigma(ts))
+        return np.zeros_like(ts), rate * sigma2
 
 
 @dataclass(frozen=True)
@@ -241,6 +220,6 @@ def make_grid(schedule: NoiseSchedule, n_steps: int, eps_clip: float = 1e-3) -> 
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
-    if not (max(schedule.t_min, 0.0) < eps_clip < schedule.t_max):
-        raise ValueError(f"eps_clip must lie in ({schedule.t_min}, {schedule.t_max})")
+    if not (0.0 < eps_clip < schedule.t_max):
+        raise ValueError(f"eps_clip must lie in (0.0, {schedule.t_max})")
     return TimestepGrid(schedule, np.linspace(schedule.t_max, eps_clip, n_steps + 1))

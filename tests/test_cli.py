@@ -110,6 +110,42 @@ def test_semantic_config_errors(tmp_path, capsys) -> None:
     assert not out.exists()
 
 
+def test_schedule_keys_follow_the_kind(tmp_path, capsys) -> None:
+    # A kind takes the keys its constructor names: cosine takes offset and t_max ...
+    doc = _sample_doc()
+    doc["schedule"] = {"kind": "cosine", "offset": 0.01, "t_max": 0.99}
+    out = tmp_path / "cosine"
+    assert main(["sample", "--config", _write(tmp_path, "cosine.json", doc), "--out", str(out)]) == 0
+    assert _data_rows(out / "samples.csv").shape == (64, 3)
+    # ... and a key of another kind is a config error that writes nothing
+    for stray, schedule in (
+        ("t_max", {"kind": "vp-linear", "t_max": 0.5}),
+        ("offset", {"kind": "ve", "sigma_min": 0.01, "sigma_max": 100.0, "offset": 0.01}),
+    ):
+        doc["schedule"] = schedule
+        out = tmp_path / stray
+        assert main(["sample", "--config", _write(tmp_path, f"{stray}.json", doc), "--out", str(out)]) == 2
+        assert f"config.schedule: keys ['{stray}'] do not apply to kind '{schedule['kind']}'" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_centers_csv_is_the_inline_centers(tmp_path) -> None:
+    inline = _sample_doc()
+    (tmp_path / "centers.csv").write_text("1.0,0.0\n-1.0,0.0\n")
+    from_csv = dict(inline, oracle={"centers_csv": str(tmp_path / "centers.csv")})
+    outs = []
+    for name, doc in (("inline", inline), ("csv", from_csv)):
+        outs.append(tmp_path / name)
+        assert main(["sample", "--config", _write(tmp_path, f"{name}.json", doc), "--out", str(outs[-1])]) == 0
+    # the same data, under each document's own config hash
+    a, b = ((out / "samples.csv").read_bytes().split(b"\n", 1) for out in outs)
+    assert a[1] == b[1]
+    metas = [_meta(out) for out in outs]
+    for meta in metas:
+        del meta["timing"], meta["config_hash"]
+    assert metas[0] == metas[1]
+
+
 def test_malformed_fit_window_is_config_error(tmp_path) -> None:
     doc = {
         "schedule": {"kind": "ve", "sigma_min": 0.01, "sigma_max": 100.0},
@@ -619,6 +655,32 @@ def test_convergence_gates_no_gaussian_rate_on_a_mixture(tmp_path) -> None:
     (entry,) = _meta(out)["extra"]["per_lam"]
     assert entry["reference_rate"] is None
     assert entry["r_squared"] > 0.95
+
+
+_SIGMA_AT_06 = 0.01 * 1e4**0.6  # sigma(0.6) of the VE schedule from 0.01 to 100
+
+
+@pytest.mark.parametrize(
+    "variant, h, reference", [("plain-langevin", 0.05, 2.0 / _SIGMA_AT_06**2), ("newton", 0.01, 2.0)],
+    ids=["plain-langevin", "newton"],
+)
+def test_convergence_reference_rates(tmp_path, variant, h, reference) -> None:
+    # On a Gaussian target plain Langevin decays at 2/sigma^2 and Newton, the damped metric at lam = 0, at 2.
+    doc = {
+        "schedule": {"kind": "ve", "sigma_min": 0.01, "sigma_max": 100},
+        "oracle": {"centers": [[0.0]]},
+        "t": 0.6,
+        "variant": variant,
+        "lams": [0.0],
+        "h": h,
+        "n_steps": 600,
+        "chains": 20000,
+        "init": {"mean": 2.0, "std": 0.5},
+    }
+    out = tmp_path / "out"
+    assert main(["convergence", "--config", _write(tmp_path, "c.json", doc), "--out", str(out), "--assert"]) == 0
+    (entry,) = _meta(out)["extra"]["per_lam"]
+    assert entry["reference_rate"] == pytest.approx(reference, rel=1e-12)
 
 
 @pytest.mark.parametrize(

@@ -192,6 +192,12 @@ def test_damped_inverse_properties(d, rows, log_lam, log_sigma, seed) -> None:
         # a batch is its rows, each applied on its own
         assert np.array_equal(damped_inverse_apply(eps[i], sigma, lam, v[i]), applied[i])
         assert np.array_equal(damped_inverse_sqrt_apply(eps[i], sigma, lam, v[i]), root[i])
+    # one v broadcasts against a batch of eps: row i is eps[i] applied to v on its own
+    for op in (damped_inverse_apply, damped_inverse_sqrt_apply):
+        shared = op(eps, sigma, lam, v[0])
+        assert shared.shape == (rows, d)
+        for i in range(rows):
+            assert np.array_equal(shared[i], op(eps[i], sigma, lam, v[0]))
     # a row with no curvature information falls back to P = I / lam
     eps[gen.integers(rows)] = 0.0
     zero = np.flatnonzero(~eps.any(axis=1))

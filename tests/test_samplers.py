@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -512,8 +513,12 @@ def test_newton_rejects_nonconcave_region() -> None:
     orc = GaussianMixtureOracle([[1.0], [-1.0]], None, sch)
     # at t=0.25, sigma=0.1: between the modes -hessian is strongly negative
     cfg = FixedLevelConfig(t=0.25, h=1e-3, n_steps=5, variant="newton", chains=8, init_std=0.0)
-    with pytest.raises(NotLogConcaveError):
+    with pytest.raises(NotLogConcaveError, match="need lam >") as caught:
         fixed_level_run(cfg, orc)
+    # Newton is the damped metric at lam = 0: its error is the damped one, and damped-exact there raises Newton's
+    assert isinstance(caught.value, DampingTooSmallError)
+    with pytest.raises(NotLogConcaveError, match="need lam >"):
+        fixed_level_run(dataclasses.replace(cfg, variant="damped-exact"), orc)
 
 
 def test_damping_too_small_reports_needed_lam() -> None:
