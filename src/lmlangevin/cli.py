@@ -11,9 +11,10 @@ Each command writes nothing: it returns its tables (CSV name -> comment
 notes, header, rows), metrics, extra fields, timing fields and --assert
 failure (or None).  :func:`main` is the one place that reads the seed and
 writes under --out.  Only after the command has returned and its metrics are
-all finite does it write each table under the stamp ``# config_hash=<hash>
-seed=<seed>`` and then meta.json, so a run that fails writes no file.  It times
-the whole invocation and turns a failure under --assert into exit 4.
+all finite does it make --out and write each table under the stamp
+``# config_hash=<hash> seed=<seed>`` and then meta.json, so a failed run
+leaves --out untouched.  It times the whole invocation and turns a failure
+under --assert into exit 4.
 
 Exit codes: 0 success, 2 invalid config, 3 numeric or I/O failure while
 running, 4 threshold violated under --assert.
@@ -190,24 +191,16 @@ def _cmd_sample(doc, ctx, threads: int):
 
 
 def _compare_run(variant, geo, nfe, seed, doc, ctx, threads):
-    """Final states of one (variant, geometry, nfe, seed) cell."""
-    schedule, oracle = ctx["schedule"], ctx["oracle"]
-    if variant == "annealed":
-        ann = doc["annealed"]
-        levels = nfe // ann["inner_steps"]
-        scfg = SamplerConfig(
-            n_steps=levels, solver_order=1, geometry=None, schedule=schedule,
-            seed=seed, chains=doc["chains"], eps_clip=doc["eps_clip"],
-        )
-        return annealed_langevin_sample(
-            scfg, oracle, ann["inner_steps"], ann["step_scale"], threads=threads
-        ).final_states
-    order = 1 if variant.endswith("o1") else 2
+    """Final states of one (variant, geometry, nfe, seed) cell; an annealed level costs inner_steps NFE."""
+    ann, annealed = doc["annealed"], variant == "annealed"
     scfg = SamplerConfig(
-        n_steps=nfe, solver_order=order, geometry=geo, schedule=schedule,
-        seed=seed, chains=doc["chains"], eps_clip=doc["eps_clip"],
+        n_steps=nfe // ann["inner_steps"] if annealed else nfe,
+        solver_order=2 if variant.endswith("o2") else 1,
+        geometry=geo, schedule=ctx["schedule"], seed=seed, chains=doc["chains"], eps_clip=doc["eps_clip"],
     )
-    return lml_sample(scfg, oracle, record=False).final_states
+    if not annealed:
+        return lml_sample(scfg, ctx["oracle"], record=False).final_states
+    return annealed_langevin_sample(scfg, ctx["oracle"], ann["inner_steps"], ann["step_scale"], threads).final_states
 
 
 def _cmd_compare(doc, ctx, threads: int):
@@ -489,12 +482,12 @@ def main(argv=None) -> int:
     stamp = f"# config_hash={chash} seed={seed}"
     out = Path(args.out)
     try:
-        out.mkdir(parents=True, exist_ok=True)
         tables, metrics, extra, timing, failure = _DISPATCH[args.command](doc, ctx, args.threads)
         for key, val in metrics.items():
             if not np.isfinite(val):
                 raise ValueError(f"metric {key!r} is not finite: {val!r}")
-        # Nothing is written until the command has returned and its metrics are finite.
+        # Nothing is written, and --out is not made, until the command has returned and its metrics are finite.
+        out.mkdir(parents=True, exist_ok=True)
         for name, (notes, header, rows) in tables.items():
             _write_csv(out / name, stamp, notes, header, rows)
         if tables:

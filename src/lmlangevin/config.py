@@ -208,6 +208,18 @@ _DIAG_SCHEMA = {
 
 _SEED = {"type": "int", "min": 0, "default": 0}
 
+# The keys stationarity and convergence share: the target, the chain, its step size and length, and its seed.
+_FIXED_LEVEL_KEYS = {
+    "schedule": _SCHEDULE_SCHEMA,
+    "oracle": _ORACLE_SCHEMA,
+    "t": {"type": "number", "exclusive_min": 0.0},
+    "variant": {"type": "string", "choices": list(FIXED_LEVEL_VARIANTS)},
+    "h": {"type": "number", "exclusive_min": 0.0},
+    "n_steps": {"type": "int", "min": 1},
+    "seed": _SEED,
+}
+_FIXED_LEVEL_REQUIRED = [name for name, node in _FIXED_LEVEL_KEYS.items() if "default" not in node]
+
 
 # ---------------------------------------------------------------------------
 # per-command schemas
@@ -268,16 +280,10 @@ COMMAND_SCHEMAS = {
     "stationarity": {
         "type": "object",
         "keys": {
-            "schedule": _SCHEDULE_SCHEMA,
-            "oracle": _ORACLE_SCHEMA,
-            "t": {"type": "number", "exclusive_min": 0.0},
-            "variant": {"type": "string", "choices": list(FIXED_LEVEL_VARIANTS)},
+            **_FIXED_LEVEL_KEYS,
             "lam": {"type": "number", "min": 0.0, "default": 0.0},
-            "h": {"type": "number", "exclusive_min": 0.0},
-            "n_steps": {"type": "int", "min": 1},
             "chains": {"type": "int", "min": 1},
             "init": _init_schema(0.0),
-            "seed": _SEED,
             "histogram_bins": {"type": "int", "min": 2, "default": 64},
             "assert": {
                 "type": "object",
@@ -285,23 +291,17 @@ COMMAND_SCHEMAS = {
                 "keys": {"ks_max": {"type": "number", "exclusive_min": 0.0, "default": 0.02}},
             },
         },
-        "required": ["schedule", "oracle", "t", "variant", "h", "n_steps", "chains"],
+        "required": [*_FIXED_LEVEL_REQUIRED, "chains"],
     },
     "convergence": {
         "type": "object",
         "keys": {
-            "schedule": _SCHEDULE_SCHEMA,
-            "oracle": _ORACLE_SCHEMA,
-            "t": {"type": "number", "exclusive_min": 0.0},
-            "variant": {"type": "string", "choices": list(FIXED_LEVEL_VARIANTS)},
+            **_FIXED_LEVEL_KEYS,
             "lams": {"type": "array", "min_len": 1, "items": {"type": "number", "min": 0.0}},
-            "h": {"type": "number", "exclusive_min": 0.0},
-            "n_steps": {"type": "int", "min": 1},
             "chains": {"type": "int", "min": 2},
             # no default here: it depends on n_steps and is set by the CLI
             "snapshot_every": {"type": "int", "min": 1},
             "init": _init_schema(0.5),
-            "seed": _SEED,
             "fit_window": {
                 "type": "array",
                 "min_len": 2,
@@ -317,7 +317,7 @@ COMMAND_SCHEMAS = {
                 },
             },
         },
-        "required": ["schedule", "oracle", "t", "variant", "lams", "h", "n_steps", "chains"],
+        "required": [*_FIXED_LEVEL_REQUIRED, "lams", "chains"],
     },
     "hessian-error": {
         "type": "object",
@@ -380,10 +380,9 @@ def build_oracle(block: dict, schedule: NoiseSchedule) -> GaussianMixtureOracle:
     try:
         if "centers_csv" in block:
             return GaussianMixtureOracle.from_csv(block["centers_csv"], schedule, weights=weights)
-        centers = np.asarray(block["centers"], dtype=np.float64)
-        if centers.ndim != 2:
+        if len({len(row) for row in block["centers"]}) != 1:
             raise ValueError("centers rows must all have the same length")
-        return GaussianMixtureOracle(centers, weights, schedule)
+        return GaussianMixtureOracle(block["centers"], weights, schedule)
     except OSError as exc:
         raise ConfigError(f"config.oracle: cannot read centers_csv: {exc}") from exc
     except ValueError as exc:

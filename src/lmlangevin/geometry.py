@@ -23,6 +23,7 @@ and treat rows independently; the damped inverse operators broadcast a single
 eps or v against a batch of the other.  They return arrays in their input's memory
 order; at d <= 2 each row dot is at most one addition, so an F-ordered batch
 (chains innermost, the samplers' tile layout there) gets the C batch's bits.
+``low_rank_hessian`` is dense, and the oracle's dense Hessian beside it states the cap on d.
 """
 
 from __future__ import annotations
@@ -30,8 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .oracle import DENSE_DIM_CAP
 
 __all__ = [
     "DegenerateDirectionError",
@@ -114,12 +113,10 @@ def lm_guided_eps(cur, prev, cfg: DampedGeometryConfig):
 
 
 def low_rank_hessian(eps, sigma_t: float):
-    """Dense rank-1 proxy eps eps^T / (sigma_t^2 ||eps||^2) for -grad^2 log p_t, d <= DENSE_DIM_CAP."""
+    """Dense (d, d) rank-1 proxy eps eps^T / (sigma_t^2 ||eps||^2) for -grad^2 log p_t."""
     eps = np.asarray(eps, dtype=np.float64)
     if eps.ndim != 1:
         raise ValueError("low_rank_hessian expects a single (d,) vector")
-    if eps.size > DENSE_DIM_CAP:
-        raise ValueError(f"dense materialization capped at d <= {DENSE_DIM_CAP}")
     n2 = float(eps @ eps)
     if n2 == 0.0 or sigma_t <= 0.0:
         raise DegenerateDirectionError("zero eps or non-positive sigma_t")

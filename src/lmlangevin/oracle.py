@@ -10,11 +10,11 @@ stands in for a trained epsilon-predictor: ``eps(x, t) = -sigma_t * score``
 is the idealization of a network output, so samplers built against the
 :class:`ScoreProvider` protocol run unchanged on either.
 
-Shapes: ``x`` may be a single point ``(d,)`` or a batch ``(m, d)``; outputs
-match, and a row's result does not depend on how many rows share the call.
-Dense Hessian routines are capped at d <= 64.  The score, the Hessian and its
-gradient are read off one posterior evaluation, and :meth:`derivatives`
-returns several of them at one point from one call.
+Shapes: centers are ``(n, d)``, and ``x`` a single point ``(d,)`` or a batch
+``(m, d)``; outputs match x, and a row's result does not depend on how many
+rows share the call.  :meth:`derivatives` reads the score, the Hessian and its
+gradient (order 1, 2 or 3) off one posterior evaluation, and caps the dense
+orders 2 and 3 at d <= DENSE_DIM_CAP = 64, the package's one such cap.
 
 The posterior over components is computed against the centers taken relative
 to their mean ybar0, as two-operand contractions: no (m, n, d) difference
@@ -100,9 +100,7 @@ class GaussianMixtureOracle:
     """Exact score/Hessian provider for a diffused point-mass mixture."""
 
     def __init__(self, centers, weights, schedule: NoiseSchedule):
-        centers = np.atleast_1d(np.asarray(centers, dtype=np.float64))
-        if centers.ndim == 1:
-            centers = centers[:, None]
+        centers = np.asarray(centers, dtype=np.float64)
         if centers.ndim != 2 or centers.shape[0] < 1:
             raise ValueError("centers must be an (n, d) array with n >= 1")
         if not np.all(np.isfinite(centers)):
@@ -220,16 +218,21 @@ class GaussianMixtureOracle:
         acc = np.einsum("nm,nt->tm", w, np.concatenate(cols, axis=1))
         return [row[:, None] for row in acc[: len(tables)]]
 
-    def _derivatives(self, x, t, order: int):
-        """[score, Hessian (order >= 2), its gradient (order 3)] and sigma_t from one posterior evaluation.
+    # -- densities and derivatives ---------------------------------------
 
-        The Hessian is -(1/sigma^2) I + (alpha^2/sigma^4) C with C the
-        posterior covariance of the centers.  Its gradient follows from the
-        posterior-moment identities d ybar/dx = (alpha/sigma^2) C and
+    def derivatives(self, x, t, order: int):
+        """``(score,)``, ``(score, hessian)`` or ``(score, hessian, hessian_grad)`` at order 1, 2 or 3.
+
+        One posterior evaluation gives them all; the dense orders 2 and 3 need
+        d <= DENSE_DIM_CAP.  The Hessian is -(1/sigma^2) I + (alpha^2/sigma^4) C
+        with C the posterior covariance of the centers.  Its gradient follows
+        from the posterior-moment identities d ybar/dx = (alpha/sigma^2) C and
         d wtilde_i/dx = wtilde_i (alpha/sigma^2)(y_i - ybar).  The moments are
-        taken about ybar0; C and the third central moment do not depend on
-        the shift.  Every part comes back in x's memory order.
+        taken about ybar0; C and the third central moment do not depend on the
+        shift.  Every part comes back in x's memory order.
         """
+        if order not in (1, 2, 3):
+            raise ValueError("derivatives order must be 1, 2 or 3")
         if order > 1 and self.dim > DENSE_DIM_CAP:
             raise ValueError(f"dense Hessian capped at d <= {DENSE_DIM_CAP}")
         x2, single = self._prep(x)
@@ -268,9 +271,7 @@ class GaussianMixtureOracle:
             # The score already is; the Hessian parts come out with the chains innermost but their
             # coordinate axes C-ordered, so they are copied.
             out = [np.asfortranarray(part) for part in out]
-        return [part[0] if single else part for part in out], sigma
-
-    # -- densities and derivatives ---------------------------------------
+        return tuple([part[0] if single else part for part in out])
 
     def posterior_weights(self, x, t):
         """Softmax responsibilities of each component at (x, t); (m, n) rows, in x's memory order, that sum to 1."""
@@ -296,33 +297,24 @@ class GaussianMixtureOracle:
 
     def score(self, x, t):
         """grad_x log p_t(x) = -(x - alpha_t ybar(x,t)) / sigma_t^2."""
-        return self._derivatives(x, t, 1)[0][0]
+        return self.derivatives(x, t, 1)[0]
 
     def eps(self, x, t):
         """Idealized noise prediction -sigma_t * score(x, t)."""
-        (s,), sigma = self._derivatives(x, t, 1)
-        s *= -sigma
+        s = self.derivatives(x, t, 1)[0]
+        s *= -self._level(t)[1]
         return s
 
     def hessian(self, x, t):
         """Exact grad^2 log p_t(x); dense (d, d) per point, d <= 64."""
-        return self._derivatives(x, t, 2)[0][1]
+        return self.derivatives(x, t, 2)[1]
 
     def hessian_grad(self, x, t):
         """Third-derivative tensor T[j,k,l] = d H[j,k] / d x_l, exact; d <= 64.
 
         Needed by divergence-corrected preconditioned dynamics.
         """
-        return self._derivatives(x, t, 3)[0][2]
-
-    def derivatives(self, x, t, order: int):
-        """``(score, hessian)`` at order 2 or ``(score, hessian, hessian_grad)`` at order 3; d <= 64.
-
-        One posterior evaluation gives them all, with the bits of the separate methods.
-        """
-        if order not in (2, 3):
-            raise ValueError("derivatives order must be 2 or 3")
-        return tuple(self._derivatives(x, t, order)[0])
+        return self.derivatives(x, t, 3)[2]
 
     # -- sampling ---------------------------------------------------------
 

@@ -110,6 +110,95 @@ def test_semantic_config_errors(tmp_path, capsys) -> None:
     assert not out.exists()
 
 
+def _set(doc, path, value):
+    """A copy of doc with the key at a dotted path set to value."""
+    doc = json.loads(json.dumps(doc))
+    *parents, key = path.split(".")
+    node = doc
+    for name in parents:
+        node = node[name]
+    node[key] = value
+    return doc
+
+
+_STAT_1D = {
+    "schedule": {"kind": "ve", "sigma_min": 0.01, "sigma_max": 100.0},
+    "oracle": {"centers": [[0.0]]},
+    "t": 0.5,
+    "variant": "damped-exact",
+    "h": 0.01,
+    "n_steps": 20,
+    "chains": 16,
+}
+_CONV_1D = dict(_STAT_1D, lams=[0.0])
+_TWO_D = {"centers": [[1.0, 0.0], [-1.0, 0.0]]}
+_COMPARE_ANNEALED = {
+    "schedule": {"kind": "vp-linear"},
+    "oracle": _TWO_D,
+    "nfe": [5, 10],
+    "variants": ["annealed"],
+    "chains": 16,
+    "seeds": [0],
+}
+
+
+@pytest.mark.parametrize(
+    "command, doc, message",
+    [
+        # the schema's own checks, each naming its key path
+        ("sample", _set(_sample_doc(), "sampler.n_steps", None), "config.sampler.n_steps: must not be null"),
+        ("sample", _set(_sample_doc(), "sampler.seed", -1), "config.sampler.seed: must be >= 0"),
+        ("sample", _set(_sample_doc(), "sampler.eps_clip", 0.0), "config.sampler.eps_clip: must be > 0.0"),
+        ("sample", _set(_sample_doc(), "sampler.order", 3), "config.sampler.order: must be <= 2"),
+        ("sample", _set(_sample_doc(), "sampler.dtype", "float16"), "config.sampler.dtype: must be one of"),
+        ("sample", _set(_sample_doc(), "oracle.centers", []), "config.oracle.centers: needs at least 1 entries"),
+        ("sample", _set(_sample_doc(), "sampler", {"chains": 2}), "config.sampler: missing required key 'n_steps'"),
+        # the builders
+        (
+            "sample", _set(_sample_doc(), "schedule", {"kind": "vp-linear", "beta_min": 20.0, "beta_max": 0.1}),
+            "config.schedule: need 0 < beta_min < beta_max",
+        ),
+        (
+            "sample", _set(_sample_doc(), "oracle.centers_csv", "centers.csv"),
+            "config.oracle: exactly one of 'centers' or 'centers_csv' is required",
+        ),
+        (
+            "sample", _set(_sample_doc(), "oracle", {"weights": [1.0]}),
+            "config.oracle: exactly one of 'centers' or 'centers_csv' is required",
+        ),
+        (
+            "sample", _set(_sample_doc(), "oracle", {"centers_csv": "absent.csv"}),
+            "config.oracle: cannot read centers_csv",
+        ),
+        (
+            "sample", _set(_sample_doc(), "oracle.weights", [1.0, 2.0, 3.0]),
+            "config.oracle: weights must be one per center",
+        ),
+        (
+            "sample", _set(_sample_doc(), "oracle.centers", [[1.0, 0.0], [-1.0]]),
+            "config.oracle: centers rows must all have the same length",
+        ),
+        # the commands' own rules
+        ("stationarity", _set(_STAT_1D, "oracle", _TWO_D), "config.oracle: stationarity needs a 1-d oracle (got dim=2)"),
+        ("convergence", _set(_CONV_1D, "oracle", _TWO_D), "config.oracle: convergence needs a 1-d oracle (got dim=2)"),
+        (
+            "compare", _set(_COMPARE_ANNEALED, "annealed", {"inner_steps": 6}),
+            "config.nfe: smallest NFE 5 cannot fund one annealed level of 6 inner steps",
+        ),
+    ],
+    ids=[
+        "null", "min", "exclusive-min", "max", "choices", "min-len", "required", "schedule-builder",
+        "both-centers", "no-centers", "unreadable-csv", "weight-count", "ragged-centers",
+        "stationarity-1d", "convergence-1d", "compare-annealed-nfe",
+    ],
+)
+def test_config_error_names_its_key(tmp_path, capsys, command, doc, message) -> None:
+    out = tmp_path / "out"
+    assert main([command, "--config", _write(tmp_path, "c.json", doc), "--out", str(out)]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_schedule_keys_follow_the_kind(tmp_path, capsys) -> None:
     # A kind takes the keys its constructor names: cosine takes offset and t_max ...
     doc = _sample_doc()
@@ -195,7 +284,16 @@ def test_numeric_blowup_is_exit_3(tmp_path) -> None:
     with np.errstate(all="ignore"):
         rc = main(["stationarity", "--config", _write(tmp_path, "c.json", doc), "--out", str(out)])
     assert rc == 3
-    assert not (out / "meta.json").exists()  # failed runs leave no summary
+    assert not out.exists()  # a failed run does not even make --out
+
+
+def test_out_that_is_a_file_is_exit_3(tmp_path, capsys) -> None:
+    # --out is made only once the run has finished; a file in its place is an i/o failure that keeps its bytes.
+    out = tmp_path / "out"
+    out.write_bytes(b"not a directory\n")
+    assert main(["sample", "--config", _write(tmp_path, "c.json", _sample_doc()), "--out", str(out)]) == 3
+    assert "i/o failure: " in capsys.readouterr().err
+    assert out.read_bytes() == b"not a directory\n"
 
 
 def test_sample_blow_up_is_exit_3(tmp_path, monkeypatch, capsys) -> None:
@@ -660,27 +758,56 @@ def test_convergence_gates_no_gaussian_rate_on_a_mixture(tmp_path) -> None:
 _SIGMA_AT_06 = 0.01 * 1e4**0.6  # sigma(0.6) of the VE schedule from 0.01 to 100
 
 
+def _gaussian_convergence_doc(variant, h, lams):
+    # A Gaussian target at sigma(0.6), with the chains started off its mean.
+    return {
+        "schedule": {"kind": "ve", "sigma_min": 0.01, "sigma_max": 100},
+        "oracle": {"centers": [[0.0]]},
+        "t": 0.6,
+        "variant": variant,
+        "lams": lams,
+        "h": h,
+        "n_steps": 600,
+        "chains": 20000,
+        "init": {"mean": 2.0, "std": 0.5},
+    }
+
+
 @pytest.mark.parametrize(
     "variant, h, reference", [("plain-langevin", 0.05, 2.0 / _SIGMA_AT_06**2), ("newton", 0.01, 2.0)],
     ids=["plain-langevin", "newton"],
 )
 def test_convergence_reference_rates(tmp_path, variant, h, reference) -> None:
     # On a Gaussian target plain Langevin decays at 2/sigma^2 and Newton, the damped metric at lam = 0, at 2.
-    doc = {
-        "schedule": {"kind": "ve", "sigma_min": 0.01, "sigma_max": 100},
-        "oracle": {"centers": [[0.0]]},
-        "t": 0.6,
-        "variant": variant,
-        "lams": [0.0],
-        "h": h,
-        "n_steps": 600,
-        "chains": 20000,
-        "init": {"mean": 2.0, "std": 0.5},
-    }
+    doc = _gaussian_convergence_doc(variant, h, [0.0])
     out = tmp_path / "out"
     assert main(["convergence", "--config", _write(tmp_path, "c.json", doc), "--out", str(out), "--assert"]) == 0
     (entry,) = _meta(out)["extra"]["per_lam"]
     assert entry["reference_rate"] == pytest.approx(reference, rel=1e-12)
+
+
+def test_convergence_damped_lm_has_no_reference_rate(tmp_path) -> None:
+    # damped-lm's metric depends on the state, so even a Gaussian target gives no closed-form
+    # rate: meta.json records null and --assert gates on the fit quality alone.
+    doc = _gaussian_convergence_doc("damped-lm", 0.01, [1.0])
+    out = tmp_path / "out"
+    assert main(["convergence", "--config", _write(tmp_path, "c.json", doc), "--out", str(out), "--assert"]) == 0
+    assert '"reference_rate": null' in (out / "meta.json").read_text()
+    (entry,) = _meta(out)["extra"]["per_lam"]
+    assert entry["r_squared"] >= 0.95 and entry["fitted_rate"] > 0.0
+
+
+def test_convergence_rate_outside_tolerance_is_exit_4(tmp_path) -> None:
+    # A clean fit whose rate misses the closed form by more than rate_rel_tol fails --assert, after
+    # writing its files; without --assert the same run exits 0.
+    doc = dict(_gaussian_convergence_doc("plain-langevin", 0.05, [0.0]), **{"assert": {"rate_rel_tol": 1e-6}})
+    cfg = _write(tmp_path, "c.json", doc)
+    out = tmp_path / "out"
+    assert main(["convergence", "--config", cfg, "--out", str(out), "--assert"]) == 4
+    (entry,) = _meta(out)["extra"]["per_lam"]
+    assert entry["r_squared"] >= 0.95
+    assert abs(entry["fitted_rate"] - entry["reference_rate"]) > 1e-6 * entry["reference_rate"]
+    assert main(["convergence", "--config", cfg, "--out", str(tmp_path / "plain")]) == 0
 
 
 @pytest.mark.parametrize(

@@ -303,9 +303,12 @@ def test_posterior_weights_are_point_major_rows(d) -> None:
 def test_derivatives_order_and_dense_cap() -> None:
     sch = NoiseSchedule.vp_linear()
     orc = _random_oracle(np.random.default_rng(18), 2, 3, sch)
-    for order in (1, 4):
-        with pytest.raises(ValueError, match="order must be 2 or 3"):
-            orc.derivatives(np.zeros(2), 0.3, order)
+    x = np.array([0.4, -0.2])
+    (score,) = orc.derivatives(x, 0.3, 1)
+    assert np.array_equal(score, orc.score(x, 0.3))
+    for order in (0, 4):
+        with pytest.raises(ValueError, match="order must be 1, 2 or 3"):
+            orc.derivatives(x, 0.3, order)
     wide = _random_oracle(np.random.default_rng(19), DENSE_DIM_CAP + 1, 3, sch)
     for call in (wide.hessian, wide.hessian_grad, lambda x, t: wide.derivatives(x, t, 2)):
         with pytest.raises(ValueError, match="capped at d <= 64"):
@@ -565,6 +568,8 @@ def test_validation_errors() -> None:
         GaussianMixtureOracle([[0.0], [1.0]], [1.0, -1.0], sch)
     with pytest.raises(ValueError, match="finite"):
         GaussianMixtureOracle([[np.inf]], None, sch)
+    with pytest.raises(ValueError, match=r"centers must be an \(n, d\) array"):
+        GaussianMixtureOracle([0.0, 1.0], None, sch)  # flat centers are not read as d = 1
     orc = GaussianMixtureOracle([[0.0, 1.0]], None, sch)
     with pytest.raises(ValueError, match="trailing dimension"):
         orc.score(np.zeros((3, 3)), 0.5)

@@ -884,3 +884,18 @@ def test_stationarity_ks_smoke() -> None:
     xs = fixed_level_run(cfg, orc).final_states[:, 0]
     ks = ks_statistic(xs, lambda u: orc.marginal_cdf(u, 0.5))
     assert ks < 0.02
+
+
+@pytest.mark.parametrize("d, lam", [(2, 1.0), (8, 1.0), (2, 4.0), (8, 4.0)])
+def test_damped_lm_second_moment_has_the_closed_form_bias(d, lam) -> None:
+    # One center at the origin, sigma_t = 1.  The rank-1 metric's drift is radial, while across
+    # u = x/|x| its noise has variance 1/lam and nothing pulls it back, so the chain's radius has
+    # the law r^a exp(-r^2 / (2 sigma^2)) with a = (d - 1)(1 + 1/(lam sigma^2)): E|x|^2 is
+    # sigma^2 (a + 1), not the target's d sigma^2.  This pins damped-lm's bias at d >= 2.
+    orc = GaussianMixtureOracle(np.zeros((1, d)), None, _unit_sigma_schedule())
+    cfg = FixedLevelConfig(t=0.5, h=0.02, n_steps=750, variant="damped-lm", lam=lam, chains=4096, seed=3)
+    sq = (fixed_level_run(cfg, orc).final_states ** 2).sum(axis=1)
+    mean, stderr = sq.mean(), sq.std(ddof=1) / np.sqrt(sq.size)
+    predicted = (d - 1) * (1.0 + 1.0 / lam) + 1.0
+    assert abs(mean - predicted) < 4.0 * stderr, (mean, stderr, predicted)
+    assert abs(mean - d) > 4.0 * stderr, (mean, stderr)
