@@ -7,7 +7,7 @@ cross-checked by hand or by finite differences.
 """
 import numpy as np
 
-from lmlangevin import GaussianMixtureOracle, NoiseSchedule, finite_diff_gradient
+from lmlangevin import GaussianMixtureOracle, NoiseSchedule, finite_diff_jacobian
 from lmlangevin.rng import stream
 
 sch = NoiseSchedule.vp_linear()
@@ -20,8 +20,8 @@ print("score           :", orc.score(x, t))
 print("eps = -sigma * score:", orc.eps(x, t))
 print("posterior weights (which center explains x):", orc.posterior_weights(x, t))
 
-# The score really is the gradient of log p_t.
-fd = finite_diff_gradient(lambda p: orc.logpdf(p, t), x)
+# The score really is the gradient of log p_t: the FD Jacobian of the scalar log p_t.
+fd = finite_diff_jacobian(lambda p: orc.logpdf(p, t), x)
 print("|score - FD gradient| =", np.abs(orc.score(x, t) - fd).max())
 
 # Exact Hessian of log p_t: symmetric, and for well-separated centers close

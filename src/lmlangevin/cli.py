@@ -128,22 +128,20 @@ def _build_context(command: str, doc: dict) -> dict:
         window = doc["fit_window"]
         if len(window) != 2 or not window[0] < window[1]:
             raise ConfigError("config.fit_window: must be [low, high] with low < high")
-        doc.setdefault("snapshot_every", max(1, doc["n_steps"] // 200))
     if command in ("stationarity", "convergence"):
         # The run's configs, one per lam, built here so that their rules
         # reject the document before anything is written.
         lams = doc["lams"] if command == "convergence" else [doc["lam"]]
         try:
-            ctx["fixed"] = [_fixed_cfg(doc, lam, doc.get("snapshot_every")) for lam in lams]
+            ctx["fixed"] = [_fixed_cfg(doc, lam) for lam in lams]
         except ValueError as exc:
             raise ConfigError(f"config: {exc}") from exc
-    if command == "compare":
+    if command == "compare" and "annealed" in doc["variants"]:
+        # An annealed level costs inner_steps NFE, so only a multiple of it is a run of that NFE.
         inner = doc["annealed"]["inner_steps"]
-        if "annealed" in doc["variants"] and min(doc["nfe"]) < inner:
-            raise ConfigError(
-                f"config.nfe: smallest NFE {min(doc['nfe'])} cannot fund one annealed level "
-                f"of {inner} inner steps"
-            )
+        uneven = [nfe for nfe in doc["nfe"] if nfe % inner]
+        if uneven:
+            raise ConfigError(f"config.nfe: each must be a multiple of annealed.inner_steps = {inner}; got {uneven}")
     return ctx
 
 
@@ -266,7 +264,7 @@ def _cmd_compare(doc, ctx, threads: int):
     return {"compare.csv": ({}, header, rows)}, {}, extra, {}, msg if failed else None
 
 
-def _fixed_cfg(doc, lam: float, snapshot_every) -> FixedLevelConfig:
+def _fixed_cfg(doc, lam: float) -> FixedLevelConfig:
     return FixedLevelConfig(
         t=doc["t"],
         h=doc["h"],
@@ -274,7 +272,7 @@ def _fixed_cfg(doc, lam: float, snapshot_every) -> FixedLevelConfig:
         variant=doc["variant"],
         lam=lam,
         chains=doc["chains"],
-        snapshot_every=snapshot_every,
+        snapshot_every=doc.get("snapshot_every"),  # stationarity stores only its final states
         init_mean=doc["init"]["mean"],
         init_std=doc["init"]["std"],
         seed=doc["seed"],
@@ -468,20 +466,18 @@ def main(argv=None) -> int:
     try:
         try:
             doc = json.loads(Path(args.config).read_text())
-        except json.JSONDecodeError as exc:
+        except OSError as exc:
+            raise ConfigError(str(exc)) from exc
+        except ValueError as exc:  # a JSONDecodeError, or bytes that are not UTF-8
             raise ConfigError(f"not valid JSON: {exc}") from exc
         validate_config(doc, COMMAND_SCHEMAS[args.command])
         seed = _seed(args.command, doc, args.seed)
         ctx = _build_context(args.command, doc)
         if args.threads < 1:
             raise ConfigError("--threads must be >= 1")
-    except (ConfigError, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    chash = config_hash(doc)
-    stamp = f"# config_hash={chash} seed={seed}"
-    out = Path(args.out)
-    try:
+        chash = config_hash(doc)
+        stamp = f"# config_hash={chash} seed={seed}"
+        out = Path(args.out)
         tables, metrics, extra, timing, failure = _DISPATCH[args.command](doc, ctx, args.threads)
         for key, val in metrics.items():
             if not np.isfinite(val):
@@ -495,6 +491,9 @@ def main(argv=None) -> int:
         meta = {"command": args.command, "config_hash": chash, "seed": seed, "metrics": metrics, "extra": extra}
         meta["timing"] = {"total_s": time.perf_counter() - tic, **timing}  # the one rerun-variable section
         (out / "meta.json").write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
+    except ConfigError as exc:  # a ValueError, so before the numeric failures
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     except (FloatingPointError, ValueError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3

@@ -4,7 +4,8 @@ Configs are plain JSON documents, one per command invocation.  Validation is
 total and happens before any computation: unknown keys anywhere in the tree
 are rejected, as are wrong types and out-of-range values, so a typo can never
 silently fall back to a default.  Every default is declared once, on its node
-in the command's schema, and validation writes it into the document, so an
+in the command's schema (one that depends on other keys as a function of
+the enclosing object), and validation writes it into the document, so an
 omitted key and the same key spelled out at its default give one effective
 config.  A canonical hash of that effective config is embedded in every
 output file, which makes rerun comparisons trivial.
@@ -27,7 +28,6 @@ __all__ = [
     "ConfigError",
     "validate_config",
     "config_hash",
-    "canonical_json",
     "build_schedule",
     "build_oracle",
     "COMMAND_SCHEMAS",
@@ -55,7 +55,9 @@ COMPARE_VARIANTS = ("baseline-o1", "baseline-o2", "annealed", "LML-o1", "LML-o2"
 # Any node may set nullable: true.  Objects reject unknown keys.  A node under
 # an object key may set "default": when the key is omitted, validation writes
 # a copy of the default into the document and validates it like a supplied
-# value, which in turn fills the defaults nested inside it.
+# value, which in turn fills the defaults nested inside it.  A callable
+# default is called with the enclosing object, whose earlier keys are then
+# validated, and its result is written instead.
 
 
 def _type_ok(value, kind: str) -> bool:
@@ -116,19 +118,15 @@ def validate_config(value, schema: dict, path: str = "config") -> None:
                 raise ConfigError(f"{path}: missing required key {name!r}")
         for name, sub in keys.items():
             if name not in value and "default" in sub:
-                value[name] = copy.deepcopy(sub["default"])
+                default = sub["default"]
+                value[name] = default(value) if callable(default) else copy.deepcopy(default)
             if name in value:
                 validate_config(value[name], sub, f"{path}.{name}")
 
 
-def canonical_json(obj) -> str:
-    """Canonical serialization used for hashing: sorted keys, no whitespace."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
 def config_hash(cfg: dict) -> str:
-    """First 16 hex chars of the sha256 of the canonical serialization."""
-    return hashlib.sha256(canonical_json(cfg).encode("utf-8")).hexdigest()[:16]
+    """First 16 hex chars of the sha256 of the canonical serialization: sorted keys, no whitespace."""
+    return hashlib.sha256(json.dumps(cfg, sort_keys=True, separators=(",", ":")).encode("utf-8")).hexdigest()[:16]
 
 
 # ---------------------------------------------------------------------------
@@ -299,8 +297,8 @@ COMMAND_SCHEMAS = {
             **_FIXED_LEVEL_KEYS,
             "lams": {"type": "array", "min_len": 1, "items": {"type": "number", "min": 0.0}},
             "chains": {"type": "int", "min": 2},
-            # no default here: it depends on n_steps and is set by the CLI
-            "snapshot_every": {"type": "int", "min": 1},
+            # n_steps, a _FIXED_LEVEL_KEYS key, is validated before this default is taken
+            "snapshot_every": {"type": "int", "min": 1, "default": lambda doc: max(1, doc["n_steps"] // 200)},
             "init": _init_schema(0.5),
             "fit_window": {
                 "type": "array",

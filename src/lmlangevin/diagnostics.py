@@ -23,10 +23,8 @@ from .geometry import DampedGeometryConfig, lm_guided_eps, low_rank_hessian
 from .oracle import GaussianMixtureOracle
 
 __all__ = [
-    "finite_diff_gradient",
     "finite_diff_jacobian",
     "hs_norm",
-    "hs_error",
     "rank1_approx_error",
     "ErrorBoundInputs",
     "curvature_error_bound",
@@ -50,13 +48,8 @@ __all__ = [
 # finite differences
 
 
-def finite_diff_gradient(f: Callable, x, h: float = 1e-6):
-    """Central-difference gradient of a scalar function, O(h^2) accurate; the Jacobian stencil gives it as (d,)."""
-    return finite_diff_jacobian(f, x, h)
-
-
 def finite_diff_jacobian(f: Callable, x, h: float = 1e-6):
-    """Central-difference Jacobian J[a, i] = d f_a / d x_i of a vector function."""
+    """Central-difference Jacobian J[a, i] = d f_a / d x_i, O(h^2) accurate; of a scalar f it is the gradient, (d,)."""
     x = np.asarray(x, dtype=np.float64)
     d = x.size
     pts = np.repeat(x[None, :], 2 * d, axis=0)
@@ -76,11 +69,6 @@ def hs_norm(a) -> float:
     return float(np.linalg.norm(np.asarray(a, dtype=np.float64)))
 
 
-def hs_error(a, b) -> float:
-    """Hilbert-Schmidt norm of a - b."""
-    return hs_norm(np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64))
-
-
 def rank1_approx_error(oracle: GaussianMixtureOracle, x, t) -> float:
     """HS distance between -grad^2 log p_t and the rank-1 proxy at (x, t).
 
@@ -93,7 +81,7 @@ def rank1_approx_error(oracle: GaussianMixtureOracle, x, t) -> float:
     eps = -sigma * score
     if float(eps @ eps) == 0.0:
         return hs_norm(-hess)
-    return hs_error(-hess, low_rank_hessian(eps, sigma))
+    return hs_norm(-hess - low_rank_hessian(eps, sigma))
 
 
 @dataclass(frozen=True)

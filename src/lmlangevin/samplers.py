@@ -630,43 +630,17 @@ def newton_langevin_step(x, oracle: GaussianMixtureOracle, t: float, h: float, r
     return damped_step(x, oracle, t, 0.0, h, rng)
 
 
-# damped_step's (mode, corrected) -> the fixed-level variant it takes one step of
-_DAMPED_VARIANTS = {
-    ("exact", False): "damped-exact", ("exact", True): "damped-exact-corrected", ("rank1", False): "damped-lm"
-}
-
-
 def damped_step(
-    x,
-    oracle: GaussianMixtureOracle,
-    t: float,
-    lam: float,
-    h: float,
-    rng: np.random.Generator,
-    mode: str = "exact",
-    corrected: bool = False,
+    x, oracle: GaussianMixtureOracle, t: float, lam: float, h: float, rng: np.random.Generator, variant="damped-exact"
 ):
-    """One Langevin step under the damped curvature metric G = curvature + lam*I, P = G^{-1}.
+    """One step of the fixed-level chain ``variant`` (one of FIXED_LEVEL_VARIANTS) at level t.
 
-    * mode ``"exact"`` (``damped-exact[-corrected]``) builds G from the
-      oracle's exact Hessian, taken with the score (and, when corrected, the
-      Hessian gradient) from one
-      :meth:`~.oracle.GaussianMixtureOracle.derivatives` call.  lam = 0 is
-      the Newton metric (:func:`newton_langevin_step`).  A G that is not
-      positive definite raises DampingTooSmallError naming the lam it needs,
-      as NotLogConcaveError at lam = 0.
-    * mode ``"rank1"`` (``damped-lm``) uses the O(d) damped rank-1 proxy
-      built from the oracle's noise prediction, with its closed-form square
-      root, and takes the score s = -eps/sigma from that same prediction.
-
-    With ``corrected=True`` the drift gains the analytic divergence term
-    div(P) that removes the bias a state-dependent preconditioner induces on
-    the Euler chain (exact mode only); otherwise div P is dropped.
+    It applies the chain's kernel once, so it is the step :func:`fixed_level_run`
+    takes, bit for bit, and :class:`FixedLevelConfig`'s rules hold: an unknown
+    variant, h <= 0, lam < 0, ``damped-lm`` at lam = 0 or damping on an
+    undamped chain raises ValueError.  On the exact metrics a lam that leaves
+    the curvature indefinite raises DampingTooSmallError naming the lam it
+    needs, as NotLogConcaveError at lam = 0 (:func:`newton_langevin_step`).
     """
-    variant = _DAMPED_VARIANTS.get((mode, bool(corrected)))
-    if variant is None:
-        raise ValueError(
-            f"no damped step for mode={mode!r}, corrected={corrected}; modes: exact, rank1 (div P in exact only)"
-        )
     cfg = FixedLevelConfig(t=t, h=h, n_steps=1, variant=variant, lam=lam)
     return _fixed_level_kernel(cfg, oracle)(np.array(x, dtype=np.float64), rng)

@@ -34,7 +34,6 @@ __all__ = [
     "VP_LINEAR",
     "VE",
     "COSINE",
-    "UnsupportedScheduleError",
     "NoiseSchedule",
     "TimestepGrid",
     "make_grid",
@@ -44,10 +43,6 @@ VP_LINEAR = "vp-linear"
 VE = "ve"
 COSINE = "cosine"
 _KINDS = (VP_LINEAR, VE, COSINE)
-
-
-class UnsupportedScheduleError(ValueError):
-    """Raised when an operation meets a schedule kind it cannot handle."""
 
 
 def _as_time(t, t_max: float):
@@ -73,7 +68,7 @@ class NoiseSchedule:
 
     def __post_init__(self):
         if self.kind not in _KINDS:
-            raise UnsupportedScheduleError(f"unknown schedule kind {self.kind!r}")
+            raise ValueError(f"unknown schedule kind {self.kind!r}")
         if not 0.0 < self.t_max:
             raise ValueError("need t_max > 0")
         p = self.params

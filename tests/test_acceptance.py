@@ -30,7 +30,6 @@ from lmlangevin import (
     NoiseSchedule,
     SamplerConfig,
     bound_check,
-    finite_diff_gradient,
     finite_diff_jacobian,
     fixed_level_run,
     hs_norm,
@@ -149,7 +148,7 @@ def test_criterion_3_oracle_derivatives(report) -> None:
         s_scale = np.abs(score).max()
         h_scale = np.abs(hess).max()
         for x, s_exact, h_exact in zip(xs, score, hess):
-            fd_s = finite_diff_gradient(lambda p: orc.logpdf(p, t), x)
+            fd_s = finite_diff_jacobian(lambda p: orc.logpdf(p, t), x)
             worst_score = max(worst_score, float(np.abs(fd_s - s_exact).max() / s_scale))
             fd_h = finite_diff_jacobian(lambda p: orc.score(p, t), x)
             worst_hess = max(worst_hess, float(np.abs(fd_h - h_exact).max() / h_scale))

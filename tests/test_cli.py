@@ -11,9 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lmlangevin import FixedLevelConfig, GaussianMixtureOracle, cli, fixed_level_run
+from lmlangevin import FixedLevelConfig, GaussianMixtureOracle, cli, config_hash, fixed_level_run, validate_config
 from lmlangevin.cli import main
-from lmlangevin.config import build_oracle, build_schedule
+from lmlangevin.config import COMMAND_SCHEMAS, build_oracle, build_schedule
 from lmlangevin.diagnostics import chi2_gaussians, chi2_histogram, equal_mass_edges
 from lmlangevin.rng import BLOCK
 from lmlangevin.samplers import SNAPSHOT_GROUP
@@ -57,12 +57,14 @@ def test_unknown_key_is_config_error(tmp_path) -> None:
 
 
 def test_bad_json_is_config_error(tmp_path, capsys) -> None:
-    p = tmp_path / "broken.json"
-    p.write_text("{nope")
-    out = tmp_path / "out"
-    assert main(["sample", "--config", str(p), "--out", str(out)]) == 2
-    assert "config error: not valid JSON: " in capsys.readouterr().err
-    assert not out.exists()
+    # malformed JSON, and bytes that are not UTF-8
+    for text in (b"{nope", b'{"d": "\xff"}'):
+        p = tmp_path / "broken.json"
+        p.write_bytes(text)
+        out = tmp_path / "out"
+        assert main(["sample", "--config", str(p), "--out", str(out)]) == 2
+        assert "config error: not valid JSON: " in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_missing_config_file(tmp_path, capsys) -> None:
@@ -183,13 +185,18 @@ _COMPARE_ANNEALED = {
         ("convergence", _set(_CONV_1D, "oracle", _TWO_D), "config.oracle: convergence needs a 1-d oracle (got dim=2)"),
         (
             "compare", _set(_COMPARE_ANNEALED, "annealed", {"inner_steps": 6}),
-            "config.nfe: smallest NFE 5 cannot fund one annealed level of 6 inner steps",
+            "config.nfe: each must be a multiple of annealed.inner_steps = 6; got [5, 10]",
+        ),
+        # NFE 5 would run two annealed levels of 2 inner steps, 4 eps calls, under a column that says 5
+        (
+            "compare", _set(_COMPARE_ANNEALED, "annealed", {"inner_steps": 2}),
+            "config.nfe: each must be a multiple of annealed.inner_steps = 2; got [5]",
         ),
     ],
     ids=[
         "null", "min", "exclusive-min", "max", "choices", "min-len", "required", "schedule-builder",
         "both-centers", "no-centers", "unreadable-csv", "weight-count", "ragged-centers",
-        "stationarity-1d", "convergence-1d", "compare-annealed-nfe",
+        "stationarity-1d", "convergence-1d", "compare-annealed-nfe", "compare-annealed-nfe-multiple",
     ],
 )
 def test_config_error_names_its_key(tmp_path, capsys, command, doc, message) -> None:
@@ -728,6 +735,19 @@ def test_convergence_outputs(tmp_path) -> None:
         assert np.all(rows[:, 1] > 0)
 
 
+def test_package_fingerprint_is_the_cli_stamp(tmp_path) -> None:
+    # snapshot_every's default, n_steps // 200, is the schema's, so the
+    # package's validate_config + config_hash give the document the hash
+    # that the CLI stamps on its files.
+    cfg = _write(tmp_path, "c.json", dict(_CONV_1D, n_steps=400, chains=2000))
+    out = tmp_path / "out"
+    assert main(["convergence", "--config", cfg, "--out", str(out)]) == 0
+    doc = json.loads(Path(cfg).read_text())
+    validate_config(doc, COMMAND_SCHEMAS["convergence"])
+    assert config_hash(doc) == _meta(out)["config_hash"]
+    assert doc["snapshot_every"] == 2
+
+
 def test_convergence_gates_no_gaussian_rate_on_a_mixture(tmp_path) -> None:
     # The closed-form rates hold for a single Gaussian target.  On the
     # centers +-0.6 mixture plain Langevin decays at ~1.54, not 2/sigma^2 = 2,
@@ -959,15 +979,34 @@ def test_bench_outputs(tmp_path) -> None:
 # console entry point
 
 
-def test_module_help_lists_every_command() -> None:
+def _src_env() -> dict:
+    """The environment with this checkout's src first on PYTHONPATH, for a subprocess."""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def test_module_help_lists_every_command() -> None:
     proc = subprocess.run(
-        [sys.executable, "-m", "lmlangevin.cli", "--help"], capture_output=True, text=True, env=env
+        [sys.executable, "-m", "lmlangevin.cli", "--help"], capture_output=True, text=True, env=_src_env()
     )
     assert proc.returncode == 0, proc.stderr
     for command in ("sample", "compare", "stationarity", "convergence", "hessian-error", "bench"):
         assert command in proc.stdout
+
+
+def test_module_entry_exit_codes(tmp_path) -> None:
+    # `python -m lmlangevin.cli` exits with main's code: 0 on a valid config,
+    # 2 on a config path that does not exist, which makes no --out.
+    runs = {"ok": _write(tmp_path, "c.json", _sample_doc()), "missing": str(tmp_path / "absent.json")}
+    codes = {}
+    for name, cfg in runs.items():
+        cmd = [sys.executable, "-m", "lmlangevin.cli", "sample", "--config", cfg, "--out", str(tmp_path / name)]
+        proc = subprocess.run(cmd, capture_output=True, text=True, env=_src_env())
+        codes[name] = proc.returncode
+    assert codes == {"ok": 0, "missing": 2}, proc.stderr
+    assert "config error: [Errno 2] No such file or directory" in proc.stderr
+    assert (tmp_path / "ok" / "samples.csv").exists()
+    assert not (tmp_path / "missing").exists()
 
 
 def test_package_namespace_is_the_modules_all() -> None:
@@ -1025,12 +1064,10 @@ def test_mixture_commands_run_without_scipy(tmp_path) -> None:
         "fit_window": [0.3, 30.0],
         "seed": 0,
     }
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     stat_out, conv_out = tmp_path / "stationarity", tmp_path / "convergence"
     args = [_write(tmp_path, "s.json", stationarity), str(stat_out), _write(tmp_path, "c.json", convergence),
             str(conv_out)]
-    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_RUN, *args], capture_output=True, text=True, env=env)
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_RUN, *args], capture_output=True, text=True, env=_src_env())
     assert proc.returncode == 0, proc.stderr
     assert len((stat_out / "histogram.csv").read_text().splitlines()) == 2 + 64
     assert _data_rows(conv_out / "convergence_lam0.csv").shape == (21, 3)

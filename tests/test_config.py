@@ -6,7 +6,6 @@ from pathlib import Path
 
 import pytest
 
-from lmlangevin import cli
 from lmlangevin.config import COMMAND_SCHEMAS, ConfigError, config_hash, validate_config
 
 DEMO_CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
@@ -145,7 +144,7 @@ CASES = {
             "h": 0.01,
             "n_steps": 1000,
             "chains": 4,
-            "snapshot_every": 5,  # n_steps // 200, the one default the CLI derives
+            "snapshot_every": 5,  # n_steps // 200, the one default derived from another key
             "init": {"mean": 0.5, "std": 2.0},
             "seed": 0,
             "fit_window": [3e-3, 0.2],
@@ -169,10 +168,9 @@ CASES = {
 
 
 def _effective(command: str, doc: dict) -> dict:
-    """The document as the CLI hashes it: validated, defaults filled, context built."""
+    """The document as the CLI hashes it: validated, with its defaults filled."""
     doc = copy.deepcopy(doc)
     validate_config(doc, COMMAND_SCHEMAS[command])
-    cli._build_context(command, doc)
     return doc
 
 

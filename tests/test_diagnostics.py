@@ -18,9 +18,7 @@ from lmlangevin import (
     curvature_error_bound,
     decay_fit,
     equal_mass_edges,
-    finite_diff_gradient,
     finite_diff_jacobian,
-    hs_error,
     hs_norm,
     ks_statistic,
     overhead_benchmark,
@@ -36,11 +34,11 @@ from lmlangevin.rng import stream
 
 
 def test_finite_diff_gradient_polynomial() -> None:
-    # f(x) = x0^2 x1 + 3 x1^3, grad = (2 x0 x1, x0^2 + 9 x1^2)
+    # f(x) = x0^2 x1 + 3 x1^3, grad = (2 x0 x1, x0^2 + 9 x1^2): the Jacobian of a scalar f is its gradient
     f = lambda p: p[:, 0] ** 2 * p[:, 1] + 3.0 * p[:, 1] ** 3
     x = np.array([1.3, -0.7])
     expected = np.array([2 * 1.3 * -0.7, 1.3**2 + 9 * 0.7**2])
-    np.testing.assert_allclose(finite_diff_gradient(f, x), expected, rtol=1e-8)
+    np.testing.assert_allclose(finite_diff_jacobian(f, x), expected, rtol=1e-8)
 
 
 def test_finite_diff_jacobian_linear_map() -> None:
@@ -51,7 +49,7 @@ def test_finite_diff_jacobian_linear_map() -> None:
 
 def test_hs_norms() -> None:
     assert hs_norm([[3.0, 4.0], [0.0, 0.0]]) == pytest.approx(5.0)
-    assert hs_error(np.eye(2), np.zeros((2, 2))) == pytest.approx(math.sqrt(2.0))
+    assert hs_norm(np.eye(2) - np.zeros((2, 2))) == pytest.approx(math.sqrt(2.0))
 
 
 # ---------------------------------------------------------------------------

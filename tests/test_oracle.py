@@ -20,7 +20,6 @@ from lmlangevin import (
     DENSE_DIM_CAP,
     GaussianMixtureOracle,
     NoiseSchedule,
-    finite_diff_gradient,
     finite_diff_jacobian,
 )
 from lmlangevin.oracle import _shift_exp_sum
@@ -43,7 +42,7 @@ def test_score_matches_fd_gradient() -> None:
             exact = orc.score(xs, t)
             scale = np.abs(exact).max() + 1e-12
             for x, s in zip(xs, exact):
-                fd = finite_diff_gradient(lambda pts: orc.logpdf(pts, t), x)
+                fd = finite_diff_jacobian(lambda pts: orc.logpdf(pts, t), x)
                 assert np.abs(fd - s).max() / scale < 1e-6
 
 

@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lmlangevin import (
+    FIXED_LEVEL_VARIANTS,
     DampedGeometryConfig,
     DampingTooSmallError,
     FixedLevelConfig,
@@ -588,23 +589,27 @@ def test_run_stops_at_its_last_snapshot(monkeypatch) -> None:
     assert len(calls) == 90
 
 
-_ONE_STEP_CALLS = {
-    "damped-exact": lambda x, orc, cfg, gen: damped_step(x, orc, cfg.t, cfg.lam, cfg.h, gen),
-    "damped-exact-corrected": lambda x, orc, cfg, gen: damped_step(x, orc, cfg.t, cfg.lam, cfg.h, gen, corrected=True),
-    "damped-lm": lambda x, orc, cfg, gen: damped_step(x, orc, cfg.t, cfg.lam, cfg.h, gen, mode="rank1"),
-    "newton": lambda x, orc, cfg, gen: newton_langevin_step(x, orc, cfg.t, cfg.h, gen),
+def _damped_step_of(x, orc, cfg, gen):
+    return damped_step(x, orc, cfg.t, cfg.lam, cfg.h, gen, cfg.variant)
+
+
+# (variant, public step) by case name: damped_step takes every variant by name,
+# and newton_langevin_step is the newton chain's step under its own name.
+_ONE_STEP_CALLS = {variant: (variant, _damped_step_of) for variant in FIXED_LEVEL_VARIANTS} | {
+    "newton_langevin_step": ("newton", lambda x, orc, cfg, gen: newton_langevin_step(x, orc, cfg.t, cfg.h, gen)),
 }
 
 
-@pytest.mark.parametrize("variant", sorted(_ONE_STEP_CALLS))
+@pytest.mark.parametrize("case", sorted(_ONE_STEP_CALLS))
 @pytest.mark.parametrize("centers", [[[0.7]], [[0.3], [-0.3]], [[0.3, 0.1], [-0.3, 0.0]]])
-def test_public_steps_are_one_step_of_the_fixed_level_chain(variant, centers) -> None:
+def test_public_steps_are_one_step_of_the_fixed_level_chain(case, centers) -> None:
     # One block of chains (<= BLOCK) draws its start and every step's noise
     # from stream(seed, 0); n public steps on that generator must land on the
     # run's final states bit for bit, on the single-component 1-d OU update
     # as on the generic metrics, and leave the caller's positions as they were.
+    variant, one_step = _ONE_STEP_CALLS[case]
     orc = GaussianMixtureOracle(centers, None, _unit_sigma_schedule())
-    lam = 0.0 if variant == "newton" else 0.5
+    lam = 0.0 if variant in ("newton", "plain-langevin") else 0.5
     cfg = FixedLevelConfig(
         t=0.5, h=0.02, n_steps=6, variant=variant, lam=lam, chains=300, init_mean=0.2, init_std=0.5, seed=8
     )
@@ -612,7 +617,7 @@ def test_public_steps_are_one_step_of_the_fixed_level_chain(variant, centers) ->
     x = cfg.init_mean + cfg.init_std * gen.standard_normal((cfg.chains, orc.dim))
     for _ in range(cfg.n_steps):
         before = x.copy()
-        y = _ONE_STEP_CALLS[variant](x, orc, cfg, gen)
+        y = one_step(x, orc, cfg, gen)
         np.testing.assert_array_equal(x, before)
         x = y
     np.testing.assert_array_equal(x, fixed_level_run(cfg, orc).final_states)
@@ -623,15 +628,14 @@ def test_public_steps_are_one_step_of_the_fixed_level_chain(variant, centers) ->
     [
         (dict(h=0.0), "h must be > 0"),
         (dict(lam=-1.0), "lam must be >= 0"),
-        (dict(mode="lbfgs"), "no damped step for mode='lbfgs'"),
-        (dict(mode="rank1", corrected=True), "no damped step for mode='rank1', corrected=True"),
-        (dict(mode="rank1", lam=0.0), "damped-lm requires lam > 0"),
+        (dict(variant="lbfgs"), "variant must be one of"),
+        (dict(variant="damped-lm", lam=0.0), "damped-lm requires lam > 0"),
     ],
-    ids=["h", "lam", "mode", "rank1-corrected", "rank1-lam0"],
+    ids=["h", "lam", "variant", "rank1-lam0"],
 )
 def test_damped_step_argument_checks(change, message) -> None:
     orc = GaussianMixtureOracle([[0.3], [-0.3]], None, _unit_sigma_schedule())
-    args = dict(t=0.5, lam=0.5, h=0.01, mode="exact", corrected=False) | change
+    args = dict(t=0.5, lam=0.5, h=0.01) | change
     with pytest.raises(ValueError, match=message):
         damped_step(np.zeros((4, 1)), orc, rng=stream(0), **args)
 
@@ -664,17 +668,17 @@ def test_damped_step_matches_the_dense_reference(d, n, margin, h, seed) -> None:
     eps = orc.eps(x, t)
     assume(float(eps @ eps) > 1e-16)
 
-    # exact mode: G = -H + lam I, with lam past the damping -H needs
+    # damped-exact: G = -H + lam I, with lam past the damping -H needs
     lam = max(0.0, -float(np.linalg.eigvalsh(-hess).min())) + margin
     g = -hess + lam * np.eye(d)
     ref = x + h * np.linalg.solve(g, score) + np.sqrt(2.0 * h) * (_dense_inverse_and_root(g)[1] @ xi)
-    out = damped_step(x, orc, t, lam, h, stream(seed), mode="exact")
+    out = damped_step(x, orc, t, lam, h, stream(seed), "damped-exact")
     np.testing.assert_allclose(out, ref, rtol=1e-10, atol=1e-10 * np.abs(ref).max())
 
-    # rank-1 mode: G = low_rank_hessian(eps, sigma) + lam I, with s = -eps/sigma
+    # damped-lm: G = low_rank_hessian(eps, sigma) + lam I, with s = -eps/sigma
     p, root = _dense_inverse_and_root(low_rank_hessian(eps, sigma) + margin * np.eye(d))
     ref = x + h * (p @ (-eps / sigma)) + np.sqrt(2.0 * h) * (root @ xi)
-    out = damped_step(x, orc, t, margin, h, stream(seed), mode="rank1")
+    out = damped_step(x, orc, t, margin, h, stream(seed), "damped-lm")
     np.testing.assert_allclose(out, ref, rtol=1e-10, atol=1e-10 * np.abs(ref).max())
 
 
@@ -704,10 +708,10 @@ def test_corrected_drift_matches_fd_divergence() -> None:
     for orc, lam, x in cases:
         d = x.shape[1]
 
-        def run_once(corrected, x=x):
-            return damped_step(x, orc, t, lam, h, stream(99), mode="exact", corrected=corrected)
+        def run_once(variant, x=x):
+            return damped_step(x, orc, t, lam, h, stream(99), variant)
 
-        div_impl = (run_once(True) - run_once(False)) / h
+        div_impl = (run_once("damped-exact-corrected") - run_once("damped-exact")) / h
 
         fd = np.zeros_like(x)
         step = 1e-6
@@ -719,8 +723,8 @@ def test_corrected_drift_matches_fd_divergence() -> None:
             fd += (pp[:, :, j] - pm[:, :, j]) / (2 * step)
         np.testing.assert_allclose(div_impl, fd, rtol=1e-5, atol=1e-8)
         # a single (d,) point takes the same corrected step as its row of a batch
-        single = damped_step(x[0], orc, t, lam, h, stream(99), mode="exact", corrected=True)
-        np.testing.assert_array_equal(single, run_once(True)[0])
+        single = damped_step(x[0], orc, t, lam, h, stream(99), "damped-exact-corrected")
+        np.testing.assert_array_equal(single, run_once("damped-exact-corrected")[0])
 
 
 def test_fixed_level_snapshots() -> None:

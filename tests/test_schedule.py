@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from lmlangevin import NoiseSchedule, TimestepGrid, UnsupportedScheduleError, make_grid
+from lmlangevin import NoiseSchedule, TimestepGrid, make_grid
 
 
 def test_vp_linear_log_alpha_closed_form() -> None:
@@ -111,7 +111,7 @@ def test_time_range_is_enforced() -> None:
 
 
 def test_bad_parameters_rejected() -> None:
-    with pytest.raises(UnsupportedScheduleError):
+    with pytest.raises(ValueError, match="unknown schedule kind 'poisson'"):
         NoiseSchedule("poisson", {})
     with pytest.raises(ValueError, match="beta_min < beta_max"):
         NoiseSchedule.vp_linear(beta_min=2.0, beta_max=1.0)
