@@ -1,11 +1,14 @@
 """Batch command-line front-end.
 
 Subcommands: sample, compare, stationarity, convergence, hessian-error,
-bench.  Every command reads one JSON config (validated in full before any
-computation), writes CSV data plus a meta.json summary into --out, and embeds
-the canonical config hash and seed in every file.  Reruns with the same
-config and seed are byte-identical except for the meta.json "timing" object,
-regardless of --threads.
+bench.  Every command reads one JSON config, writes CSV data plus a meta.json
+summary into --out, and embeds the canonical config hash and seed in every
+file.  :func:`main` validates the document against the command's schema and
+checks --threads; the command then makes its own checks (times inside the
+schedule's range, the oracle's dimension, its chain's rules) before it
+computes anything, so a fault in a config exits 2 before any run.  Reruns
+with the same config and seed are byte-identical except for the meta.json
+"timing" object, regardless of --threads.
 
 Each command writes nothing: it returns its tables (CSV name -> comment
 notes, header, rows), metrics, extra fields, timing fields and --assert
@@ -99,64 +102,55 @@ def _seed(command: str, doc: dict, override=None) -> int:
 
 
 # ---------------------------------------------------------------------------
-# semantic checks beyond the schema (still config errors, still pre-compute)
+# the checks a command makes on its document before it computes: config errors, exit 2
 
 
-def _build_context(command: str, doc: dict) -> dict:
-    ctx = {}
-    if command == "bench":
-        return ctx
-    ctx["schedule"] = build_schedule(doc["schedule"])
-    ctx["oracle"] = build_oracle(doc["oracle"], ctx["schedule"])
+def _target(doc: dict):
+    """The document's schedule and oracle; their builders report a bad block as a config error."""
+    schedule = build_schedule(doc["schedule"])
+    return schedule, build_oracle(doc["oracle"], schedule)
+
+
+def _in_range(check, *args):
+    """``check(*args)``, with the ValueError of a time outside the schedule's range as a config error."""
     try:
-        if command in ("stationarity", "convergence"):
-            ctx["schedule"].alpha_sigma(doc["t"])
-        if command == "hessian-error":
-            for t in doc["ts"]:
-                ctx["schedule"].alpha_sigma(t)
-        if command == "sample":
-            make_grid(ctx["schedule"], 1, doc["sampler"]["eps_clip"])
-        if command == "compare":
-            make_grid(ctx["schedule"], 1, doc["eps_clip"])
+        return check(*args)
     except ValueError as exc:
         raise ConfigError(f"config: time out of schedule range: {exc}") from exc
-    if command == "hessian-error" and ctx["oracle"].dim > DENSE_DIM_CAP:
-        raise ConfigError(f"config.oracle: hessian-error needs dim <= {DENSE_DIM_CAP} (got dim={ctx['oracle'].dim})")
-    if command in ("stationarity", "convergence") and ctx["oracle"].dim != 1:
-        raise ConfigError(f"config.oracle: {command} needs a 1-d oracle (got dim={ctx['oracle'].dim})")
-    if command == "convergence":
-        window = doc["fit_window"]
-        if len(window) != 2 or not window[0] < window[1]:
-            raise ConfigError("config.fit_window: must be [low, high] with low < high")
-    if command in ("stationarity", "convergence"):
-        # The run's configs, one per lam, built here so that their rules
-        # reject the document before anything is written.
-        lams = doc["lams"] if command == "convergence" else [doc["lam"]]
-        try:
-            ctx["fixed"] = [_fixed_cfg(doc, lam) for lam in lams]
-        except ValueError as exc:
-            raise ConfigError(f"config: {exc}") from exc
-    if command == "compare" and "annealed" in doc["variants"]:
-        # An annealed level costs inner_steps NFE, so only a multiple of it is a run of that NFE.
-        inner = doc["annealed"]["inner_steps"]
-        uneven = [nfe for nfe in doc["nfe"] if nfe % inner]
-        if uneven:
-            raise ConfigError(f"config.nfe: each must be a multiple of annealed.inner_steps = {inner}; got {uneven}")
-    return ctx
+
+
+def _fixed_level(command: str, doc: dict, lams):
+    """The oracle and one FixedLevelConfig per lam, whose rules reject the document before anything runs."""
+    schedule, oracle = _target(doc)
+    _in_range(schedule.alpha_sigma, doc["t"])
+    if oracle.dim != 1:
+        raise ConfigError(f"config.oracle: {command} needs a 1-d oracle (got dim={oracle.dim})")
+    try:
+        return oracle, [
+            FixedLevelConfig(
+                t=doc["t"], h=doc["h"], n_steps=doc["n_steps"], variant=doc["variant"], lam=lam, chains=doc["chains"],
+                snapshot_every=doc.get("snapshot_every"),  # stationarity stores only its final states
+                init_mean=doc["init"]["mean"], init_std=doc["init"]["std"], seed=doc["seed"],
+            )
+            for lam in lams
+        ]
+    except ValueError as exc:
+        raise ConfigError(f"config: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
 # commands
 
 
-def _cmd_sample(doc, ctx, threads: int):
-    oracle = ctx["oracle"]
+def _cmd_sample(doc, threads: int):
+    schedule, oracle = _target(doc)
     block = doc["sampler"]
+    _in_range(make_grid, schedule, 1, block["eps_clip"])
     scfg = SamplerConfig(
         n_steps=block["n_steps"],
         solver_order=block["order"],
         geometry=None if block["geometry"] is None else DampedGeometryConfig(**block["geometry"]),
-        schedule=ctx["schedule"],
+        schedule=schedule,
         seed=block["seed"],
         chains=block["chains"],
         eps_clip=block["eps_clip"],
@@ -188,22 +182,29 @@ def _cmd_sample(doc, ctx, threads: int):
     return tables, {"sw2_to_truth": sw2}, extra, {"per_step_s": list(run.step_times)}, None
 
 
-def _compare_run(variant, geo, nfe, seed, doc, ctx, threads):
+def _compare_run(variant, geo, nfe, seed, doc, schedule, oracle, threads):
     """Final states of one (variant, geometry, nfe, seed) cell; an annealed level costs inner_steps NFE."""
     ann, annealed = doc["annealed"], variant == "annealed"
     scfg = SamplerConfig(
         n_steps=nfe // ann["inner_steps"] if annealed else nfe,
         solver_order=2 if variant.endswith("o2") else 1,
-        geometry=geo, schedule=ctx["schedule"], seed=seed, chains=doc["chains"], eps_clip=doc["eps_clip"],
+        geometry=geo, schedule=schedule, seed=seed, chains=doc["chains"], eps_clip=doc["eps_clip"],
     )
     if not annealed:
-        return lml_sample(scfg, ctx["oracle"], record=False).final_states
-    return annealed_langevin_sample(scfg, ctx["oracle"], ann["inner_steps"], ann["step_scale"], threads).final_states
+        return lml_sample(scfg, oracle, record=False).final_states
+    return annealed_langevin_sample(scfg, oracle, ann["inner_steps"], ann["step_scale"], threads).final_states
 
 
-def _cmd_compare(doc, ctx, threads: int):
-    oracle = ctx["oracle"]
+def _cmd_compare(doc, threads: int):
+    schedule, oracle = _target(doc)
     nfe_list, seeds, variants = doc["nfe"], doc["seeds"], doc["variants"]
+    _in_range(make_grid, schedule, 1, doc["eps_clip"])
+    if "annealed" in variants:
+        # An annealed level costs inner_steps NFE, so only a multiple of it is a run of that NFE.
+        inner = doc["annealed"]["inner_steps"]
+        uneven = [nfe for nfe in nfe_list if nfe % inner]
+        if uneven:
+            raise ConfigError(f"config.nfe: each must be a multiple of annealed.inner_steps = {inner}; got {uneven}")
     n_proj = doc["diagnostics"]["n_projections"]
 
     plan = []
@@ -222,7 +223,7 @@ def _cmd_compare(doc, ctx, threads: int):
         for r, (variant, gdict) in enumerate(plan):
             geo = None if gdict is None else DampedGeometryConfig(**gdict)
             for j, nfe in enumerate(nfe_list):
-                w2 = sliced_wasserstein(_compare_run(variant, geo, nfe, s, doc, ctx, threads), ref)
+                w2 = sliced_wasserstein(_compare_run(variant, geo, nfe, s, doc, schedule, oracle, threads), ref)
                 if not np.isfinite(w2):
                     raise FloatingPointError(
                         f"compare: sliced W2 of {variant} at NFE {nfe}, seed {s} overflowed"
@@ -259,30 +260,14 @@ def _cmd_compare(doc, ctx, threads: int):
         "chains": doc["chains"],
         "dominating_combos": dominating,
     }
-    failed = doc["assert"]["lml_not_worse"] and bool(failed_orders)
     msg = f"no (lam, kappa) matches or beats baseline at every NFE for order(s) {failed_orders}"
-    return {"compare.csv": ({}, header, rows)}, {}, extra, {}, msg if failed else None
+    return {"compare.csv": ({}, header, rows)}, {}, extra, {}, msg if failed_orders else None
 
 
-def _fixed_cfg(doc, lam: float) -> FixedLevelConfig:
-    return FixedLevelConfig(
-        t=doc["t"],
-        h=doc["h"],
-        n_steps=doc["n_steps"],
-        variant=doc["variant"],
-        lam=lam,
-        chains=doc["chains"],
-        snapshot_every=doc.get("snapshot_every"),  # stationarity stores only its final states
-        init_mean=doc["init"]["mean"],
-        init_std=doc["init"]["std"],
-        seed=doc["seed"],
-    )
-
-
-def _cmd_stationarity(doc, ctx, threads: int):
-    oracle = ctx["oracle"]
+def _cmd_stationarity(doc, threads: int):
+    oracle, (fixed,) = _fixed_level("stationarity", doc, [doc["lam"]])
     t = doc["t"]
-    run = fixed_level_run(ctx["fixed"][0], oracle, threads=threads)
+    run = fixed_level_run(fixed, oracle, threads=threads)
     retained = run.final_states[:, 0]
 
     ks = ks_statistic(retained, lambda x: oracle.marginal_cdf(x, t))
@@ -318,20 +303,23 @@ def _gaussian_chi2_stderr(m: float, s: float, m2: float, s2: float, n: int) -> f
 
 
 def _reference_rate(variant: str, lam: float, sigma: float):
-    if variant in ("newton", "damped-exact", "damped-exact-corrected"):
-        return 2.0 / (1.0 + lam * sigma * sigma)  # newton is lam = 0: exactly 2.0
+    if variant in ("damped-exact", "damped-exact-corrected"):
+        return 2.0 / (1.0 + lam * sigma * sigma)  # exactly 2.0 at lam = 0
     if variant == "plain-langevin":
         return 2.0 / (sigma * sigma)
     return None  # damped-lm: state-dependent preconditioner, no closed form
 
 
-def _cmd_convergence(doc, ctx, threads: int):
-    oracle = ctx["oracle"]
+def _cmd_convergence(doc, threads: int):
+    oracle, runs = _fixed_level("convergence", doc, doc["lams"])
+    window = doc["fit_window"]
+    if len(window) != 2 or not window[0] < window[1]:
+        raise ConfigError("config.fit_window: must be [low, high] with low < high")
+    lo, hi = window
     t = doc["t"]
     alpha, sigma = oracle._level(t)
     single = oracle.n_components == 1
     mu = alpha * float(oracle.centers[0, 0])
-    lo, hi = doc["fit_window"]
 
     if not single:
         edges = equal_mass_edges(lambda q: oracle.marginal_quantile(q, t), 64)
@@ -340,7 +328,7 @@ def _cmd_convergence(doc, ctx, threads: int):
     metrics = {}
     details = []
     ok = True
-    for li, fixed in enumerate(ctx["fixed"]):
+    for li, fixed in enumerate(runs):
         lam = fixed.lam
         vals, errs = np.empty((2, fixed.snapshot_steps.size))
 
@@ -389,8 +377,12 @@ def _cmd_convergence(doc, ctx, threads: int):
     return tables, metrics, extra, {}, None if ok else "fitted rate or fit quality outside tolerance; see meta.json"
 
 
-def _cmd_hessian_error(doc, ctx, threads: int):
-    oracle = ctx["oracle"]
+def _cmd_hessian_error(doc, threads: int):
+    schedule, oracle = _target(doc)
+    for t in doc["ts"]:
+        _in_range(schedule.alpha_sigma, t)
+    if oracle.dim > DENSE_DIM_CAP:
+        raise ConfigError(f"config.oracle: hessian-error needs dim <= {DENSE_DIM_CAP} (got dim={oracle.dim})")
     rows = []
     per_t = []
     violations = 0
@@ -416,7 +408,7 @@ def _cmd_hessian_error(doc, ctx, threads: int):
     return tables, {"violations": float(violations)}, extra, {}, f"{violations} bound violations" if failed else None
 
 
-def _cmd_bench(doc, ctx, threads: int):
+def _cmd_bench(doc, threads: int):
     res = overhead_benchmark(d=doc["d"], reps=doc["reps"], seed=doc["seed"])
     timing = {"baseline_ns": res.baseline_ns, "lml_ns": res.lml_ns, "ratio": res.ratio}
     # bench gates only on a threshold the config sets: no default is reachable
@@ -472,13 +464,12 @@ def main(argv=None) -> int:
             raise ConfigError(f"not valid JSON: {exc}") from exc
         validate_config(doc, COMMAND_SCHEMAS[args.command])
         seed = _seed(args.command, doc, args.seed)
-        ctx = _build_context(args.command, doc)
         if args.threads < 1:
             raise ConfigError("--threads must be >= 1")
         chash = config_hash(doc)
         stamp = f"# config_hash={chash} seed={seed}"
         out = Path(args.out)
-        tables, metrics, extra, timing, failure = _DISPATCH[args.command](doc, ctx, args.threads)
+        tables, metrics, extra, timing, failure = _DISPATCH[args.command](doc, args.threads)
         for key, val in metrics.items():
             if not np.isfinite(val):
                 raise ValueError(f"metric {key!r} is not finite: {val!r}")

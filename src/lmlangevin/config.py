@@ -5,10 +5,11 @@ total and happens before any computation: unknown keys anywhere in the tree
 are rejected, as are wrong types and out-of-range values, so a typo can never
 silently fall back to a default.  Every default is declared once, on its node
 in the command's schema (one that depends on other keys as a function of
-the enclosing object), and validation writes it into the document, so an
-omitted key and the same key spelled out at its default give one effective
-config.  A canonical hash of that effective config is embedded in every
-output file, which makes rerun comparisons trivial.
+the enclosing object; a schedule parameter's is its kind's constructor's),
+and validation writes it into the document, so an omitted key and the same
+key spelled out at its default give one effective config.  A canonical hash
+of that effective config is embedded in every output file, which makes rerun
+comparisons trivial.
 """
 
 from __future__ import annotations
@@ -51,13 +52,14 @@ COMPARE_VARIANTS = ("baseline-o1", "baseline-o2", "annealed", "LML-o1", "LML-o2"
 #   number/int: min/max (inclusive), exclusive_min
 #   string: choices
 #   array: items node, min_len
-#   bool
 # Any node may set nullable: true.  Objects reject unknown keys.  A node under
 # an object key may set "default": when the key is omitted, validation writes
 # a copy of the default into the document and validates it like a supplied
 # value, which in turn fills the defaults nested inside it.  A callable
 # default is called with the enclosing object, whose earlier keys are then
-# validated, and its result is written instead.
+# validated, and its result is written instead, unless it is _OMIT.
+
+_OMIT = object()  # a callable default's "write nothing"
 
 
 def _type_ok(value, kind: str) -> bool:
@@ -67,8 +69,6 @@ def _type_ok(value, kind: str) -> bool:
         return isinstance(value, list)
     if kind == "string":
         return isinstance(value, str)
-    if kind == "bool":
-        return isinstance(value, bool)
     if kind == "int":
         return isinstance(value, int) and not isinstance(value, bool)
     if kind == "number":
@@ -119,7 +119,9 @@ def validate_config(value, schema: dict, path: str = "config") -> None:
         for name, sub in keys.items():
             if name not in value and "default" in sub:
                 default = sub["default"]
-                value[name] = default(value) if callable(default) else copy.deepcopy(default)
+                default = default(value) if callable(default) else copy.deepcopy(default)
+                if default is not _OMIT:
+                    value[name] = default
             if name in value:
                 validate_config(value[name], sub, f"{path}.{name}")
 
@@ -133,16 +135,27 @@ def config_hash(cfg: dict) -> str:
 # shared blocks
 
 
+# Each kind's constructor; its signature names the keys the kind takes and their defaults.
+_SCHEDULE_BUILDERS = {VP_LINEAR: NoiseSchedule.vp_linear, VE: NoiseSchedule.ve, COSINE: NoiseSchedule.cosine}
+
+
+def _schedule_param(name: str, **node) -> dict:
+    """Schedule key ``name``: its default is its kind's constructor's, and nothing for a kind that takes no such key."""
+
+    def default(block):
+        param = inspect.signature(_SCHEDULE_BUILDERS[block["kind"]]).parameters.get(name)
+        return _OMIT if param is None else param.default
+
+    return {"type": "number", "exclusive_min": 0.0, **node, "default": default}
+
+
 _SCHEDULE_SCHEMA = {
     "type": "object",
     "keys": {
+        # kind first: it is validated before the parameters' defaults read it
         "kind": {"type": "string", "choices": [VP_LINEAR, VE, COSINE]},
-        "beta_min": {"type": "number", "exclusive_min": 0.0},
-        "beta_max": {"type": "number", "exclusive_min": 0.0},
-        "sigma_min": {"type": "number", "exclusive_min": 0.0},
-        "sigma_max": {"type": "number", "exclusive_min": 0.0},
-        "offset": {"type": "number", "exclusive_min": 0.0},
-        "t_max": {"type": "number", "exclusive_min": 0.0, "max": 1.0},
+        **{name: _schedule_param(name) for name in ("beta_min", "beta_max", "sigma_min", "sigma_max", "offset")},
+        "t_max": _schedule_param("t_max", max=1.0),
     },
     "required": ["kind"],
 }
@@ -267,11 +280,6 @@ COMMAND_SCHEMAS = {
             },
             "eps_clip": {"type": "number", "exclusive_min": 0.0, "default": 1e-3},
             "diagnostics": _DIAG_SCHEMA,
-            "assert": {
-                "type": "object",
-                "default": {},
-                "keys": {"lml_not_worse": {"type": "bool", "default": True}},
-            },
         },
         "required": ["schedule", "oracle", "nfe", "chains", "seeds"],
     },
@@ -352,10 +360,6 @@ COMMAND_SCHEMAS = {
 
 # ---------------------------------------------------------------------------
 # builders (run only after validation)
-
-
-# Each kind's constructor; its signature names the keys the kind takes.
-_SCHEDULE_BUILDERS = {VP_LINEAR: NoiseSchedule.vp_linear, VE: NoiseSchedule.ve, COSINE: NoiseSchedule.cosine}
 
 
 def build_schedule(block: dict) -> NoiseSchedule:

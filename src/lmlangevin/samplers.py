@@ -17,14 +17,14 @@ Two families live here.
   - identity, P = I over a score callable: ``plain-langevin``, and the
     annealed loop with s = -eps/sigma;
   - exact, P = (-H + lam I)^{-1} with s, H and grad H (for div P) from one
-    oracle call: ``damped-exact[-corrected]``, and ``newton``, which is
-    ``damped-exact`` at lam = 0;
+    oracle call: ``damped-exact[-corrected]``, whose lam = 0 is the Newton
+    (naive Hessian) metric;
   - rank-1, the damped rank-1 proxy without div P on any
     :class:`~.oracle.ScoreProvider` and sigma, with s = -eps/sigma:
     ``damped-lm``.
 
-  On a single-component 1-d target the Newton and exact damped variants
-  reduce to a closed-form OU update, the one fast path the kernel selects.
+  On a single-component 1-d target the exact damped variants reduce to a
+  closed-form OU update, the one fast path the kernel selects.
   :func:`newton_langevin_step` and :func:`damped_step` are one step of the
   fixed-level chain.
 
@@ -88,7 +88,6 @@ __all__ = [
 
 FIXED_LEVEL_VARIANTS = (
     "plain-langevin",
-    "newton",
     "damped-exact",
     "damped-exact-corrected",
     "damped-lm",
@@ -212,10 +211,7 @@ def multistep2_step(x, eps_hat, prev_eps_hat, i: int, grid: TimestepGrid):
         raise ValueError("multistep2_step needs the previous prediction; take an order-1 step first")
     if i + 1 > grid.n_steps:
         raise ValueError("no level above i: the first step has no history")
-    h_cur = _step_scalars(grid, i)[2]
-    k = grid.n_steps - i  # table index of level i; level i + 1 sits at k - 1
-    h_prev = float(grid.log_snr[k] - grid.log_snr[k - 1])
-    r = h_prev / h_cur
+    r = _step_scalars(grid, i + 1)[2] / _step_scalars(grid, i)[2]
     x = np.asarray(x)
     dt = x.dtype.type
     c = dt(1.0 / (2.0 * r))
@@ -477,8 +473,8 @@ class FixedLevelConfig:
     ``snapshot_every=None`` records only the state after n_steps; otherwise
     snapshots are taken at steps 0, snapshot_every, ... up to n_steps, and
     the run stops at the last of them, which is ``final_states``.  ``lam`` is
-    the damping of the ``damped-*`` variants and must be 0 for ``newton`` and
-    ``plain-langevin``, which take none.
+    the damping of the ``damped-*`` variants and must be 0 for
+    ``plain-langevin``, which takes none.
     ``init_mean``/``init_std`` define the Gaussian initialization of every
     chain coordinate.
     """
@@ -505,7 +501,7 @@ class FixedLevelConfig:
             raise ValueError("lam must be >= 0")
         if self.variant == "damped-lm" and not self.lam > 0.0:
             raise ValueError("damped-lm requires lam > 0")
-        if self.variant in ("newton", "plain-langevin") and self.lam != 0.0:
+        if self.variant == "plain-langevin" and self.lam != 0.0:
             raise ValueError(f"{self.variant} takes no damping; use lam=0")
         if self.snapshot_every is not None and not 1 <= self.snapshot_every <= self.n_steps:
             raise ValueError(f"snapshot_every must lie in [1, n_steps = {self.n_steps}]")
@@ -622,10 +618,9 @@ def fixed_level_run(
 
 
 def newton_langevin_step(x, oracle: GaussianMixtureOracle, t: float, h: float, rng: np.random.Generator):
-    """Langevin at level t preconditioned by P = (-grad^2 log p_t)^{-1}: one step of the ``newton`` chain.
+    """Langevin at level t preconditioned by P = (-grad^2 log p_t)^{-1}: one step of ``damped-exact`` at lam = 0.
 
-    This is the exact :func:`damped_step` at lam = 0, so where the target is
-    not log-concave at x it raises NotLogConcaveError.
+    Where the target is not log-concave at x it raises NotLogConcaveError.
     """
     return damped_step(x, oracle, t, 0.0, h, rng)
 

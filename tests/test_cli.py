@@ -97,7 +97,7 @@ def test_semantic_config_errors(tmp_path, capsys) -> None:
     assert main(["hessian-error", "--config", _write(tmp_path, "d.json", wide), "--out", str(out)]) == 2
     assert "needs dim <= 64 (got dim=65)" in capsys.readouterr().err
     assert not out.exists()
-    # --threads is checked after the document, with the same exit and no file written
+    # --threads is checked after the schema, with the same exit and no file written
     out = tmp_path / "o5"
     argv = ["sample", "--config", _write(tmp_path, "e.json", _sample_doc()), "--out", str(out), "--threads", "0"]
     assert main(argv) == 2
@@ -134,6 +134,7 @@ _STAT_1D = {
 }
 _CONV_1D = dict(_STAT_1D, lams=[0.0])
 _TWO_D = {"centers": [[1.0, 0.0], [-1.0, 0.0]]}
+_HESSIAN = {"schedule": {"kind": "vp-linear"}, "oracle": _TWO_D, "ts": [0.5], "n_points": 2}
 _COMPARE_ANNEALED = {
     "schedule": {"kind": "vp-linear"},
     "oracle": _TWO_D,
@@ -192,14 +193,43 @@ _COMPARE_ANNEALED = {
             "compare", _set(_COMPARE_ANNEALED, "annealed", {"inner_steps": 2}),
             "config.nfe: each must be a multiple of annealed.inner_steps = 2; got [5]",
         ),
+        ("sample", _set(_sample_doc(), "sampler.eps_clip", 2.0), "config: time out of schedule range: eps_clip"),
+        ("compare", _set(_COMPARE_ANNEALED, "eps_clip", 2.0), "config: time out of schedule range: eps_clip"),
+        ("stationarity", _set(_STAT_1D, "t", 2.0), "config: time out of schedule range: time out of range"),
+        (
+            "convergence", _set(_CONV_1D, "fit_window", [0.2, 3e-3]),
+            "config.fit_window: must be [low, high] with low < high",
+        ),
+        ("convergence", _set(_CONV_1D, "snapshot_every", 21), "config: snapshot_every must lie in [1, n_steps = 20]"),
+        (
+            "stationarity", _set(_set(_STAT_1D, "variant", "damped-lm"), "lam", 0.0),
+            "config: damped-lm requires lam > 0",
+        ),
+        (
+            "hessian-error", _set(_HESSIAN, "oracle.centers", [[1.0] * 65]),
+            "config.oracle: hessian-error needs dim <= 64 (got dim=65)",
+        ),
+        ("hessian-error", _set(_HESSIAN, "ts", [0.5, 2.0]), "config: time out of schedule range: time out of range"),
+        # Newton is damped-exact at lam = 0, and compare gates under --assert alone
+        ("stationarity", _set(_STAT_1D, "variant", "newton"), "config.variant: must be one of"),
+        ("compare", _set(_COMPARE_ANNEALED, "assert", {}), "config: unknown keys ['assert']"),
     ],
     ids=[
         "null", "min", "exclusive-min", "max", "choices", "min-len", "required", "schedule-builder",
         "both-centers", "no-centers", "unreadable-csv", "weight-count", "ragged-centers",
         "stationarity-1d", "convergence-1d", "compare-annealed-nfe", "compare-annealed-nfe-multiple",
+        "sample-eps-clip", "compare-eps-clip", "stationarity-t", "fit-window-reversed", "snapshot-every",
+        "damped-lm-lam0", "hessian-error-dim", "hessian-error-t", "newton-variant", "compare-assert",
     ],
 )
-def test_config_error_names_its_key(tmp_path, capsys, command, doc, message) -> None:
+def test_config_error_names_its_key(tmp_path, capsys, monkeypatch, command, doc, message) -> None:
+    # A config fault stops the run before it computes anything.
+    for name in ("lml_sample", "annealed_langevin_sample", "fixed_level_run", "bound_check", "overhead_benchmark"):
+
+        def computes(*args, _name=name, **kwargs):
+            raise AssertionError(f"{_name} ran on a faulty config")
+
+        monkeypatch.setattr(cli, name, computes)
     out = tmp_path / "out"
     assert main([command, "--config", _write(tmp_path, "c.json", doc), "--out", str(out)]) == 2
     assert f"config error: {message}" in capsys.readouterr().err
@@ -683,12 +713,12 @@ def test_stationarity_outputs_and_assert(tmp_path) -> None:
 
 
 def test_undamped_variant_with_lam_is_config_error(tmp_path, capsys) -> None:
-    # newton and plain-langevin take no damping; a lam they would ignore
+    # plain-langevin takes no damping; a lam it would ignore
     # must not reach histogram.csv and meta.json as if it had been applied.
-    doc = dict(_stationarity_doc(), variant="newton", lam=5.0)
+    doc = dict(_stationarity_doc(), variant="plain-langevin", lam=5.0)
     out = tmp_path / "out"
     assert main(["stationarity", "--config", _write(tmp_path, "c.json", doc), "--out", str(out)]) == 2
-    assert "newton takes no damping" in capsys.readouterr().err
+    assert "plain-langevin takes no damping" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -794,7 +824,7 @@ def _gaussian_convergence_doc(variant, h, lams):
 
 
 @pytest.mark.parametrize(
-    "variant, h, reference", [("plain-langevin", 0.05, 2.0 / _SIGMA_AT_06**2), ("newton", 0.01, 2.0)],
+    "variant, h, reference", [("plain-langevin", 0.05, 2.0 / _SIGMA_AT_06**2), ("damped-exact", 0.01, 2.0)],
     ids=["plain-langevin", "newton"],
 )
 def test_convergence_reference_rates(tmp_path, variant, h, reference) -> None:

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import math
 import tracemalloc
 
@@ -301,7 +300,7 @@ def test_langevin_bits_do_not_depend_on_the_tile_layout(monkeypatch) -> None:
             cfg = SamplerConfig(n_steps=4, schedule=sch, seed=3, chains=37)
             got = [annealed_langevin_sample(cfg, orc, inner_steps=2, step_scale=0.1).states]
             for variant in samplers.FIXED_LEVEL_VARIANTS:
-                lam = 0.0 if variant in ("newton", "plain-langevin") else 0.5
+                lam = 0.0 if variant == "plain-langevin" else 0.5
                 fixed = FixedLevelConfig(
                     t=0.5, h=0.05, n_steps=6, variant=variant, lam=lam, chains=37, snapshot_every=3, seed=4
                 )
@@ -481,13 +480,13 @@ def test_fast_path_matches_generic_scalar_path() -> None:
 
 
 def test_newton_gaussian_stationary() -> None:
-    # Newton preconditioning on a Gaussian rescales curvature to 1, so the
-    # chain has AR(1) coefficient (1-h) regardless of sigma.
+    # Newton preconditioning (damped-exact at lam = 0) on a Gaussian rescales
+    # curvature to 1, so the chain has AR(1) coefficient (1-h) regardless of sigma.
     sch = NoiseSchedule.ve(0.01, 100.0)
     orc = GaussianMixtureOracle([[0.0], [0.0]], None, sch)  # dup centers: generic path
     h, chains = 0.02, 20000
     cfg = FixedLevelConfig(
-        t=0.25, h=h, n_steps=600, variant="newton",
+        t=0.25, h=h, n_steps=600, variant="damped-exact",
         chains=chains, init_mean=0.0, init_std=0.1, seed=12,
     )
     xs = fixed_level_run(cfg, orc).final_states[:, 0]
@@ -496,30 +495,15 @@ def test_newton_gaussian_stationary() -> None:
     assert xs.var(ddof=1) == pytest.approx(v_fix, rel=5 * math.sqrt(2.0 / (chains - 1)))
 
 
-def test_newton_equals_damped_exact_at_zero_lam() -> None:
-    # Newton is the exact damped metric at lam = 0: on a duplicated-center
-    # oracle (log-concave, and off the single-component OU shortcut) both
-    # variants must take bit-identical steps, on the scalar and the eigh path.
-    sch = _unit_sigma_schedule()
-    for centers in ([[0.4], [0.4]], [[0.4, -0.2], [0.4, -0.2]]):
-        orc = GaussianMixtureOracle(centers, None, sch)
-        kw = dict(t=0.5, h=0.02, n_steps=40, lam=0.0, chains=500, snapshot_every=10, seed=14)
-        a = fixed_level_run(FixedLevelConfig(variant="newton", **kw), orc)
-        b = fixed_level_run(FixedLevelConfig(variant="damped-exact", **kw), orc)
-        assert np.array_equal(a.states, b.states)
-
-
 def test_newton_rejects_nonconcave_region() -> None:
     sch = NoiseSchedule.ve(0.01, 100.0)
     orc = GaussianMixtureOracle([[1.0], [-1.0]], None, sch)
     # at t=0.25, sigma=0.1: between the modes -hessian is strongly negative
-    cfg = FixedLevelConfig(t=0.25, h=1e-3, n_steps=5, variant="newton", chains=8, init_std=0.0)
+    cfg = FixedLevelConfig(t=0.25, h=1e-3, n_steps=5, variant="damped-exact", chains=8, init_std=0.0)
     with pytest.raises(NotLogConcaveError, match="need lam >") as caught:
         fixed_level_run(cfg, orc)
-    # Newton is the damped metric at lam = 0: its error is the damped one, and damped-exact there raises Newton's
+    # Newton is the damped metric at lam = 0, so its error is the damped one
     assert isinstance(caught.value, DampingTooSmallError)
-    with pytest.raises(NotLogConcaveError, match="need lam >"):
-        fixed_level_run(dataclasses.replace(cfg, variant="damped-exact"), orc)
 
 
 def test_damping_too_small_reports_needed_lam() -> None:
@@ -542,8 +526,15 @@ def test_damped_lm_variant_runs() -> None:
     assert 0.3 < frac < 0.7
 
 
-@pytest.mark.parametrize("variant", ["plain-langevin", "damped-lm", "damped-exact", "damped-exact-corrected", "newton"])
-def test_each_step_evaluates_the_posterior_once(monkeypatch, variant) -> None:
+@pytest.mark.parametrize(
+    "variant, lam",
+    [
+        ("plain-langevin", 0.0), ("damped-lm", 0.5), ("damped-exact", 0.5), ("damped-exact-corrected", 0.5),
+        ("damped-exact", 0.0),
+    ],
+    ids=["plain-langevin", "damped-lm", "damped-exact", "damped-exact-corrected", "newton"],
+)
+def test_each_step_evaluates_the_posterior_once(monkeypatch, variant, lam) -> None:
     # The plain drift is one score call; the rank-1 drift takes the score as
     # -eps/sigma of the one prediction the step makes; the exact metrics take
     # the score, the Hessian and its gradient from one oracle call.  Centers
@@ -564,7 +555,6 @@ def test_each_step_evaluates_the_posterior_once(monkeypatch, variant) -> None:
 
     monkeypatch.setattr(GaussianMixtureOracle, "_log_posterior", counted_posterior)
     monkeypatch.setattr(NoiseSchedule, "alpha_sigma", counted_schedule)
-    lam = 0.0 if variant in ("newton", "plain-langevin") else 0.5
     cfg = FixedLevelConfig(t=0.5, h=0.01, n_steps=7, variant=variant, lam=lam, chains=16, seed=13)
     fixed_level_run(cfg, orc)
     assert len(posterior) == 7
@@ -593,10 +583,15 @@ def _damped_step_of(x, orc, cfg, gen):
     return damped_step(x, orc, cfg.t, cfg.lam, cfg.h, gen, cfg.variant)
 
 
-# (variant, public step) by case name: damped_step takes every variant by name,
-# and newton_langevin_step is the newton chain's step under its own name.
-_ONE_STEP_CALLS = {variant: (variant, _damped_step_of) for variant in FIXED_LEVEL_VARIANTS} | {
-    "newton_langevin_step": ("newton", lambda x, orc, cfg, gen: newton_langevin_step(x, orc, cfg.t, cfg.h, gen)),
+# (variant, lam, public step) by case name: damped_step takes every variant by name, and the
+# Newton chain, damped-exact at lam = 0, is also newton_langevin_step's under its own name.
+_ONE_STEP_CALLS = {
+    variant: (variant, 0.0 if variant == "plain-langevin" else 0.5, _damped_step_of) for variant in FIXED_LEVEL_VARIANTS
+} | {
+    "newton": ("damped-exact", 0.0, _damped_step_of),
+    "newton_langevin_step": (
+        "damped-exact", 0.0, lambda x, orc, cfg, gen: newton_langevin_step(x, orc, cfg.t, cfg.h, gen)
+    ),
 }
 
 
@@ -607,9 +602,8 @@ def test_public_steps_are_one_step_of_the_fixed_level_chain(case, centers) -> No
     # from stream(seed, 0); n public steps on that generator must land on the
     # run's final states bit for bit, on the single-component 1-d OU update
     # as on the generic metrics, and leave the caller's positions as they were.
-    variant, one_step = _ONE_STEP_CALLS[case]
+    variant, lam, one_step = _ONE_STEP_CALLS[case]
     orc = GaussianMixtureOracle(centers, None, _unit_sigma_schedule())
-    lam = 0.0 if variant in ("newton", "plain-langevin") else 0.5
     cfg = FixedLevelConfig(
         t=0.5, h=0.02, n_steps=6, variant=variant, lam=lam, chains=300, init_mean=0.2, init_std=0.5, seed=8
     )
@@ -864,9 +858,10 @@ def test_fixed_level_blowup_raises() -> None:
 def test_fixed_level_config_validation() -> None:
     with pytest.raises(ValueError, match="variant"):
         FixedLevelConfig(t=0.5, h=0.01, n_steps=10, variant="hamiltonian")
-    for variant in ("newton", "plain-langevin"):
-        with pytest.raises(ValueError, match="takes no damping"):
-            FixedLevelConfig(t=0.5, h=0.01, n_steps=10, variant=variant, lam=7.0)
+    with pytest.raises(ValueError, match="variant must be one of"):  # Newton is damped-exact at lam = 0
+        FixedLevelConfig(t=0.5, h=0.01, n_steps=10, variant="newton")
+    with pytest.raises(ValueError, match="plain-langevin takes no damping"):
+        FixedLevelConfig(t=0.5, h=0.01, n_steps=10, variant="plain-langevin", lam=7.0)
     with pytest.raises(ValueError, match="h must be > 0"):
         FixedLevelConfig(t=0.5, h=0.0, n_steps=10, variant="plain-langevin")
     with pytest.raises(ValueError, match="snapshot_every"):
