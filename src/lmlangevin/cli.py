@@ -154,7 +154,6 @@ def _cmd_sample(doc, threads: int):
         seed=block["seed"],
         chains=block["chains"],
         eps_clip=block["eps_clip"],
-        dtype=block["dtype"],
     )
     run = lml_sample(scfg, oracle, record=False)
     finals = run.final_states
@@ -176,7 +175,6 @@ def _cmd_sample(doc, threads: int):
         "n_steps": scfg.n_steps,
         "order": scfg.solver_order,
         "chains": scfg.chains,
-        "dtype": scfg.dtype,
     }
     tables = {"samples.csv": ({"lam": lam, "kappa": kappa}, header, rows)}
     return tables, {"sw2_to_truth": sw2}, extra, {"per_step_s": list(run.step_times)}, None

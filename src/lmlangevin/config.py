@@ -7,7 +7,8 @@ silently fall back to a default.  Every default is declared once, on its node
 in the command's schema (one that depends on other keys as a function of
 the enclosing object; a schedule parameter's is its kind's constructor's),
 and validation writes it into the document, so an omitted key and the same
-key spelled out at its default give one effective config.  A canonical hash
+key spelled out at its default give one effective config; it also writes
+every number as a float, so ``20`` and ``20.0`` hash alike.  A canonical hash
 of that effective config is embedded in every output file, which makes rerun
 comparisons trivial.
 """
@@ -76,14 +77,14 @@ def _type_ok(value, kind: str) -> bool:
     raise AssertionError(f"unknown schema type {kind!r}")
 
 
-def validate_config(value, schema: dict, path: str = "config") -> None:
-    """Recursively check value against schema, filling omitted defaults in place.
+def validate_config(value, schema: dict, path: str = "config"):
+    """Recursively check value against schema, filling omitted defaults and writing numbers as floats in place.
 
-    Raises ConfigError on any mismatch.
+    Returns value, a number as a float.  Raises ConfigError on any mismatch.
     """
     if value is None:
         if schema.get("nullable"):
-            return
+            return None
         raise ConfigError(f"{path}: must not be null")
     kind = schema["type"]
     if not _type_ok(value, kind):
@@ -101,13 +102,15 @@ def validate_config(value, schema: dict, path: str = "config") -> None:
             raise ConfigError(f"{path}: must be > {schema['exclusive_min']}")
         if "max" in schema and val > schema["max"]:
             raise ConfigError(f"{path}: must be <= {schema['max']}")
+        if kind == "number":
+            value = val
     if kind == "string" and "choices" in schema and value not in schema["choices"]:
         raise ConfigError(f"{path}: must be one of {sorted(schema['choices'])}, got {value!r}")
     if kind == "array":
         if len(value) < schema.get("min_len", 0):
             raise ConfigError(f"{path}: needs at least {schema['min_len']} entries")
         for i, item in enumerate(value):
-            validate_config(item, schema["items"], f"{path}[{i}]")
+            value[i] = validate_config(item, schema["items"], f"{path}[{i}]")
     if kind == "object":
         keys = schema.get("keys", {})
         unknown = sorted(set(value) - set(keys))
@@ -123,7 +126,8 @@ def validate_config(value, schema: dict, path: str = "config") -> None:
                 if default is not _OMIT:
                     value[name] = default
             if name in value:
-                validate_config(value[name], sub, f"{path}.{name}")
+                value[name] = validate_config(value[name], sub, f"{path}.{name}")
+    return value
 
 
 def config_hash(cfg: dict) -> str:
@@ -135,27 +139,25 @@ def config_hash(cfg: dict) -> str:
 # shared blocks
 
 
-# Each kind's constructor; its signature names the keys the kind takes and their defaults.
+# Each kind's constructor: its signature names the keys the kind takes and their defaults, and it checks their range.
 _SCHEDULE_BUILDERS = {VP_LINEAR: NoiseSchedule.vp_linear, VE: NoiseSchedule.ve, COSINE: NoiseSchedule.cosine}
 
 
-def _schedule_param(name: str, **node) -> dict:
+def _schedule_param(name: str) -> dict:
     """Schedule key ``name``: its default is its kind's constructor's, and nothing for a kind that takes no such key."""
 
     def default(block):
-        param = inspect.signature(_SCHEDULE_BUILDERS[block["kind"]]).parameters.get(name)
-        return _OMIT if param is None else param.default
+        return getattr(inspect.signature(_SCHEDULE_BUILDERS[block["kind"]]).parameters.get(name), "default", _OMIT)
 
-    return {"type": "number", "exclusive_min": 0.0, **node, "default": default}
+    return {"type": "number", "exclusive_min": 0.0, "default": default}
 
 
 _SCHEDULE_SCHEMA = {
     "type": "object",
     "keys": {
         # kind first: it is validated before the parameters' defaults read it
-        "kind": {"type": "string", "choices": [VP_LINEAR, VE, COSINE]},
-        **{name: _schedule_param(name) for name in ("beta_min", "beta_max", "sigma_min", "sigma_max", "offset")},
-        "t_max": _schedule_param("t_max", max=1.0),
+        "kind": {"type": "string", "choices": list(_SCHEDULE_BUILDERS)},
+        **{key: _schedule_param(key) for b in _SCHEDULE_BUILDERS.values() for key in inspect.signature(b).parameters},
     },
     "required": ["kind"],
 }
@@ -194,7 +196,6 @@ _SAMPLER_SCHEMA = {
         "chains": {"type": "int", "min": 1, "default": 1},
         "seed": {"type": "int", "min": 0, "default": 0},
         "eps_clip": {"type": "number", "exclusive_min": 0.0, "default": 1e-3},
-        "dtype": {"type": "string", "choices": ["float64", "float32"], "default": "float64"},
     },
     "required": ["n_steps"],
 }

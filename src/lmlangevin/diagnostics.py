@@ -20,7 +20,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .geometry import DampedGeometryConfig, lm_guided_eps, low_rank_hessian
-from .oracle import GaussianMixtureOracle
+from .oracle import _DENSE_BATCH_ELEMS, GaussianMixtureOracle
 
 __all__ = [
     "finite_diff_jacobian",
@@ -125,11 +125,6 @@ class BoundCheckResult:
     violations: int
 
 
-# bound_check evaluates its points in batches whose third-derivative tensor
-# (points, d, d, d) holds at most this many floats (8 MB).
-_BOUND_CHECK_ELEMS = 1 << 20
-
-
 def bound_check(
     oracle: GaussianMixtureOracle,
     t: float,
@@ -141,17 +136,18 @@ def bound_check(
     r(x) = |v| with v = x - alpha_t ybar(x, t) = -sigma^2 s, whose Jacobian
     is J = -sigma^2 H.  With g = J v / r the gradient of r, the exact second
     derivative is (J J - sigma^2 sum_k v_k T[k] - g g^T) / r, read off one
-    ``derivatives(x, t, 3)`` call (s, H and T = grad H) per batch of points;
-    d <= DENSE_DIM_CAP.  delta1 and delta3 are taken as maxima over the
-    supplied set, so the bound is a single number per (oracle, t, set); the
-    empirical left side uses the same second derivative that defines delta3.
+    ``derivatives(x, t, 3)`` call (s, H and T = grad H) per batch of points
+    whose T holds at most _DENSE_BATCH_ELEMS floats; d <= DENSE_DIM_CAP.
+    delta1 and delta3 are taken as maxima over the supplied set, so the bound
+    is a single number per (oracle, t, set); the empirical left side uses the
+    same second derivative that defines delta3.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
     alpha, sigma = oracle._level(t)
     s2 = sigma * sigma
     rvals = np.empty(xs.shape[0])
     curv = np.empty(xs.shape[0])
-    step = max(1, _BOUND_CHECK_ELEMS // xs.shape[1] ** 3)
+    step = max(1, _DENSE_BATCH_ELEMS // xs.shape[1] ** 3)
     for lo in range(0, xs.shape[0], step):
         score, hess, third = oracle.derivatives(xs[lo : lo + step], t, 3)
         v = -s2 * score

@@ -14,7 +14,8 @@ Shapes: centers are ``(n, d)``, and ``x`` a single point ``(d,)`` or a batch
 ``(m, d)``; outputs match x, and a row's result does not depend on how many
 rows share the call.  :meth:`derivatives` reads the score, the Hessian and its
 gradient (order 1, 2 or 3) off one posterior evaluation, and caps the dense
-orders 2 and 3 at d <= DENSE_DIM_CAP = 64, the package's one such cap.
+orders 2 and 3 at d <= DENSE_DIM_CAP = 64, the package's one such cap; a
+caller takes them over many rows in batches of at most _DENSE_BATCH_ELEMS.
 
 The posterior over components is computed against the centers taken relative
 to their mean ybar0, as two-operand contractions: no (m, n, d) difference
@@ -51,6 +52,7 @@ from .schedule import NoiseSchedule
 __all__ = ["ScoreProvider", "GaussianMixtureOracle", "DENSE_DIM_CAP"]
 
 DENSE_DIM_CAP = 64
+_DENSE_BATCH_ELEMS = 1 << 20  # floats (8 MB) in the largest dense part, (rows,) + (d,) * order, of one batch
 
 # 1/sqrt(2) as a product, like the standard CDF's reference implementations:
 # dividing by sqrt(2) rounds the erfc argument differently, which is 3.6e-13

@@ -66,7 +66,7 @@ from .geometry import (
     damped_inverse_sqrt_apply,
     lm_guided_eps,
 )
-from .oracle import GaussianMixtureOracle, ScoreProvider
+from .oracle import _DENSE_BATCH_ELEMS, GaussianMixtureOracle, ScoreProvider
 from .schedule import NoiseSchedule, TimestepGrid, make_grid
 
 __all__ = [
@@ -131,16 +131,18 @@ def _exact_metric(oracle: GaussianMixtureOracle, t: float, lam: float, corrected
     """The exact metric P = (-H + lam I)^{-1} at level t, with div P added to the drift when ``corrected``.
 
     Each call takes the score s, the Hessian H and, when ``corrected``, its
-    gradient from one oracle call.  A d == 1 metric is a scalar and is applied
-    by division; larger ones go through ``eigh``.  A metric that is not
-    positive definite raises DampingTooSmallError naming the damping it would
-    need, as its subclass NotLogConcaveError at lam = 0.
+    gradient from one oracle call per batch of rows within _DENSE_BATCH_ELEMS
+    (rows are independent, so batches move no bit).  A d == 1 metric is a
+    scalar and is applied by division; larger ones go through ``eigh``.  A
+    metric that is not positive definite raises DampingTooSmallError naming
+    the damping the block would need, as its subclass NotLogConcaveError at
+    lam = 0.
     """
     order = 3 if corrected else 2
+    rows = max(1, _DENSE_BATCH_ELEMS // oracle.dim**order)
 
-    def metric(x, xi):
-        # Row-contiguous: eigh and the dense contractions gain nothing from a chains-innermost tile.
-        x, xi = np.ascontiguousarray(x), np.ascontiguousarray(xi)
+    def batch(x, xi):
+        # (least curvature, drift, noise), with zeros for the drift and the noise when the least is not positive.
         parts = oracle.derivatives(x, t, order)
         score, neg = parts[0], -parts[1]
         d = neg.shape[-1]
@@ -151,20 +153,34 @@ def _exact_metric(oracle: GaussianMixtureOracle, t: float, lam: float, corrected
             g = w + lam
         gmin = float(g.min())
         if gmin <= 0.0:
-            raise (NotLogConcaveError if lam == 0.0 else DampingTooSmallError)(
-                f"lam={lam:g} leaves the damped curvature indefinite; need lam > {lam - gmin:.6g}"
-            )
+            return gmin, 0.0, 0.0
         if d == 1:
             drift = score[..., 0] / g
             if corrected:
                 drift = drift + parts[2][..., 0, 0, 0] / (g * g)
-            return drift[..., None], (xi[..., 0] / np.sqrt(g))[..., None]
+            return gmin, drift[..., None], (xi[..., 0] / np.sqrt(g))[..., None]
         if corrected:
             # dP = P dH P for P = (-H + lam I)^{-1}, so div(P)_i = sum_j [P (dH/dx_j) P]_{ij} = [P (T:P)]_i
             # with (T:P)_a = sum_{b,j} T_abj P_bj, and P s + div P = P (s + T:P).
             p = np.einsum("...ij,...j,...kj->...ik", v, 1.0 / g, v)
             score = score + np.einsum("...abj,...bj->...a", parts[2], p)
-        return _eig_apply(g, v, score, -1.0), _eig_apply(g, v, xi, -0.5)
+        return gmin, _eig_apply(g, v, score, -1.0), _eig_apply(g, v, xi, -0.5)
+
+    def metric(x, xi):
+        # Row-contiguous: eigh and the dense contractions gain nothing from a chains-innermost tile.
+        x, xi = np.ascontiguousarray(x), np.ascontiguousarray(xi)
+        if x.ndim == 1 or len(x) <= rows:
+            gmin, drift, noise = batch(x, xi)
+        else:
+            drift, noise, gmin = np.empty_like(x), np.empty_like(xi), np.inf
+            for lo in range(0, len(x), rows):
+                least, drift[lo : lo + rows], noise[lo : lo + rows] = batch(x[lo : lo + rows], xi[lo : lo + rows])
+                gmin = min(gmin, least)
+        if gmin <= 0.0:
+            raise (NotLogConcaveError if lam == 0.0 else DampingTooSmallError)(
+                f"lam={lam:g} leaves the damped curvature indefinite; need lam > {lam - gmin:.6g}"
+            )
+        return drift, noise
 
     return metric
 
@@ -196,9 +212,7 @@ def ddim_step(x, eps_hat, i: int, grid: TimestepGrid):
     through x0-prediction.
     """
     ratio, s_next, h = _step_scalars(grid, i)
-    x = np.asarray(x)
-    dt = x.dtype.type
-    return dt(ratio) * x - dt(s_next * np.expm1(h)) * np.asarray(eps_hat, dtype=x.dtype)
+    return ratio * np.asarray(x) - s_next * np.expm1(h) * np.asarray(eps_hat)
 
 
 def multistep2_step(x, eps_hat, prev_eps_hat, i: int, grid: TimestepGrid):
@@ -212,13 +226,8 @@ def multistep2_step(x, eps_hat, prev_eps_hat, i: int, grid: TimestepGrid):
     if i + 1 > grid.n_steps:
         raise ValueError("no level above i: the first step has no history")
     r = _step_scalars(grid, i + 1)[2] / _step_scalars(grid, i)[2]
-    x = np.asarray(x)
-    dt = x.dtype.type
-    c = dt(1.0 / (2.0 * r))
-    eps_bar = (dt(1.0) + c) * np.asarray(eps_hat, dtype=x.dtype) - c * np.asarray(
-        prev_eps_hat, dtype=x.dtype
-    )
-    return ddim_step(x, eps_bar, i, grid)
+    c = 1.0 / (2.0 * r)
+    return ddim_step(x, (1.0 + c) * np.asarray(eps_hat) - c * np.asarray(prev_eps_hat), i, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +326,6 @@ class SamplerConfig:
     seed: int = 0
     chains: int = 1
     eps_clip: float = 1e-3
-    dtype: str = "float64"
 
     def __post_init__(self):
         if self.n_steps < 1:
@@ -326,8 +334,6 @@ class SamplerConfig:
             raise ValueError("solver_order must be 1 or 2")
         if self.chains < 1:
             raise ValueError("chains must be >= 1")
-        if self.dtype not in ("float32", "float64"):
-            raise ValueError("dtype must be float32 or float64")
 
 
 @dataclass
@@ -380,7 +386,6 @@ def lml_sample(cfg: SamplerConfig, provider: ScoreProvider, record: bool = True)
     grid = make_grid(cfg.schedule, cfg.n_steps, cfg.eps_clip)
     d = provider.dim
     n, m = cfg.n_steps, cfg.chains
-    dt = np.dtype(cfg.dtype)
     sigma_top = float(grid.sigma[0])
 
     def step_kernel(level: int):
@@ -394,9 +399,6 @@ def lml_sample(cfg: SamplerConfig, provider: ScoreProvider, record: bool = True)
                 x = multistep2_step(x, used, prev_used, level, grid)
             else:
                 x = ddim_step(x, used, level, grid)
-            if dt != np.float64:
-                # float32 mode: states round-trip through float32 between steps.
-                x = x.astype(dt).astype(np.float64)
             return x, raw, used
 
         return kernel
@@ -407,13 +409,13 @@ def lml_sample(cfg: SamplerConfig, provider: ScoreProvider, record: bool = True)
         return f"lml_sample produced non-finite states at {where}; the provider's prediction was {cause}"
 
     def init(z):
-        return (sigma_top * z).astype(dt, copy=False).astype(np.float64, copy=False), None, None
+        return sigma_top * z, None, None
 
     # Snapshot indices count from the end, where states[k + 1], eps_raw[k] and eps_used[k] hold
     # step k + 1.  A recorded run writes the start and every step, any other only its last step.
     legs = [(None, 0, 0)] if record else []
     legs += [(step_kernel(n - k), 1, k - n if record or k == n - 1 else None) for k in range(n)]
-    outs = [np.empty(shape, dtype=dt) for shape in ([(n + 1, m, d), (n, m, d), (n, m, d)] if record else [(1, m, d)])]
+    outs = [np.empty(shape) for shape in ([(n + 1, m, d), (n, m, d), (n, m, d)] if record else [(1, m, d)])]
     rows = min(_rng.BLOCK, max(1, TILE_BYTES // (8 * d)))
     times = _run_chain_blocks(cfg.seed, outs, 1, init, legs, message, rows)
     return SamplerRun(grid, outs[0], times[-n:], *outs[1:])
@@ -433,14 +435,14 @@ def annealed_langevin_sample(
     geometric scaling that keeps the per-step contraction uniform across
     levels.  inner_steps >= 1 because a level visited zero times would leave
     the annealing path disconnected from its target.  The run takes no
-    geometry, no solver order above 1 and no dtype but float64.
+    geometry and no solver order above 1.
     """
     if inner_steps < 1:
         raise ValueError("inner_steps must be >= 1: each level needs at least one Langevin step")
     if not step_scale > 0.0:
         raise ValueError("step_scale must be > 0")
-    if cfg.geometry is not None or cfg.solver_order != 1 or cfg.dtype != "float64":
-        raise ValueError("annealed Langevin takes geometry=None, solver_order=1 and dtype='float64' only")
+    if cfg.geometry is not None or cfg.solver_order != 1:
+        raise ValueError("annealed Langevin takes geometry=None and solver_order=1 only")
     grid = make_grid(cfg.schedule, cfg.n_steps, cfg.eps_clip)
     n = cfg.n_steps
     sigma_top = float(grid.sigma[0])

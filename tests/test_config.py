@@ -32,7 +32,6 @@ CASES = {
                 "chains": 1,
                 "seed": 0,
                 "eps_clip": 1e-3,
-                "dtype": "float64",
             },
             "diagnostics": {"n_projections": 64},
         },
@@ -50,7 +49,28 @@ CASES = {
                 "chains": 1,
                 "seed": 0,
                 "eps_clip": 1e-3,
-                "dtype": "float64",
+            },
+            "diagnostics": {"n_projections": 64},
+        },
+    ),
+    # an integer at a number node is written back as the float it spells
+    "sample-integers": (
+        "sample",
+        {
+            "schedule": {"kind": "vp-linear", "beta_max": 20},
+            "oracle": {"centers": [[1, 0], [-1, 2]]},
+            "sampler": {"n_steps": 4, "geometry": {"lam": 1, "kappa": 0}},
+        },
+        {
+            "schedule": _VP_SPELLED,
+            "oracle": {"centers": [[1.0, 0.0], [-1.0, 2.0]]},
+            "sampler": {
+                "n_steps": 4,
+                "order": 1,
+                "geometry": {"lam": 1.0, "kappa": 0.0},
+                "chains": 1,
+                "seed": 0,
+                "eps_clip": 1e-3,
             },
             "diagnostics": {"n_projections": 64},
         },
@@ -191,7 +211,7 @@ def test_each_fill_is_a_fresh_copy() -> None:
 @pytest.mark.parametrize(
     "command, config, chash",
     [
-        ("sample", "sample_mixture2d.json", "7d811d48cadc8a6f"),
+        ("sample", "sample_mixture2d.json", "fcdc85e3e2e96bdc"),
         ("compare", "compare_low_nfe.json", "920f975eef62a24c"),
         ("stationarity", "stationarity_damped.json", "5b7faacf16ec172f"),
         ("convergence", "convergence_rates.json", "7ed877a30d94d4ff"),

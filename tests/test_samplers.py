@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -231,18 +232,6 @@ def test_guided_huge_lam_matches_kappa_zero() -> None:
     assert np.abs(a.states - b.states).max() / scale < 1e-6
 
 
-def test_float32_run() -> None:
-    sch = NoiseSchedule.vp_linear()
-    orc = _mixture2d(sch)
-    cfg32 = SamplerConfig(n_steps=10, schedule=sch, seed=2, chains=32, dtype="float32")
-    cfg64 = SamplerConfig(n_steps=10, schedule=sch, seed=2, chains=32)
-    r32 = lml_sample(cfg32, orc)
-    r64 = lml_sample(cfg64, orc)
-    assert r32.states.dtype == np.float32
-    assert np.all(np.isfinite(r32.states))
-    assert np.abs(r32.final_states - r64.final_states).max() < 1e-2
-
-
 @pytest.mark.parametrize("d", [2, 64, 16384])
 def test_bits_do_not_depend_on_the_tiles(monkeypatch, d) -> None:
     # The oracle, the guided update and the solver treat rows alone, so the
@@ -261,29 +250,26 @@ def test_bits_do_not_depend_on_the_tiles(monkeypatch, d) -> None:
         start = sigma_top * ensemble_normal(5, chains, d)
         for order in (1, 2):
             for geometry in (None, DampedGeometryConfig(lam=1e-3, kappa=0.3)):
-                for dtype in ("float32", "float64"):
-                    cfg = SamplerConfig(
-                        n_steps=2, solver_order=order, geometry=geometry, seed=5, chains=chains, dtype=dtype
-                    )
-                    runs = []
-                    # Past one block, tiles of a third of a block leave a lone row at the block edge.
-                    for tile_bytes in (8 * d * chains, default, 8 * d * (3 if chains < BLOCK else BLOCK // 3)):
-                        monkeypatch.setattr(samplers, "TILE_BYTES", tile_bytes)
+                cfg = SamplerConfig(n_steps=2, solver_order=order, geometry=geometry, seed=5, chains=chains)
+                runs = []
+                # Past one block, tiles of a third of a block leave a lone row at the block edge.
+                for tile_bytes in (8 * d * chains, default, 8 * d * (3 if chains < BLOCK else BLOCK // 3)):
+                    monkeypatch.setattr(samplers, "TILE_BYTES", tile_bytes)
+                    runs.append(lml_sample(cfg, orc))
+                if samplers._tile_order(d) == "F":
+                    with monkeypatch.context() as patch:
+                        patch.setattr(samplers, "TILE_BYTES", default)
+                        patch.setattr(samplers, "_tile_order", lambda d: "C")
                         runs.append(lml_sample(cfg, orc))
-                    if samplers._tile_order(d) == "F":
-                        with monkeypatch.context() as patch:
-                            patch.setattr(samplers, "TILE_BYTES", default)
-                            patch.setattr(samplers, "_tile_order", lambda d: "C")
-                            runs.append(lml_sample(cfg, orc))
-                    whole = runs[0]
-                    assert np.array_equal(whole.states[0], start.astype(dtype)), chains
-                    for run in runs[1:]:
-                        for name in ("states", "eps_raw", "eps_used"):
-                            assert np.array_equal(getattr(run, name), getattr(whole, name)), (chains, name)
-                    final = lml_sample(cfg, orc, record=False)
-                    assert final.states.shape == (1, chains, d) and final.states.dtype == np.dtype(dtype)
-                    assert final.eps_raw is None and final.eps_used is None
-                    assert np.array_equal(final.final_states, whole.final_states), chains
+                whole = runs[0]
+                assert np.array_equal(whole.states[0], start), chains
+                for run in runs[1:]:
+                    for name in ("states", "eps_raw", "eps_used"):
+                        assert np.array_equal(getattr(run, name), getattr(whole, name)), (chains, name)
+                final = lml_sample(cfg, orc, record=False)
+                assert final.states.shape == (1, chains, d) and final.states.dtype == np.float64
+                assert final.eps_raw is None and final.eps_used is None
+                assert np.array_equal(final.final_states, whole.final_states), chains
 
 
 def test_langevin_bits_do_not_depend_on_the_tile_layout(monkeypatch) -> None:
@@ -330,10 +316,10 @@ def test_blow_up_names_the_step() -> None:
     for record in (True, False):
         with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError, match=named):
             lml_sample(cfg, _BlowUpProvider(t3, np.inf), record=record)
-        # A finite prediction whose state overflows float32 is named as finite.
-        cfg32 = SamplerConfig(n_steps=6, schedule=sch, chains=5, dtype="float32")
+        # A finite prediction whose state overflows is named as finite: step 3 scales it by about 1.7.
+        plain = SamplerConfig(n_steps=6, schedule=sch, chains=5)
         with np.errstate(over="ignore"), pytest.raises(FloatingPointError, match="step 3 of 6.*was finite"):
-            lml_sample(cfg32, _BlowUpProvider(t3, 1e300), record=record)
+            lml_sample(plain, _BlowUpProvider(t3, np.finfo(np.float64).max), record=record)
 
 
 def test_run_shapes_and_grid() -> None:
@@ -352,8 +338,6 @@ def test_sampler_config_validation() -> None:
         SamplerConfig(n_steps=0)
     with pytest.raises(ValueError, match="solver_order"):
         SamplerConfig(n_steps=5, solver_order=3)
-    with pytest.raises(ValueError, match="dtype"):
-        SamplerConfig(n_steps=5, dtype="float16")
 
 
 def test_sampled_mixture_statistics() -> None:
@@ -386,11 +370,11 @@ def test_annealed_langevin_smoke() -> None:
 
 
 def test_annealed_rejects_denoiser_settings_and_times_each_level() -> None:
-    # The annealed run has no geometry, solver order or float32 mode, so
-    # asking for one is an error rather than silently ignored.
+    # The annealed run has no geometry or solver order, so asking for one is
+    # an error rather than silently ignored.
     sch = NoiseSchedule.vp_linear()
     orc = _mixture2d(sch)
-    for bad in ({"geometry": DampedGeometryConfig()}, {"solver_order": 2}, {"dtype": "float32"}):
+    for bad in ({"geometry": DampedGeometryConfig()}, {"solver_order": 2}):
         with pytest.raises(ValueError, match="annealed Langevin takes"):
             annealed_langevin_sample(SamplerConfig(n_steps=3, schedule=sch, **bad), orc, 2, 0.1)
     run = annealed_langevin_sample(SamplerConfig(n_steps=3, schedule=sch, chains=8), orc, 2, 0.1, threads=2)
@@ -512,6 +496,47 @@ def test_damping_too_small_reports_needed_lam() -> None:
     cfg = FixedLevelConfig(t=0.25, h=1e-3, n_steps=5, variant="damped-exact", lam=1.0, chains=8, init_std=0.0)
     with pytest.raises(DampingTooSmallError, match="need lam >"):
         fixed_level_run(cfg, orc)
+
+
+def test_dense_exact_metric_takes_its_rows_in_batches(monkeypatch) -> None:
+    # At d = 16 a batch holds 2^20 // 16^3 = 256 rows, so 1,000 chains take
+    # four batches, the last one short.  Rows are independent: the states, and
+    # the message naming the block's least curvature, are those of one batch.
+    sch = NoiseSchedule.ve(0.01, 100.0)
+    orc = GaussianMixtureOracle(np.random.default_rng(3).standard_normal((3, 16)) * 0.3, None, sch)
+    wide = GaussianMixtureOracle(np.random.default_rng(3).standard_normal((3, 16)) * 3.0, None, sch)
+    assert samplers._DENSE_BATCH_ELEMS // 16**3 == 256
+
+    def outcomes():
+        got = []
+        for variant in ("damped-exact", "damped-exact-corrected"):
+            cfg = FixedLevelConfig(t=0.5, h=0.01, n_steps=2, variant=variant, lam=2.0, chains=1000, seed=5)
+            got.append(fixed_level_run(cfg, orc).states)
+            with pytest.raises(DampingTooSmallError) as caught:
+                fixed_level_run(dataclasses.replace(cfg, lam=0.5), wide)
+            got.append(str(caught.value))
+        return got
+
+    batched = outcomes()
+    monkeypatch.setattr(samplers, "_DENSE_BATCH_ELEMS", 1 << 40)
+    for a, b in zip(batched, outcomes()):
+        assert np.array_equal(a, b)
+
+
+def test_dense_exact_metric_fits_at_d16() -> None:
+    # Two corrected steps of one 4,096-chain block at d = 16: the block's
+    # third derivative alone would be 4096 * 16^3 floats, 128 MB.
+    orc = GaussianMixtureOracle(
+        np.random.default_rng(4).standard_normal((3, 16)) * 0.3, None, NoiseSchedule.ve(0.01, 100.0)
+    )
+    cfg = FixedLevelConfig(t=0.5, h=0.01, n_steps=2, variant="damped-exact-corrected", lam=2.0, chains=BLOCK)
+    tracemalloc.start()
+    try:
+        fixed_level_run(cfg, orc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100e6
 
 
 def test_damped_lm_variant_runs() -> None:
