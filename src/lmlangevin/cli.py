@@ -61,6 +61,7 @@ from .samplers import (
     annealed_langevin_sample,
     fixed_level_run,
     lml_sample,
+    reference_rate,
 )
 from .schedule import make_grid
 
@@ -281,14 +282,7 @@ def _cmd_stationarity(doc, threads: int):
     ]
     tables = {"histogram.csv": ({"lam": doc["lam"], "t": t}, ["bin", "left", "right", "observed", "expected"], rows)}
 
-    extra = {
-        "variant": doc["variant"],
-        "lam": doc["lam"],
-        "t": t,
-        "h": doc["h"],
-        "n_steps": doc["n_steps"],
-        "retained": int(retained.size),
-    }
+    extra = {key: doc[key] for key in ("variant", "lam", "t", "h", "n_steps")} | {"retained": int(retained.size)}
     ks_max = doc["assert"]["ks_max"]
     return tables, {"ks": ks}, extra, {}, f"ks={ks:.5f} > {ks_max}" if ks > ks_max else None
 
@@ -300,14 +294,6 @@ def _gaussian_chi2_stderr(m: float, s: float, m2: float, s2: float, n: int) -> f
     return float(np.sqrt(dm * dm * s * s / n + ds * ds * s * s / (2.0 * n)))
 
 
-def _reference_rate(variant: str, lam: float, sigma: float):
-    if variant in ("damped-exact", "damped-exact-corrected"):
-        return 2.0 / (1.0 + lam * sigma * sigma)  # exactly 2.0 at lam = 0
-    if variant == "plain-langevin":
-        return 2.0 / (sigma * sigma)
-    return None  # damped-lm: state-dependent preconditioner, no closed form
-
-
 def _cmd_convergence(doc, threads: int):
     oracle, runs = _fixed_level("convergence", doc, doc["lams"])
     window = doc["fit_window"]
@@ -315,7 +301,7 @@ def _cmd_convergence(doc, threads: int):
         raise ConfigError("config.fit_window: must be [low, high] with low < high")
     lo, hi = window
     t = doc["t"]
-    alpha, sigma = oracle._level(t)
+    alpha, sigma = oracle.level(t)
     single = oracle.n_components == 1
     mu = alpha * float(oracle.centers[0, 0])
 
@@ -355,7 +341,7 @@ def _cmd_convergence(doc, threads: int):
             )
         fit = decay_fit(times[sel], vals[sel])
         fitted = -fit.rate
-        ref = _reference_rate(doc["variant"], lam, sigma) if single else None  # Gaussian-target rates only
+        ref = reference_rate(doc["variant"], lam, sigma) if single else None  # Gaussian-target rates only
         metrics[f"rate_lam{li}"] = fitted
         detail = {
             "lam": lam,

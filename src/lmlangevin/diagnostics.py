@@ -20,7 +20,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .geometry import DampedGeometryConfig, lm_guided_eps, low_rank_hessian
-from .oracle import _DENSE_BATCH_ELEMS, GaussianMixtureOracle
+from .oracle import GaussianMixtureOracle
 
 __all__ = [
     "finite_diff_jacobian",
@@ -77,7 +77,7 @@ def rank1_approx_error(oracle: GaussianMixtureOracle, x, t) -> float:
     returned so the degenerate case is visible rather than masked.
     """
     score, hess = oracle.derivatives(x, t, 2)
-    sigma = oracle._level(t)[1]
+    sigma = oracle.level(t)[1]
     eps = -sigma * score
     if float(eps @ eps) == 0.0:
         return hs_norm(-hess)
@@ -136,28 +136,25 @@ def bound_check(
     r(x) = |v| with v = x - alpha_t ybar(x, t) = -sigma^2 s, whose Jacobian
     is J = -sigma^2 H.  With g = J v / r the gradient of r, the exact second
     derivative is (J J - sigma^2 sum_k v_k T[k] - g g^T) / r, read off one
-    ``derivatives(x, t, 3)`` call (s, H and T = grad H) per batch of points
-    whose T holds at most _DENSE_BATCH_ELEMS floats; d <= DENSE_DIM_CAP.
+    ``derivatives(x, t, 3)`` call (s, H and T = grad H) per batch of the
+    oracle's :meth:`~.oracle.GaussianMixtureOracle.dense_batches`; d <= DENSE_DIM_CAP.
     delta1 and delta3 are taken as maxima over the supplied set, so the bound
     is a single number per (oracle, t, set); the empirical left side uses the
     same second derivative that defines delta3.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
-    alpha, sigma = oracle._level(t)
+    alpha, sigma = oracle.level(t)
     s2 = sigma * sigma
-    rvals = np.empty(xs.shape[0])
-    curv = np.empty(xs.shape[0])
-    step = max(1, _DENSE_BATCH_ELEMS // xs.shape[1] ** 3)
-    for lo in range(0, xs.shape[0], step):
-        score, hess, third = oracle.derivatives(xs[lo : lo + step], t, 3)
+    rvals, curv = np.empty((2, xs.shape[0]))
+    for rows, (score, hess, third) in oracle.dense_batches(xs, t, 3):
         v = -s2 * score
         jac = -s2 * hess
         r = np.linalg.norm(v, axis=-1)
         g = np.einsum("mij,mj->mi", jac, v) / r[:, None]
         d2r = jac @ jac - s2 * np.einsum("mk,mkij->mij", v, third) - g[:, :, None] * g[:, None, :]
         d2r /= r[:, None, None]
-        rvals[lo : lo + step] = r
-        curv[lo : lo + step] = np.linalg.norm(d2r, axis=(1, 2))
+        rvals[rows] = r
+        curv[rows] = np.linalg.norm(d2r, axis=(1, 2))
     empirical = rvals * curv
     inputs = ErrorBoundInputs(
         delta1=float(np.linalg.norm(xs, axis=-1).max()),
@@ -261,7 +258,8 @@ def sliced_reference(b, n_projections: int = 64, rng: Optional[np.random.Generat
     if rng is None:
         rng = np.random.default_rng(0)
     dirs = rng.standard_normal((n_projections, b.shape[1]))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    for row in dirs:  # one row at a time, as np.linalg.norm(dirs, axis=1) sums each, with no (n_proj, d) temporary
+        row /= np.sqrt(np.add.reduce(row * row))
     return SlicedReference(dirs, np.sort(dirs @ b.T, axis=1))
 
 

@@ -14,8 +14,10 @@ Shapes: centers are ``(n, d)``, and ``x`` a single point ``(d,)`` or a batch
 ``(m, d)``; outputs match x, and a row's result does not depend on how many
 rows share the call.  :meth:`derivatives` reads the score, the Hessian and its
 gradient (order 1, 2 or 3) off one posterior evaluation, and caps the dense
-orders 2 and 3 at d <= DENSE_DIM_CAP = 64, the package's one such cap; a
-caller takes them over many rows in batches of at most _DENSE_BATCH_ELEMS.
+orders 2 and 3 at d <= DENSE_DIM_CAP = 64, the package's one such cap;
+:meth:`dense_batches` takes them over many rows in batches whose largest part
+holds at most _DENSE_BATCH_ELEMS floats.  :meth:`level` gives the noise level
+(alpha_t, sigma_t) that every prediction is made at.
 
 The posterior over components is computed against the centers taken relative
 to their mean ybar0, as two-operand contractions: no (m, n, d) difference
@@ -148,19 +150,8 @@ class GaussianMixtureOracle:
         c = self.centers
         return float(max(np.sqrt(((c - ci) ** 2).sum(-1)).max() for ci in c))
 
-    # -- internals ------------------------------------------------------
-
-    def _prep(self, x):
-        """Promote x to (m, d); remember whether the caller passed one point."""
-        x = np.asarray(x, dtype=np.float64)
-        single = x.ndim == 1
-        x2 = x[None, :] if single else x
-        if x2.ndim != 2 or x2.shape[1] != self.dim:
-            raise ValueError(f"x must have trailing dimension {self.dim}")
-        return x2, single
-
-    def _level(self, t) -> tuple[float, float]:
-        """(alpha_t, sigma_t) as floats; sigma_t = 0 raises.
+    def level(self, t) -> tuple[float, float]:
+        """The noise level (alpha_t, sigma_t) of time t as floats; sigma_t = 0 raises.
 
         Up to 4096 scalar times keep their pair as one tuple, so the row tiles
         and steps that query one time evaluate the schedule once.
@@ -176,6 +167,17 @@ class GaussianMixtureOracle:
                 self._levels[key] = pair
         return pair
 
+    # -- internals ------------------------------------------------------
+
+    def _prep(self, x):
+        """Promote x to (m, d); remember whether the caller passed one point."""
+        x = np.asarray(x, dtype=np.float64)
+        single = x.ndim == 1
+        x2 = x[None, :] if single else x
+        if x2.ndim != 2 or x2.shape[1] != self.dim:
+            raise ValueError(f"x must have trailing dimension {self.dim}")
+        return x2, single
+
     def _log_posterior(self, x2, t):
         """Component logits (n, m), the residual r = x - alpha_t ybar0 (m, d, in x's layout), alpha_t and sigma_t.
 
@@ -184,7 +186,7 @@ class GaussianMixtureOracle:
         -|r|^2 / (2 sigma^2) - (d/2) log(2 pi sigma^2), which does not depend
         on i and so cancels in the softmax.  Components run along axis 0.
         """
-        alpha, sigma = self._level(t)
+        alpha, sigma = self.level(t)
         s2 = sigma * sigma
         r = x2 - alpha * self._ybar0
         ll = np.einsum("nd,md->nm", (alpha / s2) * self._yc, r)
@@ -275,6 +277,17 @@ class GaussianMixtureOracle:
             out = [np.asfortranarray(part) for part in out]
         return tuple([part[0] if single else part for part in out])
 
+    def dense_batches(self, x, t, order: int):
+        """Yield ``(rows, derivatives(x[rows], t, order))`` over batches of x's rows.
+
+        A batch's largest part holds at most _DENSE_BATCH_ELEMS floats; rows are independent, so batching moves no
+        bit.  A lone (d,) point is one batch, rows 0:d, and rows that fit are one view of x: neither is copied.
+        """
+        x = np.asarray(x, dtype=np.float64)
+        step = len(x) if x.ndim == 1 else max(1, _DENSE_BATCH_ELEMS // self.dim**order)
+        for lo in range(0, len(x), step):
+            yield slice(lo, lo + step), self.derivatives(x[lo : lo + step], t, order)
+
     def posterior_weights(self, x, t):
         """Softmax responsibilities of each component at (x, t); (m, n) rows, in x's memory order, that sum to 1."""
         x2, single = self._prep(x)
@@ -304,7 +317,7 @@ class GaussianMixtureOracle:
     def eps(self, x, t):
         """Idealized noise prediction -sigma_t * score(x, t)."""
         s = self.derivatives(x, t, 1)[0]
-        s *= -self._level(t)[1]
+        s *= -self.level(t)[1]
         return s
 
     def hessian(self, x, t):
@@ -323,11 +336,11 @@ class GaussianMixtureOracle:
     def sample_data(self, rng: np.random.Generator, n: int):
         """Draw n points from the clean mixture p_0 (a center per draw)."""
         idx = rng.choice(self.n_components, size=n, p=self.weights)
-        return self.centers[idx].copy()
+        return self.centers[idx]
 
     def sample_diffused(self, rng: np.random.Generator, n: int, t):
         """Draw n points from the diffused marginal p_t."""
-        alpha, sigma = self._level(t)
+        alpha, sigma = self.level(t)
         base = self.sample_data(rng, n)
         return alpha * base + sigma * rng.standard_normal(base.shape)
 
@@ -340,7 +353,7 @@ class GaussianMixtureOracle:
     def marginal_cdf(self, x, t):
         """Exact CDF of the 1-d diffused marginal at time t, from math.erfc."""
         self._require_1d("marginal_cdf")
-        alpha, sigma = self._level(t)
+        alpha, sigma = self.level(t)
         x = np.asarray(x, dtype=np.float64)
         z = (x[..., None] - alpha * self.centers[:, 0]) / sigma
         return _ndtr(z) @ self.weights
@@ -359,7 +372,7 @@ class GaussianMixtureOracle:
         q = np.asarray(q, dtype=np.float64)
         if not np.all((q > 0.0) & (q < 1.0)):
             raise ValueError("quantiles must lie strictly in (0, 1)")
-        alpha, sigma = self._level(t)
+        alpha, sigma = self.level(t)
         locs = alpha * self.centers[:, 0]
         flat = q.ravel()
         upper = flat > 0.5

@@ -17,8 +17,8 @@ Two families live here.
   - identity, P = I over a score callable: ``plain-langevin``, and the
     annealed loop with s = -eps/sigma;
   - exact, P = (-H + lam I)^{-1} with s, H and grad H (for div P) from one
-    oracle call: ``damped-exact[-corrected]``, whose lam = 0 is the Newton
-    (naive Hessian) metric;
+    oracle call per dense batch: ``damped-exact[-corrected]``, whose lam = 0
+    is the Newton (naive Hessian) metric;
   - rank-1, the damped rank-1 proxy without div P on any
     :class:`~.oracle.ScoreProvider` and sigma, with s = -eps/sigma:
     ``damped-lm``.
@@ -38,15 +38,13 @@ block starts the next, so it holds one group's snapshots at a time.
 
 The walk advances each block in tiles: whole blocks for Langevin runs,
 whose noise is drawn in sequence, and cache-sized row tiles for denoising
-runs.  :func:`_tile_order` picks a tile's memory order.  At d <= 2 a tile is F-ordered, (rows, d) with the chain
-index innermost, so every row dot, contraction over d and (rows, 1)
-broadcast in the oracle, the geometry and the solver runs along the chains
-rather than an inner loop of length d.  There every sum over coordinates has
-at most one addition, so the layout moves no bit.  Larger d keeps
-row-contiguous tiles: a contiguous reduction over coordinates may be
-reassociated there, and a lone last row, which is both layouts at once,
-would break tile invariance.  Every recorded array stays C-contiguous
-(snapshots, chains, d).
+runs.  At d <= 2 :func:`_tile_order` holds a tile F-ordered, chains
+innermost, so the work over d in the oracle, the geometry and the solver
+runs along the chains; there a sum over coordinates has at most one
+addition, so the layout moves no bit.  Larger d keeps row-contiguous tiles:
+a contiguous reduction over coordinates may be reassociated there, and a
+lone last row, both layouts at once, would break tile invariance.  Every
+recorded array stays C-contiguous (snapshots, chains, d).
 """
 
 from __future__ import annotations
@@ -66,7 +64,7 @@ from .geometry import (
     damped_inverse_sqrt_apply,
     lm_guided_eps,
 )
-from .oracle import _DENSE_BATCH_ELEMS, GaussianMixtureOracle, ScoreProvider
+from .oracle import GaussianMixtureOracle, ScoreProvider
 from .schedule import NoiseSchedule, TimestepGrid, make_grid
 
 __all__ = [
@@ -84,6 +82,7 @@ __all__ = [
     "annealed_langevin_sample",
     "fixed_level_run",
     "FIXED_LEVEL_VARIANTS",
+    "reference_rate",
 ]
 
 FIXED_LEVEL_VARIANTS = (
@@ -92,6 +91,15 @@ FIXED_LEVEL_VARIANTS = (
     "damped-exact-corrected",
     "damped-lm",
 )
+
+
+def reference_rate(variant: str, lam: float, sigma: float):
+    """Chi-square decay rate of chain ``variant`` on a 1-d Gaussian of std sigma; None without a closed form."""
+    if variant in ("damped-exact", "damped-exact-corrected"):
+        return 2.0 / (1.0 + lam * sigma * sigma)  # exactly 2.0 at lam = 0
+    if variant == "plain-langevin":
+        return 2.0 / (sigma * sigma)
+    return None  # damped-lm: state-dependent preconditioner, no closed form
 
 
 class DampingTooSmallError(ValueError):
@@ -106,10 +114,10 @@ class NotLogConcaveError(DampingTooSmallError):
 # single steps
 
 
-def _eig_apply(w, v, vec, power: float):
-    """(V diag(w^power) V^T) vec for stacked eigensystems."""
+def _eig_apply(w, v, vec, power: float, out=None):
+    """(V diag(w^power) V^T) vec for stacked eigensystems, written into ``out`` when it is given."""
     coef = np.einsum("...ij,...i->...j", v, vec)
-    return np.einsum("...ij,...j->...i", v, coef * np.power(w, power))
+    return np.einsum("...ij,...j->...i", v, coef * np.power(w, power), out=out)
 
 
 def _langevin_step(x, metric, h: float, gen):
@@ -130,52 +138,45 @@ def _identity_metric(score):
 def _exact_metric(oracle: GaussianMixtureOracle, t: float, lam: float, corrected: bool = False):
     """The exact metric P = (-H + lam I)^{-1} at level t, with div P added to the drift when ``corrected``.
 
-    Each call takes the score s, the Hessian H and, when ``corrected``, its
-    gradient from one oracle call per batch of rows within _DENSE_BATCH_ELEMS
-    (rows are independent, so batches move no bit).  A d == 1 metric is a
-    scalar and is applied by division; larger ones go through ``eigh``.  A
-    metric that is not positive definite raises DampingTooSmallError naming
-    the damping the block would need, as its subclass NotLogConcaveError at
-    lam = 0.
+    Each call writes the drift and the noise batch by batch, from the score
+    s, the Hessian H and, when ``corrected``, its gradient over the oracle's
+    ``dense_batches``.  A d == 1 metric is a scalar applied by division;
+    larger ones go through ``eigh``.  A metric that is not positive definite
+    raises DampingTooSmallError naming the damping the block would need, as
+    its subclass NotLogConcaveError at lam = 0.
     """
     order = 3 if corrected else 2
-    rows = max(1, _DENSE_BATCH_ELEMS // oracle.dim**order)
 
-    def batch(x, xi):
-        # (least curvature, drift, noise), with zeros for the drift and the noise when the least is not positive.
-        parts = oracle.derivatives(x, t, order)
+    def fill(parts, xi, drift, noise) -> float:
+        # Write the batch's drift and noise; return its least curvature (if not positive, the batch is left unwritten).
         score, neg = parts[0], -parts[1]
         d = neg.shape[-1]
-        if d == 1:
-            g = neg[..., 0, 0] + lam
-        else:
-            w, v = np.linalg.eigh(neg)
-            g = w + lam
+        w, v = (neg[..., 0, 0], None) if d == 1 else np.linalg.eigh(neg)
+        g = w + lam
         gmin = float(g.min())
         if gmin <= 0.0:
-            return gmin, 0.0, 0.0
+            return gmin
         if d == 1:
-            drift = score[..., 0] / g
+            drift = np.divide(score[..., 0], g, out=drift[..., 0])
             if corrected:
-                drift = drift + parts[2][..., 0, 0, 0] / (g * g)
-            return gmin, drift[..., None], (xi[..., 0] / np.sqrt(g))[..., None]
+                drift += parts[2][..., 0, 0, 0] / (g * g)
+            np.divide(xi[..., 0], np.sqrt(g), out=noise[..., 0])
+            return gmin
         if corrected:
             # dP = P dH P for P = (-H + lam I)^{-1}, so div(P)_i = sum_j [P (dH/dx_j) P]_{ij} = [P (T:P)]_i
             # with (T:P)_a = sum_{b,j} T_abj P_bj, and P s + div P = P (s + T:P).
             p = np.einsum("...ij,...j,...kj->...ik", v, 1.0 / g, v)
             score = score + np.einsum("...abj,...bj->...a", parts[2], p)
-        return gmin, _eig_apply(g, v, score, -1.0), _eig_apply(g, v, xi, -0.5)
+        _eig_apply(g, v, score, -1.0, out=drift)
+        _eig_apply(g, v, xi, -0.5, out=noise)
+        return gmin
 
     def metric(x, xi):
         # Row-contiguous: eigh and the dense contractions gain nothing from a chains-innermost tile.
         x, xi = np.ascontiguousarray(x), np.ascontiguousarray(xi)
-        if x.ndim == 1 or len(x) <= rows:
-            gmin, drift, noise = batch(x, xi)
-        else:
-            drift, noise, gmin = np.empty_like(x), np.empty_like(xi), np.inf
-            for lo in range(0, len(x), rows):
-                least, drift[lo : lo + rows], noise[lo : lo + rows] = batch(x[lo : lo + rows], xi[lo : lo + rows])
-                gmin = min(gmin, least)
+        drift, noise, gmin = np.empty_like(x), np.empty_like(xi), np.inf
+        for rows, parts in oracle.dense_batches(x, t, order):
+            gmin = min(gmin, fill(parts, xi[rows], drift[rows], noise[rows]))
         if gmin <= 0.0:
             raise (NotLogConcaveError if lam == 0.0 else DampingTooSmallError)(
                 f"lam={lam:g} leaves the damped curvature indefinite; need lam > {lam - gmin:.6g}"
@@ -244,15 +245,17 @@ def _run_chain_blocks(
 ) -> np.ndarray:
     """Fill the arrays ``outs`` in place: the one walk over chains.
 
-    Each block draws z standard normal from its own :mod:`.rng` stream in
-    :func:`_tile_order`'s layout and advances it in tiles of at most ``rows``
-    chains (a kernel that draws noise needs whole blocks).  A tile's state is
-    ``init(z)``, a tuple led by the positions.  Each ``(kernel, steps, snap)``
-    leg makes ``steps`` calls ``state = kernel(state, gen)``, checks the
-    positions finite (else FloatingPointError(``message(step, state)``)) and,
-    unless snap is None, writes each state entry that is not None into
-    ``outs[j][snap]``.  Blocks write only their own columns, so ``outs`` does
-    not depend on ``threads``.  Returns each leg's time summed over tiles and blocks.
+    Each block advances its chains in tiles of at most ``rows`` chains (a
+    kernel that draws noise needs whole blocks).  As a tile starts, it draws
+    z standard normal from its block's own :mod:`.rng` stream, in
+    :func:`_tile_order`'s layout, and its state is ``init(z)``, a tuple led
+    by the positions; the draws are sequential, so the tiling moves no bit.
+    Each ``(kernel, steps, snap)`` leg makes ``steps`` calls ``state =
+    kernel(state, gen)``, checks the positions finite (else
+    FloatingPointError(``message(step, state)``)) and, unless snap is None,
+    writes each state entry that is not None into ``outs[j][snap]``.  Blocks
+    write only their own columns, so ``outs`` does not depend on ``threads``.
+    Returns each leg's time summed over tiles and blocks.
 
     Without ``on_group`` the walk is one group: ``outs`` are (snapshots,
     chains, d), and each tile runs through every leg before the next tile
@@ -269,13 +272,12 @@ def _run_chain_blocks(
         # A generator over one block: it yields the block's leg times at the end of each group.
         b, (lo, hi) = block
         gen = _rng.stream(seed, b)
-        z = np.asarray(gen.standard_normal((hi - lo,) + outs[0].shape[2:]), order=order)
         times = np.zeros(len(legs))
         for a in range(lo, hi, rows):
             cols = slice(a, min(a + rows, hi))
-            state, step = init(np.asarray(z[a - lo : cols.stop - lo], order=order)), 0
-            if cols.stop == hi:
-                del z  # the last tile has started: the block's draws are not needed again
+            z = np.asarray(gen.standard_normal((cols.stop - a,) + outs[0].shape[2:]), order=order)
+            state, step = init(z), 0
+            del z  # the state is made: the tile's legs do not hold its draws
             for k, (kernel, steps, snap) in enumerate(legs):
                 if k and k % group == 0:
                     yield times  # wait here until every block has finished the group
@@ -543,13 +545,13 @@ def _fixed_level_kernel(cfg: FixedLevelConfig, oracle: GaussianMixtureOracle):
     if cfg.variant == "plain-langevin":
         metric = _identity_metric(lambda x: oracle.score(x, t))
     elif cfg.variant == "damped-lm":
-        metric = _rank1_metric(oracle, t, oracle._level(t)[1], lam)
+        metric = _rank1_metric(oracle, t, oracle.level(t)[1], lam)
     elif oracle.dim == 1 and oracle.n_components == 1:
         # Single-component marginal: curvature is the constant 1/sigma^2 and
         # the third derivative vanishes, so the whole step contracts to an
         # exact OU update.  Big ensembles would otherwise pay the generic
         # posterior machinery per step for no change in output distribution.
-        alpha, sigma = oracle._level(t)
+        alpha, sigma = oracle.level(t)
         mu = alpha * float(oracle.centers[0, 0])
         g = 1.0 / (sigma * sigma) + lam
         c1 = h / (sigma * sigma * g)

@@ -841,7 +841,7 @@ def test_convergence_rows_are_the_stored_snapshots(tmp_path, oracle, variant, la
         assert main(argv) == 0
     schedule = build_schedule(doc["schedule"])
     orc = build_oracle(doc["oracle"], schedule)
-    alpha, sigma = orc._level(0.5)
+    alpha, sigma = orc.level(0.5)
     edges = equal_mass_edges(lambda q: orc.marginal_quantile(q, 0.5), 64)
     init = extra.get("init", {"mean": 0.5, "std": 1.0})
     for i, lam in enumerate(lams):

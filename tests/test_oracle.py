@@ -225,7 +225,7 @@ def test_1d_moments_are_within_the_summation_bound(n) -> None:
     rng = np.random.default_rng(23)
     orc = GaussianMixtureOracle(rng.normal(scale=10.0, size=(n, 1)), rng.uniform(0.5, 2.0, n), sch)
     t = 0.05
-    alpha, sigma = orc._level(t)
+    alpha, sigma = orc.level(t)
     x2 = alpha * orc.centers[rng.integers(n, size=24)] + 3.0 * sigma * rng.standard_normal((24, 1))
     w = orc._posterior(x2, t)[0]
     y = orc._yc
@@ -312,6 +312,43 @@ def test_derivatives_order_and_dense_cap() -> None:
     for call in (wide.hessian, wide.hessian_grad, lambda x, t: wide.derivatives(x, t, 2)):
         with pytest.raises(ValueError, match="capped at d <= 64"):
             call(np.zeros(DENSE_DIM_CAP + 1), 0.3)
+
+
+def test_dense_batches_cover_the_rows_once(monkeypatch) -> None:
+    # At d = 16 an order-3 batch holds 2^20 // 16^3 = 256 rows, so 1,000 rows take four batches,
+    # the last one short, each the derivatives of its rows.  A d = 1 block of 4,096 rows and a
+    # lone point are one batch each, handed to derivatives as they are: no copy of x is made.
+    sch = NoiseSchedule.ve(0.01, 100.0)
+    orc = _random_oracle(np.random.default_rng(20), 16, 3, sch)
+    xs = np.random.default_rng(21).standard_normal((1000, 16))
+    batches = list(orc.dense_batches(xs, 0.5, 3))
+    assert [(rows.start, rows.stop) for rows, _ in batches] == [(0, 256), (256, 512), (512, 768), (768, 1024)]
+    for rows, parts in batches:
+        for got, want in zip(parts, orc.derivatives(xs[rows], 0.5, 3)):
+            assert np.array_equal(got, want)
+    assert len(list(orc.dense_batches(xs, 0.5, 2))) == 1  # 2^20 // 16^2 = 4096 rows
+    line = _random_oracle(np.random.default_rng(22), 1, 2, sch)
+    real, seen = line.derivatives, []
+    monkeypatch.setattr(line, "derivatives", lambda arg, t, order: seen.append(arg) or real(arg, t, order))
+    for x in (np.random.default_rng(23).standard_normal((4096, 1)), np.array([0.3])):
+        ((rows, parts),) = line.dense_batches(x, 0.5, 3)
+        assert np.shares_memory(seen[-1], x) and seen[-1].shape == x.shape
+        for got, want in zip(parts, real(x[rows], 0.5, 3)):
+            assert np.array_equal(got, want)
+
+
+def test_only_the_oracle_reads_its_level_and_batch_budget() -> None:
+    # Samplers, diagnostics and the CLI ask the oracle for its noise level and its dense batches
+    # through level() and dense_batches(); its private level routine and batch budget stay inside.
+    src = Path(__file__).resolve().parents[1] / "src" / "lmlangevin"
+    readers = [
+        f"{path.name}: {name}"
+        for path in sorted(src.glob("*.py"))
+        if path.name != "oracle.py"
+        for name in ("._level(", "_DENSE_BATCH_ELEMS")
+        if name in path.read_text()
+    ]
+    assert readers == []
 
 
 def _longdouble_reference(orc, x, t):
@@ -497,7 +534,7 @@ def test_marginal_cdf_matches_ndtr(kind, offset) -> None:
     orc = GaussianMixtureOracle(np.array([[1.2], [-0.5], [3.0]]) + offset, [0.2, 0.5, 0.3], _CDF_SCHEDULES[kind])
     z = np.linspace(-37.0, 37.0, 1201)
     for t in (0.1, 0.5, 0.9):
-        alpha, sigma = orc._level(t)
+        alpha, sigma = orc.level(t)
         locs = alpha * orc.centers[:, 0]
         x = (locs[:, None] + sigma * z).ravel()
         want = ndtr((x[:, None] - locs) / sigma) @ orc.weights
@@ -509,7 +546,7 @@ def test_marginal_cdf_matches_ndtr(kind, offset) -> None:
 
 def _brentq_quantile(orc, q, t):
     """Reference quantile: scalar brentq on the lower-tail mass, or on the upper-tail mass above 1/2."""
-    alpha, sigma = orc._level(t)
+    alpha, sigma = orc.level(t)
     locs = alpha * orc.centers[:, 0]
     lo, hi = locs.min() - 40.0 * sigma, locs.max() + 40.0 * sigma
     roots = []

@@ -29,6 +29,7 @@ from lmlangevin import (
     multistep2_step,
     newton_langevin_step,
 )
+from lmlangevin import oracle as oracle_module
 from lmlangevin import samplers
 from lmlangevin.rng import BLOCK, ensemble_normal, stream
 
@@ -450,6 +451,46 @@ def test_damped_exact_gaussian_chain_moments() -> None:
     assert v_fix == pytest.approx(1.0, rel=2 * h)
 
 
+def test_damped_exact_corrected_gaussian_chain_moments_at_d2() -> None:
+    # One center in d = 2 takes the generic eigen path, not the scalar one: H = -I/sigma^2 and
+    # grad H = 0, so each coordinate is the AR(1) chain of the d = 1 test above, div P included.
+    # The run stops one relaxation time (n_steps * h / g = 1) from a far start, where the mean
+    # and the variance still depend on the metric's drift and noise scales.
+    sch = _unit_sigma_schedule()
+    mu = np.array([0.3, -0.2])
+    orc = GaussianMixtureOracle(mu[None, :], None, sch)
+    lam, h, n_steps, chains = 1.0, 0.05, 40, 20000
+    g = 1.0 + lam
+    cfg = FixedLevelConfig(
+        t=0.5, h=h, n_steps=n_steps, variant="damped-exact-corrected", lam=lam,
+        chains=chains, init_mean=3.3, init_std=0.5, seed=8,
+    )
+    xs = fixed_level_run(cfg, orc).final_states
+    m, v = np.full(2, 3.3), 0.25
+    c1 = h / g
+    for _ in range(n_steps):
+        m = m + c1 * (mu - m)
+        v = (1.0 - c1) ** 2 * v + 2.0 * h / g
+    np.testing.assert_allclose(xs.mean(axis=0), m, rtol=0.0, atol=4 * math.sqrt(v / chains))
+    np.testing.assert_allclose(xs.var(axis=0, ddof=1), v, rtol=4 * math.sqrt(2.0 / (chains - 1)))
+
+
+def test_damped_exact_corrected_mixture_law_at_d2() -> None:
+    # Centers +-1.5 e1 with weights 0.7/0.3 at sigma_t = 1 and lam = 2, from N(0, I): after
+    # burn-in, the first coordinate follows the 1-d mixture on the centers' first column.  The
+    # corrected chain read KS 0.010-0.024 on seeds 0-2; without div P (damped-exact) the same
+    # runs read 0.048-0.060, so the bound fails when the eigen path drops or flips div P.
+    sch = _unit_sigma_schedule()
+    centers = np.array([[1.5, 0.0], [-1.5, 0.0]])
+    orc = GaussianMixtureOracle(centers, [0.7, 0.3], sch)
+    line = GaussianMixtureOracle(centers[:, :1], [0.7, 0.3], sch)
+    cfg = FixedLevelConfig(
+        t=0.5, h=0.01, n_steps=1500, variant="damped-exact-corrected", lam=2.0, chains=BLOCK, seed=0
+    )
+    xs = fixed_level_run(cfg, orc).final_states[:, 0]
+    assert ks_statistic(xs, lambda u: line.marginal_cdf(u, 0.5)) < 0.035
+
+
 def test_fast_path_matches_generic_scalar_path() -> None:
     # A duplicated-center two-component oracle has the same marginal as the
     # single-component one but routes through the generic per-step machinery;
@@ -505,7 +546,7 @@ def test_dense_exact_metric_takes_its_rows_in_batches(monkeypatch) -> None:
     sch = NoiseSchedule.ve(0.01, 100.0)
     orc = GaussianMixtureOracle(np.random.default_rng(3).standard_normal((3, 16)) * 0.3, None, sch)
     wide = GaussianMixtureOracle(np.random.default_rng(3).standard_normal((3, 16)) * 3.0, None, sch)
-    assert samplers._DENSE_BATCH_ELEMS // 16**3 == 256
+    assert oracle_module._DENSE_BATCH_ELEMS // 16**3 == 256
 
     def outcomes():
         got = []
@@ -518,7 +559,7 @@ def test_dense_exact_metric_takes_its_rows_in_batches(monkeypatch) -> None:
         return got
 
     batched = outcomes()
-    monkeypatch.setattr(samplers, "_DENSE_BATCH_ELEMS", 1 << 40)
+    monkeypatch.setattr(oracle_module, "_DENSE_BATCH_ELEMS", 1 << 40)
     for a, b in zip(batched, outcomes()):
         assert np.array_equal(a, b)
 
