@@ -290,7 +290,8 @@ def _cmd_stationarity(doc, threads: int):
 def _gaussian_chi2_stderr(m: float, s: float, m2: float, s2: float, n: int) -> float:
     """Delta-method stderr of the fitted-moment chi-square estimate."""
     dm = (chi2_gaussians(m + 1e-6, s, m2, s2) - chi2_gaussians(m - 1e-6, s, m2, s2)) / 2e-6
-    ds = (chi2_gaussians(m, s + 1e-6, m2, s2) - chi2_gaussians(m, s - 1e-6, m2, s2)) / 2e-6
+    step = min(1e-6, 0.5 * s)  # s - step stays a valid std however narrow the sample
+    ds = (chi2_gaussians(m, s + step, m2, s2) - chi2_gaussians(m, s - step, m2, s2)) / (2.0 * step)
     return float(np.sqrt(dm * dm * s * s / n + ds * ds * s * s / (2.0 * n)))
 
 

@@ -6,7 +6,10 @@ are rejected, as are wrong types and out-of-range values, so a typo can never
 silently fall back to a default.  Every default is declared once, on its node
 in the command's schema (one that depends on other keys as a function of
 the enclosing object; a schedule parameter's is its kind's constructor's),
-and validation writes it into the document, so an omitted key and the same
+and it alone decides how its key may be left out: a key whose node has no
+default is required, only a key whose default is null accepts null, and an
+optional key that has no value to fill in writes nothing.  Validation
+writes each default into the document, so an omitted key and the same
 key spelled out at its default give one effective config; it also writes
 every number as a float, so ``20`` and ``20.0`` hash alike.  A canonical hash
 of that effective config is embedded in every output file, which makes rerun
@@ -49,32 +52,22 @@ COMPARE_VARIANTS = ("baseline-o1", "baseline-o2", "annealed", "LML-o1", "LML-o2"
 # schema machinery
 #
 # A schema node is a dict with a "type" and per-type refinements:
-#   object: keys {name: node}, required [names]
+#   object: keys {name: node}
 #   number/int: min/max (inclusive), exclusive_min
 #   string: choices
 #   array: items node, min_len
-# Any node may set nullable: true.  Objects reject unknown keys.  A node under
-# an object key may set "default": when the key is omitted, validation writes
-# a copy of the default into the document and validates it like a supplied
-# value, which in turn fills the defaults nested inside it.  A callable
-# default is called with the enclosing object, whose earlier keys are then
-# validated, and its result is written instead, unless it is _OMIT.
+# Objects reject unknown keys.  A node's "default" is the one statement of how
+# its key may be left out: a key whose node has no default is required, and
+# only a node whose default is None accepts null.  When the key is omitted,
+# validation writes a copy of the default into the document and validates it
+# like a supplied value, which in turn fills the defaults nested inside it.  A
+# callable default is called with the enclosing object, whose earlier keys are
+# then validated, and its result is written instead; a default of _OMIT, or a
+# callable's result _OMIT, writes nothing.
 
-_OMIT = object()  # a callable default's "write nothing"
-
-
-def _type_ok(value, kind: str) -> bool:
-    if kind == "object":
-        return isinstance(value, dict)
-    if kind == "array":
-        return isinstance(value, list)
-    if kind == "string":
-        return isinstance(value, str)
-    if kind == "int":
-        return isinstance(value, int) and not isinstance(value, bool)
-    if kind == "number":
-        return isinstance(value, (int, float)) and not isinstance(value, bool)
-    raise AssertionError(f"unknown schema type {kind!r}")
+_OMIT = object()  # the default of an optional key that writes nothing
+# A node type's Python types; a bool, though an int in Python, is never one of them.
+_TYPES = {"object": dict, "array": list, "string": str, "int": int, "number": (int, float)}
 
 
 def validate_config(value, schema: dict, path: str = "config"):
@@ -83,11 +76,11 @@ def validate_config(value, schema: dict, path: str = "config"):
     Returns value, a number as a float.  Raises ConfigError on any mismatch.
     """
     if value is None:
-        if schema.get("nullable"):
+        if schema.get("default", _OMIT) is None:
             return None
         raise ConfigError(f"{path}: must not be null")
     kind = schema["type"]
-    if not _type_ok(value, kind):
+    if isinstance(value, bool) or not isinstance(value, _TYPES[kind]):
         raise ConfigError(f"{path}: expected {kind}, got {type(value).__name__}")
     if kind in ("number", "int"):
         try:
@@ -116,15 +109,15 @@ def validate_config(value, schema: dict, path: str = "config"):
         unknown = sorted(set(value) - set(keys))
         if unknown:
             raise ConfigError(f"{path}: unknown keys {unknown}")
-        for name in schema.get("required", ()):
-            if name not in value:
+        for name, sub in keys.items():
+            if name not in value and "default" not in sub:
                 raise ConfigError(f"{path}: missing required key {name!r}")
         for name, sub in keys.items():
-            if name not in value and "default" in sub:
+            if name not in value:
                 default = sub["default"]
-                default = default(value) if callable(default) else copy.deepcopy(default)
+                default = default(value) if callable(default) else default
                 if default is not _OMIT:
-                    value[name] = default
+                    value[name] = copy.deepcopy(default)
             if name in value:
                 value[name] = validate_config(value[name], sub, f"{path}.{name}")
     return value
@@ -159,7 +152,6 @@ _SCHEDULE_SCHEMA = {
         "kind": {"type": "string", "choices": list(_SCHEDULE_BUILDERS)},
         **{key: _schedule_param(key) for b in _SCHEDULE_BUILDERS.values() for key in inspect.signature(b).parameters},
     },
-    "required": ["kind"],
 }
 
 _ORACLE_SCHEMA = {
@@ -169,9 +161,10 @@ _ORACLE_SCHEMA = {
             "type": "array",
             "min_len": 1,
             "items": {"type": "array", "min_len": 1, "items": {"type": "number"}},
+            "default": _OMIT,
         },
-        "centers_csv": {"type": "string"},
-        "weights": {"type": "array", "min_len": 1, "items": {"type": "number", "exclusive_min": 0.0}},
+        "centers_csv": {"type": "string", "default": _OMIT},
+        "weights": {"type": "array", "min_len": 1, "items": {"type": "number", "exclusive_min": 0.0}, "default": _OMIT},
     },
 }
 
@@ -183,9 +176,8 @@ _GRID_ITEM = {
         "lam": {"type": "number", "exclusive_min": 0.0},
         "kappa": {"type": "number", "min": 0.0, "max": 1.0 - 1e-12, "default": 1e-8},
     },
-    "required": ["lam"],
 }
-_GEOMETRY_SCHEMA = {**_GRID_ITEM, "nullable": True, "default": None}
+_GEOMETRY_SCHEMA = {**_GRID_ITEM, "default": None}
 
 _SAMPLER_SCHEMA = {
     "type": "object",
@@ -197,7 +189,6 @@ _SAMPLER_SCHEMA = {
         "seed": {"type": "int", "min": 0, "default": 0},
         "eps_clip": {"type": "number", "exclusive_min": 0.0, "default": 1e-3},
     },
-    "required": ["n_steps"],
 }
 
 
@@ -230,7 +221,6 @@ _FIXED_LEVEL_KEYS = {
     "n_steps": {"type": "int", "min": 1},
     "seed": _SEED,
 }
-_FIXED_LEVEL_REQUIRED = [name for name, node in _FIXED_LEVEL_KEYS.items() if "default" not in node]
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +236,6 @@ COMMAND_SCHEMAS = {
             "sampler": _SAMPLER_SCHEMA,
             "diagnostics": _DIAG_SCHEMA,
         },
-        "required": ["schedule", "oracle", "sampler"],
     },
     "compare": {
         "type": "object",
@@ -282,7 +271,6 @@ COMMAND_SCHEMAS = {
             "eps_clip": {"type": "number", "exclusive_min": 0.0, "default": 1e-3},
             "diagnostics": _DIAG_SCHEMA,
         },
-        "required": ["schedule", "oracle", "nfe", "chains", "seeds"],
     },
     "stationarity": {
         "type": "object",
@@ -298,7 +286,6 @@ COMMAND_SCHEMAS = {
                 "keys": {"ks_max": {"type": "number", "exclusive_min": 0.0, "default": 0.02}},
             },
         },
-        "required": [*_FIXED_LEVEL_REQUIRED, "chains"],
     },
     "convergence": {
         "type": "object",
@@ -324,7 +311,6 @@ COMMAND_SCHEMAS = {
                 },
             },
         },
-        "required": [*_FIXED_LEVEL_REQUIRED, "lams", "chains"],
     },
     "hessian-error": {
         "type": "object",
@@ -340,7 +326,6 @@ COMMAND_SCHEMAS = {
                 "keys": {"max_violations": {"type": "int", "min": 0, "default": 0}},
             },
         },
-        "required": ["schedule", "oracle", "ts", "n_points"],
     },
     "bench": {
         "type": "object",
@@ -348,13 +333,13 @@ COMMAND_SCHEMAS = {
             "d": {"type": "int", "min": 1},
             "reps": {"type": "int", "min": 1, "default": 200},
             "seed": _SEED,
-            # no default: bench gates only on a threshold the config sets
+            # bench gates only on a threshold the config sets
             "assert": {
                 "type": "object",
-                "keys": {"ratio_max": {"type": "number", "exclusive_min": 0.0}},
+                "default": _OMIT,
+                "keys": {"ratio_max": {"type": "number", "exclusive_min": 0.0, "default": _OMIT}},
             },
         },
-        "required": ["d"],
     },
 }
 

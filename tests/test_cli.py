@@ -719,6 +719,16 @@ def test_convergence_outputs(tmp_path) -> None:
         assert np.all(rows[:, 1] > 0)
 
 
+def test_convergence_narrow_start(tmp_path) -> None:
+    # A start narrower than the stderr's 1e-6 difference step (init.std = 1e-7) is a valid
+    # config: the step shrinks with the sample std, so every row's stderr is finite.
+    doc = dict(_CONV_1D, n_steps=200, chains=2000, init={"std": 1e-7})
+    out = tmp_path / "out"
+    assert main(["convergence", "--config", _write(tmp_path, "c.json", doc), "--out", str(out)]) == 0
+    rows = _data_rows(out / "convergence_lam0.csv")
+    assert np.all(np.isfinite(rows)) and np.all(rows[:, 1:] > 0)
+
+
 def test_package_fingerprint_is_the_cli_stamp(tmp_path) -> None:
     # snapshot_every's default, n_steps // 200, is the schema's, so the
     # package's validate_config + config_hash give the document the hash

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import copy
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -247,3 +248,99 @@ def test_stationarity_has_no_burn_in() -> None:
     with pytest.raises(ConfigError, match="unknown keys \\['burn_in'\\]"):
         validate_config(doc, COMMAND_SCHEMAS["stationarity"])
 
+
+
+# Every key of each demo document, at every nesting level, after its defaults are filled; plus
+# the optional keys no demo spells: bench's threshold and the oracle's centers file.
+_KEY_DOCS = {
+    **{
+        config: (command, json.loads((DEMO_CONFIGS / config).read_text()))
+        for command, config in [
+            ("sample", "sample_mixture2d.json"),
+            ("compare", "compare_low_nfe.json"),
+            ("stationarity", "stationarity_damped.json"),
+            ("convergence", "convergence_rates.json"),
+            ("hessian-error", "hessian_error_bound.json"),
+            ("bench", "bench_overhead.json"),
+        ]
+    },
+    "bench-assert": ("bench", {"d": 8, "assert": {"ratio_max": 2.0}}),
+    "centers-csv": ("hessian-error", dict(CASES["hessian-error"][1], oracle={"centers_csv": "c.csv", "weights": [1.0]})),
+}
+
+
+def _entries(value, schema: dict, loc: tuple = ()):
+    """(location, node) of every object key and array entry in a validated document, depth first."""
+    if isinstance(value, dict):
+        children = [(name, schema["keys"][name]) for name in value]
+    elif isinstance(value, list):
+        children = [(i, schema["items"]) for i in range(len(value))]
+    else:
+        children = []
+    for key, node in children:
+        yield (*loc, key), node
+        yield from _entries(value[key], node, (*loc, key))
+
+
+def _where(loc: tuple) -> str:
+    """The path validate_config names for a location."""
+    return "config" + "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in loc)
+
+
+def _parent(doc, loc: tuple):
+    for key in loc[:-1]:
+        doc = doc[key]
+    return doc
+
+
+def _optional_nodes() -> list:
+    """The nodes of the keys that may be omitted and have no value to fill in."""
+    oracle = COMMAND_SCHEMAS["sample"]["keys"]["oracle"]["keys"]
+    bench_assert = COMMAND_SCHEMAS["bench"]["keys"]["assert"]
+    return [oracle["centers"], oracle["centers_csv"], oracle["weights"], bench_assert, bench_assert["keys"]["ratio_max"]]
+
+
+@pytest.mark.parametrize("case", sorted(_KEY_DOCS))
+def test_a_key_is_required_exactly_when_its_node_has_no_default(case) -> None:
+    command, doc = _KEY_DOCS[case]
+    schema = COMMAND_SCHEMAS[command]
+    full = _effective(command, doc)
+    optional = _optional_nodes()
+    keys = [(loc, node) for loc, node in _entries(full, schema) if isinstance(loc[-1], str)]
+    assert keys
+    for loc, node in keys:
+        dropped = copy.deepcopy(full)
+        name = loc[-1]
+        del _parent(dropped, loc)[name]
+        if any(node is opt for opt in optional):
+            validate_config(dropped, schema)
+            assert name not in _parent(dropped, loc), loc  # nothing is written
+            continue
+        if "default" not in node:
+            with pytest.raises(ConfigError, match=f"^{re.escape(_where(loc[:-1]))}: missing required key '{name}'$"):
+                validate_config(dropped, schema)
+            continue
+        validate_config(dropped, schema)
+        default = node["default"]
+        want = copy.deepcopy(full)
+        if callable(default):
+            _parent(want, loc)[name] = default(_parent(dropped, loc))
+        else:
+            _parent(want, loc)[name] = validate_config(copy.deepcopy(default), node)
+        assert dropped == want, loc
+
+
+@pytest.mark.parametrize("case", sorted(_KEY_DOCS))
+def test_only_a_null_default_accepts_null(case) -> None:
+    command, doc = _KEY_DOCS[case]
+    schema = COMMAND_SCHEMAS[command]
+    full = _effective(command, doc)
+    for loc, node in _entries(full, schema):
+        nulled = copy.deepcopy(full)
+        _parent(nulled, loc)[loc[-1]] = None
+        if "default" in node and node["default"] is None:
+            assert validate_config(nulled, schema) is nulled
+            assert _parent(nulled, loc)[loc[-1]] is None
+        else:
+            with pytest.raises(ConfigError, match=f"^{re.escape(_where(loc))}: must not be null$"):
+                validate_config(nulled, schema)
