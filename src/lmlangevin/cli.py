@@ -288,11 +288,13 @@ def _cmd_stationarity(doc, threads: int):
 
 
 def _gaussian_chi2_stderr(m: float, s: float, m2: float, s2: float, n: int) -> float:
-    """Delta-method stderr of the fitted-moment chi-square estimate."""
+    """Delta-method stderr of the fitted-moment chi-square estimate; inf where the estimate is inf."""
     dm = (chi2_gaussians(m + 1e-6, s, m2, s2) - chi2_gaussians(m - 1e-6, s, m2, s2)) / 2e-6
     step = min(1e-6, 0.5 * s)  # s - step stays a valid std however narrow the sample
     ds = (chi2_gaussians(m, s + step, m2, s2) - chi2_gaussians(m, s - step, m2, s2)) / (2.0 * step)
-    return float(np.sqrt(dm * dm * s * s / n + ds * ds * s * s / (2.0 * n)))
+    var = dm * dm * s * s / n + ds * ds * s * s / (2.0 * n)
+    # While s >= sqrt(2) s2 the closed form is inf on both sides of a difference, which is then inf - inf.
+    return float("inf") if np.isnan(var) else float(np.sqrt(var))
 
 
 def _cmd_convergence(doc, threads: int):
@@ -302,9 +304,8 @@ def _cmd_convergence(doc, threads: int):
         raise ConfigError("config.fit_window: must be [low, high] with low < high")
     lo, hi = window
     t = doc["t"]
-    alpha, sigma = oracle.level(t)
-    single = oracle.n_components == 1
-    mu = alpha * float(oracle.centers[0, 0])
+    locs, sigma = oracle.marginal(t)
+    single = locs.size == 1
 
     if not single:
         edges = equal_mass_edges(lambda q: oracle.marginal_quantile(q, t), 64)
@@ -322,8 +323,8 @@ def _cmd_convergence(doc, threads: int):
             samples = states[:, 0]
             if single:
                 m_hat, s_hat = float(samples.mean()), float(samples.std(ddof=1))
-                vals[k] = chi2_gaussians(m_hat, s_hat, mu, sigma)
-                errs[k] = _gaussian_chi2_stderr(m_hat, s_hat, mu, sigma, samples.size)
+                vals[k] = chi2_gaussians(m_hat, s_hat, locs[0], sigma)
+                errs[k] = _gaussian_chi2_stderr(m_hat, s_hat, locs[0], sigma, samples.size)
             else:
                 # Histogram estimate: biased, trend-only; fine inside the fit window.
                 vals[k], errs[k] = chi2_histogram(samples, edges)

@@ -17,7 +17,8 @@ gradient (order 1, 2 or 3) off one posterior evaluation, and caps the dense
 orders 2 and 3 at d <= DENSE_DIM_CAP = 64, the package's one such cap;
 :meth:`dense_batches` takes them over many rows in batches whose largest part
 holds at most _DENSE_BATCH_ELEMS floats.  :meth:`level` gives the noise level
-(alpha_t, sigma_t) that every prediction is made at.
+(alpha_t, sigma_t) that every prediction is made at, and :meth:`marginal`
+the 1-d marginal's component locations alpha_t y_i and width sigma_t.
 
 The posterior over components is computed against the centers taken relative
 to their mean ybar0, as two-operand contractions: no (m, n, d) difference
@@ -346,17 +347,18 @@ class GaussianMixtureOracle:
 
     # -- 1-d distribution functions ----------------------------------------
 
-    def _require_1d(self, op: str) -> None:
+    def marginal(self, t):
+        """The 1-d diffused marginal's component locations alpha_t y_i, shape (n,), and their common width sigma_t."""
         if self.dim != 1:
-            raise ValueError(f"{op} is defined for 1-d oracles only (dim={self.dim})")
+            raise ValueError(f"the marginal is defined for 1-d oracles only (dim={self.dim})")
+        alpha, sigma = self.level(t)
+        return alpha * self.centers[:, 0], sigma
 
     def marginal_cdf(self, x, t):
         """Exact CDF of the 1-d diffused marginal at time t, from math.erfc."""
-        self._require_1d("marginal_cdf")
-        alpha, sigma = self.level(t)
+        locs, sigma = self.marginal(t)
         x = np.asarray(x, dtype=np.float64)
-        z = (x[..., None] - alpha * self.centers[:, 0]) / sigma
-        return _ndtr(z) @ self.weights
+        return _ndtr((x[..., None] - locs) / sigma) @ self.weights
 
     def marginal_quantile(self, q, t):
         """Quantiles of the 1-d diffused marginal, all solved by one vectorized bisection.
@@ -368,12 +370,10 @@ class GaussianMixtureOracle:
         """
         from statistics import NormalDist  # deferred: its fractions and decimal imports cost every command
 
-        self._require_1d("marginal_quantile")
+        locs, sigma = self.marginal(t)
         q = np.asarray(q, dtype=np.float64)
         if not np.all((q > 0.0) & (q < 1.0)):
             raise ValueError("quantiles must lie strictly in (0, 1)")
-        alpha, sigma = self.level(t)
-        locs = alpha * self.centers[:, 0]
         flat = q.ravel()
         upper = flat > 0.5
         mass = np.where(upper, 1.0 - flat, flat)

@@ -551,8 +551,7 @@ def _fixed_level_kernel(cfg: FixedLevelConfig, oracle: GaussianMixtureOracle):
         # the third derivative vanishes, so the whole step contracts to an
         # exact OU update.  Big ensembles would otherwise pay the generic
         # posterior machinery per step for no change in output distribution.
-        alpha, sigma = oracle.level(t)
-        mu = alpha * float(oracle.centers[0, 0])
+        (mu,), sigma = oracle.marginal(t)
         g = 1.0 / (sigma * sigma) + lam
         c1 = h / (sigma * sigma * g)
         sd = np.sqrt(2.0 * h) / np.sqrt(g)

@@ -10,7 +10,7 @@ supported, each built by its constructor, which states its parameters:
 * ``vp-linear``: variance preserving with beta(t) = beta_min + t*(beta_max-beta_min),
   so log alpha(t) = -t^2*(beta_max-beta_min)/4 - t*beta_min/2 and
   sigma = sqrt(1 - alpha^2).
-* ``ve``: variance exploding, alpha = 1 and sigma(t) = sigma_min*(sigma_max/sigma_min)^t.
+* ``ve``: variance exploding, log alpha = 0 and sigma(t) = sigma_min*(sigma_max/sigma_min)^t.
 * ``cosine``: variance preserving with alpha(t) = cos(theta(t))/cos(theta(0)),
   theta(t) = (t+s)/(1+s) * pi/2.  alpha(1) = 0, so it takes a t_max below 1;
   the other kinds run to t_max = 1.
@@ -101,15 +101,18 @@ class NoiseSchedule:
 
     # -- internals ------------------------------------------------------
 
+    def _theta(self, ts):
+        """Cosine's angle theta(t) = (t+s)/(1+s) * pi/2."""
+        s = self.params["offset"]
+        return (ts + s) / (1.0 + s) * (math.pi / 2.0)
+
     def _log_alpha(self, ts):
-        """log alpha(t) for the VP kinds; VE has alpha identically 1."""
+        if self.kind == VE:
+            return np.zeros_like(ts)
         if self.kind == VP_LINEAR:
             bmin, bmax = self.params["beta_min"], self.params["beta_max"]
             return -0.25 * ts * ts * (bmax - bmin) - 0.5 * ts * bmin
-        s = self.params["offset"]
-        theta = (ts + s) / (1.0 + s) * (math.pi / 2.0)
-        theta0 = s / (1.0 + s) * (math.pi / 2.0)
-        return np.log(np.cos(theta)) - math.log(math.cos(theta0))
+        return np.log(np.cos(self._theta(ts))) - math.log(math.cos(self._theta(0.0)))
 
     def _log_sigma(self, ts):
         if self.kind == VE:
@@ -125,21 +128,14 @@ class NoiseSchedule:
     def alpha_sigma(self, t):
         """Return (alpha(t), sigma(t)); vectorized over t."""
         ts = _as_time(t, self.t_max)
-        if self.kind == VE:
-            alpha = np.ones_like(ts)
-            sigma = np.exp(self._log_sigma(ts))
-        else:
-            log_alpha = self._log_alpha(ts)
-            alpha = np.exp(log_alpha)
-            # + 0.0 turns the signed zero of -expm1(+0.0) at t = 0 into +0.0.
-            sigma = np.sqrt(-np.expm1(2.0 * log_alpha) + 0.0)
-        return alpha, sigma
+        log_alpha = self._log_alpha(ts)
+        # VP: + 0.0 turns the signed zero of -expm1(+0.0) at t = 0 into +0.0.
+        sigma = np.exp(self._log_sigma(ts)) if self.kind == VE else np.sqrt(-np.expm1(2.0 * log_alpha) + 0.0)
+        return np.exp(log_alpha), sigma
 
     def log_snr(self, t):
         """log(alpha/sigma), strictly decreasing in t for every supported kind."""
         ts = _as_time(t, self.t_max)
-        if self.kind == VE:
-            return -self._log_sigma(ts)
         return self._log_alpha(ts) - self._log_sigma(ts)
 
     def drift_diffusion(self, t):
@@ -150,19 +146,16 @@ class NoiseSchedule:
         and for VE to g^2 = d sigma^2 / dt.
         """
         ts = _as_time(t, self.t_max)
+        if self.kind == VE:
+            smin, smax = self.params["sigma_min"], self.params["sigma_max"]
+            return np.zeros_like(ts), 2.0 * math.log(smax / smin) * np.exp(2.0 * self._log_sigma(ts))
         if self.kind == VP_LINEAR:
             bmin, bmax = self.params["beta_min"], self.params["beta_max"]
-            beta = bmin + ts * (bmax - bmin)
-            return -0.5 * beta, beta
-        if self.kind == COSINE:
+            f = -0.5 * (bmin + ts * (bmax - bmin))
+        else:
             s = self.params["offset"]
-            theta = (ts + s) / (1.0 + s) * (math.pi / 2.0)
-            f = -(math.pi / (2.0 * (1.0 + s))) * np.tan(theta)
-            return f, -2.0 * f
-        smin, smax = self.params["sigma_min"], self.params["sigma_max"]
-        rate = 2.0 * math.log(smax / smin)
-        sigma2 = np.exp(2.0 * self._log_sigma(ts))
-        return np.zeros_like(ts), rate * sigma2
+            f = -(math.pi / (2.0 * (1.0 + s))) * np.tan(self._theta(ts))
+        return f, -2.0 * f
 
 
 @dataclass(frozen=True)

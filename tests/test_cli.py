@@ -729,6 +729,19 @@ def test_convergence_narrow_start(tmp_path) -> None:
     assert np.all(np.isfinite(rows)) and np.all(rows[:, 1:] > 0)
 
 
+def test_convergence_wide_start_writes_no_nan(tmp_path) -> None:
+    # A start wider than sqrt(2) sigma_t has an infinite closed-form chi-square until the chains
+    # contract; those rows carry an infinite stderr, not inf - inf, and the fit window skips them.
+    doc = dict(_CONV_1D, lams=[1.0], n_steps=400, snapshot_every=2, chains=4000, init={"mean": 0.5, "std": 2.0})
+    out = tmp_path / "out"
+    assert main(["convergence", "--config", _write(tmp_path, "c.json", doc), "--out", str(out)]) == 0
+    rows = _data_rows(out / "convergence_lam0.csv")
+    wide = np.isinf(rows[:, 1])
+    assert 0 < wide.sum() < len(rows)
+    assert not np.isnan(rows).any()
+    assert np.all(rows[wide, 2] == np.inf)
+
+
 def test_package_fingerprint_is_the_cli_stamp(tmp_path) -> None:
     # snapshot_every's default, n_steps // 200, is the schema's, so the
     # package's validate_config + config_hash give the document the hash

@@ -16,6 +16,7 @@ from scipy.optimize import brentq
 from scipy.special import ndtr
 from scipy.stats import multivariate_normal
 
+import lmlangevin
 from lmlangevin import (
     DENSE_DIM_CAP,
     GaussianMixtureOracle,
@@ -351,6 +352,20 @@ def test_only_the_oracle_reads_its_level_and_batch_budget() -> None:
     assert readers == []
 
 
+def test_only_the_oracle_reads_its_centers_and_weights() -> None:
+    # The diffused target is stated once: other modules read a 1-d marginal through marginal(t),
+    # and never the centers or weights it is built from.
+    src = Path(lmlangevin.__file__).parent
+    readers = [
+        f"{path.name}:{line_no}"
+        for path in sorted(src.glob("*.py"))
+        if path.name != "oracle.py"
+        for line_no, line in enumerate(path.read_text().splitlines(), 1)
+        if ".centers" in line or ".weights" in line
+    ]
+    assert readers == []
+
+
 def _longdouble_reference(orc, x, t):
     """eps, score, logpdf and hessian in np.longdouble, from the pairwise differences x - alpha y_i."""
     L = np.longdouble
@@ -609,6 +624,8 @@ def test_validation_errors() -> None:
     orc = GaussianMixtureOracle([[0.0, 1.0]], None, sch)
     with pytest.raises(ValueError, match="trailing dimension"):
         orc.score(np.zeros((3, 3)), 0.5)
+    with pytest.raises(ValueError, match=r"sigma\(t\) = 0: the diffused mixture is degenerate"):
+        orc.eps(np.zeros(2), 0.0)  # VP has sigma(0) = 0
 
 
 def test_diameter() -> None:

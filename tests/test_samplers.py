@@ -339,6 +339,8 @@ def test_sampler_config_validation() -> None:
         SamplerConfig(n_steps=0)
     with pytest.raises(ValueError, match="solver_order"):
         SamplerConfig(n_steps=5, solver_order=3)
+    with pytest.raises(ValueError, match="chains must be >= 1"):
+        SamplerConfig(n_steps=5, chains=0)
 
 
 def test_sampled_mixture_statistics() -> None:
@@ -378,6 +380,10 @@ def test_annealed_rejects_denoiser_settings_and_times_each_level() -> None:
     for bad in ({"geometry": DampedGeometryConfig()}, {"solver_order": 2}):
         with pytest.raises(ValueError, match="annealed Langevin takes"):
             annealed_langevin_sample(SamplerConfig(n_steps=3, schedule=sch, **bad), orc, 2, 0.1)
+    with pytest.raises(ValueError, match="inner_steps must be >= 1"):
+        annealed_langevin_sample(SamplerConfig(n_steps=3, schedule=sch), orc, 0, 0.1)
+    with pytest.raises(ValueError, match="step_scale must be > 0"):
+        annealed_langevin_sample(SamplerConfig(n_steps=3, schedule=sch), orc, 2, 0.0)
     run = annealed_langevin_sample(SamplerConfig(n_steps=3, schedule=sch, chains=8), orc, 2, 0.1, threads=2)
     assert run.step_times.shape == (3,) and (run.step_times > 0).all()
     assert len(set(run.step_times.tolist())) == 3  # each level's own time, not one mean
@@ -935,6 +941,11 @@ def test_fixed_level_config_validation() -> None:
     # a first snapshot past n_steps would leave the run at its start
     with pytest.raises(ValueError, match="snapshot_every"):
         FixedLevelConfig(t=0.5, h=0.01, n_steps=10, variant="plain-langevin", snapshot_every=20)
+    for bad in ({"n_steps": 0}, {"chains": 0}):
+        with pytest.raises(ValueError, match="n_steps and chains must be >= 1"):
+            FixedLevelConfig(**{"t": 0.5, "h": 0.01, "n_steps": 10, "variant": "plain-langevin", **bad})
+    with pytest.raises(ValueError, match="init_std must be >= 0"):
+        FixedLevelConfig(t=0.5, h=0.01, n_steps=10, variant="plain-langevin", init_std=-1.0)
 
 
 def test_stationarity_ks_smoke() -> None:

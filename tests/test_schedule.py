@@ -117,6 +117,10 @@ def test_bad_parameters_rejected() -> None:
         NoiseSchedule.vp_linear(beta_min=2.0, beta_max=1.0)
     with pytest.raises(ValueError, match="sigma_min < sigma_max"):
         NoiseSchedule.ve(sigma_min=1.0, sigma_max=0.5)
+    with pytest.raises(ValueError, match="need t_max > 0"):
+        NoiseSchedule.cosine(t_max=0.0)
+    with pytest.raises(ValueError, match="cosine offset must be > 0"):
+        NoiseSchedule.cosine(offset=0.0)
 
 
 def test_make_grid_shape_and_endpoints() -> None:
