@@ -1,7 +1,7 @@
 """Drive every CLI command from the shipped demo configs.
 
 Outputs land under demo_output/ next to the current working directory.
-Each command writes a meta.json (config hash, seed, metrics, timing) plus
+Each command writes a meta.json (config, config hash, seed, metrics, timing) plus
 command-specific CSVs; rerunning with the same config and seed reproduces
 the data files byte for byte.  Exits 1 if any command failed.
 """

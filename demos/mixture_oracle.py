@@ -31,10 +31,9 @@ print("hessian:\n", H)
 print("symmetry gap:", np.abs(H - H.T).max())
 
 # Far from the decision boundary one component dominates and the posterior
-# mean collapses onto its center.
+# mean of the clean data, sum_i w_i y_i, collapses onto its center.
 far = np.array([4.0, 0.0])
-a, _ = sch.alpha_sigma(t)
-print("posterior mean at x=(4,0):", orc.posterior_mean(far, t), "alpha*center =", a * orc.centers[0])
+print("posterior mean at x=(4,0):", orc.posterior_mean(far, t), "center =", orc.centers[0])
 
 # Draws from p_t itself: diffused samples match alpha-scaled centers plus
 # sigma-scaled noise.

@@ -16,8 +16,8 @@ for sch in (NoiseSchedule.vp_linear(), NoiseSchedule.ve(0.01, 100.0), NoiseSched
     for t in ts:
         t_eff = min(t, 0.999) if sch.kind == "cosine" else t
         a, s = sch.alpha_sigma(t_eff)
-        f, g = sch.drift_diffusion(max(t_eff, 1e-6))
-        print(f"{t_eff:6.3f} {a:12.6f} {s:12.6f} {sch.log_snr(max(t_eff, 1e-6)):10.3f} {f:10.4f} {g * g:10.4f}")
+        f, g2 = sch.drift_diffusion(max(t_eff, 1e-6))
+        print(f"{t_eff:6.3f} {a:12.6f} {s:12.6f} {sch.log_snr(max(t_eff, 1e-6)):10.3f} {f:10.4f} {g2:10.4f}")
 
 # VP keeps alpha^2 + sigma^2 = 1; VE keeps alpha = 1 with geometric sigma.
 vp = NoiseSchedule.vp_linear()

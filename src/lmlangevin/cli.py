@@ -11,13 +11,16 @@ with the same config and seed are byte-identical except for the meta.json
 "timing" object, regardless of --threads.
 
 Each command writes nothing: it returns its tables (CSV name -> comment
-notes, header, rows), metrics, extra fields, timing fields and --assert
-failure (or None).  :func:`main` is the one place that reads the seed and
-writes under --out.  Only after the command has returned and its metrics are
-all finite does it make --out and write each table under the stamp
-``# config_hash=<hash> seed=<seed>`` and then meta.json, so a failed run
-leaves --out untouched.  It times the whole invocation and turns a failure
-under --assert into exit 4.
+notes, header, rows), metrics, the extra fields it computed, timing fields
+and --assert failure (or None).  :func:`main` is the one place that reads the
+seed and writes under --out.  Only after the command has returned and its
+metrics are all finite does it make --out and write each table under the
+stamp ``# config_hash=<hash> seed=<seed>`` and then meta.json, so a failed
+run leaves --out untouched.  meta.json records the document as "config":
+validated, with its defaults filled in and --seed applied, it is the object
+the hash is taken over, and the same command runs it again to the same
+files.  :func:`main` times the whole invocation and turns a failure under
+--assert into exit 4.
 
 Exit codes: 0 success, 2 invalid config, 3 numeric or I/O failure while
 running, 4 threshold violated under --assert.
@@ -161,24 +164,13 @@ def _cmd_sample(doc, threads: int):
 
     header = ["chain_id"] + [f"x{j}" for j in range(oracle.dim)]
     rows = [[str(i)] + [_f(v) for v in row] for i, row in enumerate(finals)]
-    geo = scfg.geometry
-    lam = None if geo is None else geo.lam
-    kappa = None if geo is None else geo.kappa
 
-    diag = doc["diagnostics"]
+    n_proj = doc["diagnostics"]["n_projections"]
     truth = oracle.sample_data(_rng.stream(scfg.seed, _rng.GT_STREAM_OFFSET), scfg.chains)
-    sw2 = sliced_wasserstein(
-        finals, truth, diag["n_projections"], _rng.stream(scfg.seed, _rng.PROJ_STREAM_OFFSET)
-    )
-    extra = {
-        "lam": lam,
-        "kappa": kappa,
-        "n_steps": scfg.n_steps,
-        "order": scfg.solver_order,
-        "chains": scfg.chains,
-    }
-    tables = {"samples.csv": ({"lam": lam, "kappa": kappa}, header, rows)}
-    return tables, {"sw2_to_truth": sw2}, extra, {"per_step_s": list(run.step_times)}, None
+    sw2 = sliced_wasserstein(finals, truth, n_proj, _rng.stream(scfg.seed, _rng.PROJ_STREAM_OFFSET))
+    geo = block["geometry"] or {}
+    tables = {"samples.csv": ({"lam": geo.get("lam"), "kappa": geo.get("kappa")}, header, rows)}
+    return tables, {"sw2_to_truth": sw2}, {}, {"per_step_s": list(run.step_times)}, None
 
 
 def _compare_run(variant, geo, nfe, seed, doc, schedule, oracle, threads):
@@ -253,13 +245,8 @@ def _cmd_compare(doc, threads: int):
         if not winners:
             failed_orders.append(order)
 
-    extra = {
-        "seeds": list(seeds),
-        "nfe": list(nfe_list),
-        "chains": doc["chains"],
-        "dominating_combos": dominating,
-    }
     msg = f"no (lam, kappa) matches or beats baseline at every NFE for order(s) {failed_orders}"
+    extra = {"dominating_combos": dominating}
     return {"compare.csv": ({}, header, rows)}, {}, extra, {}, msg if failed_orders else None
 
 
@@ -282,9 +269,8 @@ def _cmd_stationarity(doc, threads: int):
     ]
     tables = {"histogram.csv": ({"lam": doc["lam"], "t": t}, ["bin", "left", "right", "observed", "expected"], rows)}
 
-    extra = {key: doc[key] for key in ("variant", "lam", "t", "h", "n_steps")} | {"retained": int(retained.size)}
     ks_max = doc["assert"]["ks_max"]
-    return tables, {"ks": ks}, extra, {}, f"ks={ks:.5f} > {ks_max}" if ks > ks_max else None
+    return tables, {"ks": ks}, {}, {}, f"ks={ks:.5f} > {ks_max}" if ks > ks_max else None
 
 
 def _gaussian_chi2_stderr(m: float, s: float, m2: float, s2: float, n: int) -> float:
@@ -359,8 +345,8 @@ def _cmd_convergence(doc, threads: int):
         if fit.r_squared < doc["assert"]["r2_min"]:
             ok = False
 
-    extra = {"variant": doc["variant"], "t": t, "h": doc["h"], "per_lam": details}
-    return tables, metrics, extra, {}, None if ok else "fitted rate or fit quality outside tolerance; see meta.json"
+    failure = None if ok else "fitted rate or fit quality outside tolerance; see meta.json"
+    return tables, metrics, {"per_lam": details}, {}, failure
 
 
 def _cmd_hessian_error(doc, threads: int):
@@ -389,9 +375,8 @@ def _cmd_hessian_error(doc, threads: int):
             }
         )
     tables = {"bound_check.csv": ({}, ["t", "point", "empirical", "bound"], rows)}
-    extra = {"per_t": per_t, "n_points": doc["n_points"]}
-    failed = violations > doc["assert"]["max_violations"]
-    return tables, {"violations": float(violations)}, extra, {}, f"{violations} bound violations" if failed else None
+    failure = f"{violations} bound violations" if violations > doc["assert"]["max_violations"] else None
+    return tables, {"violations": float(violations)}, {"per_t": per_t}, {}, failure
 
 
 def _cmd_bench(doc, threads: int):
@@ -402,7 +387,7 @@ def _cmd_bench(doc, threads: int):
     ratio_max = doc.get("assert", {}).get("ratio_max")
     failed = ratio_max is not None and res.ratio > ratio_max
     failure = f"overhead ratio {res.ratio:.4f} > {ratio_max}" if failed else None
-    return {}, {}, {"d": res.d, "reps": res.reps}, timing, failure
+    return {}, {}, {}, timing, failure
 
 
 _DISPATCH = {
@@ -463,9 +448,8 @@ def main(argv=None) -> int:
         out.mkdir(parents=True, exist_ok=True)
         for name, (notes, header, rows) in tables.items():
             _write_csv(out / name, stamp, notes, header, rows)
-        if tables:
-            extra["files"] = list(tables)
-        meta = {"command": args.command, "config_hash": chash, "seed": seed, "metrics": metrics, "extra": extra}
+        meta = {"command": args.command, "config": doc, "config_hash": chash, "seed": seed, "metrics": metrics}
+        meta["extra"] = extra | ({"files": list(tables)} if tables else {})
         meta["timing"] = {"total_s": time.perf_counter() - tic, **timing}  # the one rerun-variable section
         (out / "meta.json").write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
     except ConfigError as exc:  # a ValueError, so before the numeric failures

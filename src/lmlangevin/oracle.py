@@ -108,24 +108,26 @@ class GaussianMixtureOracle:
         centers = np.asarray(centers, dtype=np.float64)
         if centers.ndim != 2 or centers.shape[0] < 1:
             raise ValueError("centers must be an (n, d) array with n >= 1")
-        if not np.all(np.isfinite(centers)):
-            raise ValueError("centers must be finite")
         if weights is None:
             weights = np.full(centers.shape[0], 1.0 / centers.shape[0])
         weights = np.asarray(weights, dtype=np.float64)
         if weights.shape != (centers.shape[0],):
             raise ValueError("weights must be one per center")
-        if not np.all(np.isfinite(weights)) or np.any(weights <= 0.0):
-            raise ValueError("weights must be positive and finite")
+        with np.errstate(over="ignore", invalid="ignore"):  # an input that overflows is rejected below
+            # Centers relative to their mean: y_i = ybar0 + yc_i.
+            self._ybar0 = centers.mean(axis=0)
+            self._yc = centers - self._ybar0
+            self._yc_sq = np.einsum("nd,nd->n", self._yc, self._yc)
+            total = weights.sum()
+        if not np.all(np.isfinite(self._yc_sq)):  # finite only if every center is
+            raise ValueError("centers must be finite, and so must their squared distances from their mean")
+        if not (np.all(weights > 0.0) and np.isfinite(total)):  # finite only if every weight is
+            raise ValueError("weights must be positive and finite, and so must their sum")
 
         self.centers = centers
-        self.weights = weights / weights.sum()
+        self.weights = weights / total
         self.schedule = schedule
         self._log_w = np.log(self.weights)
-        # Centers relative to their mean: y_i = ybar0 + yc_i.
-        self._ybar0 = centers.mean(axis=0)
-        self._yc = centers - self._ybar0
-        self._yc_sq = np.einsum("nd,nd->n", self._yc, self._yc)
         self._levels: dict[float, tuple[float, float]] = {}
 
     @classmethod

@@ -189,6 +189,15 @@ _COMPARE_ANNEALED = {
             "config.oracle: hessian-error needs dim <= 64 (got dim=65)",
         ),
         ("hessian-error", _set(_HESSIAN, "ts", [0.5, 2.0]), "config: time out of schedule range: time out of range"),
+        # finite, positive inputs whose derived constants overflow
+        (
+            "stationarity", _set(_STAT_1D, "oracle", {"centers": [[0.0], [1.0]], "weights": [1e308, 1e308]}),
+            "config.oracle: weights must be positive and finite, and so must their sum",
+        ),
+        (
+            "stationarity", _set(_STAT_1D, "oracle.centers", [[1e200], [-1e200]]),
+            "config.oracle: centers must be finite, and so must their squared distances from their mean",
+        ),
         # Newton is damped-exact at lam = 0, and compare gates under --assert alone
         ("stationarity", _set(_STAT_1D, "variant", "newton"), "config.variant: must be one of"),
         ("compare", _set(_COMPARE_ANNEALED, "assert", {}), "config: unknown keys ['assert']"),
@@ -199,7 +208,8 @@ _COMPARE_ANNEALED = {
         "ragged-centers", "stationarity-1d", "convergence-1d", "compare-annealed-nfe", "compare-annealed-nfe-multiple",
         "sample-eps-clip", "compare-eps-clip", "stationarity-t", "fit-window-reversed", "fit-window-length",
         "snapshot-every",
-        "damped-lm-lam0", "hessian-error-dim", "hessian-error-t", "newton-variant", "compare-assert",
+        "damped-lm-lam0", "hessian-error-dim", "hessian-error-t", "weights-sum-overflow", "centers-spread-overflow",
+        "newton-variant", "compare-assert",
     ],
 )
 def test_config_error_names_its_key(tmp_path, capsys, monkeypatch, command, doc, message) -> None:
@@ -247,6 +257,10 @@ def test_centers_csv_is_the_inline_centers(tmp_path) -> None:
     a, b = ((out / "samples.csv").read_bytes().split(b"\n", 1) for out in outs)
     assert a[1] == b[1]
     metas = [_meta(out) for out in outs]
+    configs = [meta.pop("config") for meta in metas]
+    for config in configs:
+        del config["oracle"]
+    assert configs[0] == configs[1]
     for meta in metas:
         del meta["timing"], meta["config_hash"]
     assert metas[0] == metas[1]
@@ -376,10 +390,11 @@ def test_sample_outputs(tmp_path) -> None:
     assert meta["command"] == "sample"
     assert meta["seed"] == 7
     assert meta["metrics"]["sw2_to_truth"] >= 0.0
-    assert set(meta) == {"command", "config_hash", "seed", "metrics", "extra", "timing"}
+    assert set(meta) == {"command", "config", "config_hash", "seed", "metrics", "extra", "timing"}
     assert meta["extra"]["files"] == ["samples.csv"]
     assert "total_s" in meta["timing"]
     assert meta["config_hash"] == lines[0].split()[1].split("=")[1]
+    assert config_hash(meta["config"]) == meta["config_hash"]
 
 
 def test_sample_rerun_is_byte_identical(tmp_path) -> None:
@@ -454,6 +469,28 @@ _SMALL_DOCS = {
     },
     "bench": {"d": 64, "reps": 5},
 }
+
+
+@pytest.mark.parametrize("seed", [None, 11])
+@pytest.mark.parametrize("command", list(_SMALL_DOCS))
+def test_meta_config_reruns(tmp_path, command, seed) -> None:
+    # meta.json records the validated document (defaults filled in, --seed applied) that the
+    # stamp hashes, beside only what the command computed; running it again writes the same files.
+    override = [] if seed is None else ["--seed", str(seed)]
+    first, again = tmp_path / "first", tmp_path / "again"
+    cfg = _write(tmp_path, "a.json", _SMALL_DOCS[command])
+    assert main([command, "--config", cfg, "--out", str(first)] + override) == 0
+    meta = _meta(first)
+    assert config_hash(meta["config"]) == meta["config_hash"]
+    assert set(meta["extra"]) <= {"files", "dominating_combos", "per_lam", "per_t"}
+    assert main([command, "--config", _write(tmp_path, "b.json", meta["config"]), "--out", str(again)]) == 0
+    assert sorted(p.name for p in again.iterdir()) == sorted(p.name for p in first.iterdir())
+    for name in meta["extra"].get("files", []):  # bench writes meta.json alone
+        assert (again / name).read_bytes() == (first / name).read_bytes()
+    rerun = _meta(again)
+    for m in (meta, rerun):
+        m.pop("timing")
+    assert rerun == meta
 
 
 @pytest.mark.parametrize("command", list(_SMALL_DOCS))

@@ -338,16 +338,21 @@ def test_dense_batches_cover_the_rows_once(monkeypatch) -> None:
             assert np.array_equal(got, want)
 
 
+def _sources_outside_the_oracle() -> dict[str, str]:
+    """Name -> text of every module of the imported package but oracle.py."""
+    paths = sorted(Path(lmlangevin.__file__).parent.glob("*.py"))
+    assert {"oracle.py", "samplers.py", "cli.py"} <= {path.name for path in paths}
+    return {path.name: path.read_text() for path in paths if path.name != "oracle.py"}
+
+
 def test_only_the_oracle_reads_its_level_and_batch_budget() -> None:
     # Samplers, diagnostics and the CLI ask the oracle for its noise level and its dense batches
     # through level() and dense_batches(); its private level routine and batch budget stay inside.
-    src = Path(__file__).resolve().parents[1] / "src" / "lmlangevin"
     readers = [
-        f"{path.name}: {name}"
-        for path in sorted(src.glob("*.py"))
-        if path.name != "oracle.py"
-        for name in ("._level(", "_DENSE_BATCH_ELEMS")
-        if name in path.read_text()
+        f"{name}: {token}"
+        for name, text in _sources_outside_the_oracle().items()
+        for token in ("._level(", "_DENSE_BATCH_ELEMS")
+        if token in text
     ]
     assert readers == []
 
@@ -355,12 +360,10 @@ def test_only_the_oracle_reads_its_level_and_batch_budget() -> None:
 def test_only_the_oracle_reads_its_centers_and_weights() -> None:
     # The diffused target is stated once: other modules read a 1-d marginal through marginal(t),
     # and never the centers or weights it is built from.
-    src = Path(lmlangevin.__file__).parent
     readers = [
-        f"{path.name}:{line_no}"
-        for path in sorted(src.glob("*.py"))
-        if path.name != "oracle.py"
-        for line_no, line in enumerate(path.read_text().splitlines(), 1)
+        f"{name}:{line_no}"
+        for name, text in _sources_outside_the_oracle().items()
+        for line_no, line in enumerate(text.splitlines(), 1)
         if ".centers" in line or ".weights" in line
     ]
     assert readers == []
@@ -621,6 +624,11 @@ def test_validation_errors() -> None:
         GaussianMixtureOracle([[np.inf]], None, sch)
     with pytest.raises(ValueError, match=r"centers must be an \(n, d\) array"):
         GaussianMixtureOracle([0.0, 1.0], None, sch)  # flat centers are not read as d = 1
+    # finite, positive inputs whose derived constants overflow, rejected before any warning escapes
+    with pytest.raises(ValueError, match="weights must be positive and finite, and so must their sum"):
+        GaussianMixtureOracle([[0.0], [1.0]], [1e308, 1e308], sch)
+    with pytest.raises(ValueError, match="centers must be finite, and so must their squared distances"):
+        GaussianMixtureOracle([[1e200], [-1e200]], None, sch)
     orc = GaussianMixtureOracle([[0.0, 1.0]], None, sch)
     with pytest.raises(ValueError, match="trailing dimension"):
         orc.score(np.zeros((3, 3)), 0.5)
