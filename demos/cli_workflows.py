@@ -3,7 +3,8 @@
 Outputs land under demo_output/ next to the current working directory.
 Each command writes a meta.json (config, config hash, seed, metrics, timing) plus
 command-specific CSVs; rerunning with the same config and seed reproduces
-the data files byte for byte.  Exits 1 if any command failed.
+the data files byte for byte.  Beside each command's results it prints the
+command's wall time, meta.json's timing.total_s.  Exits 1 if any command failed.
 """
 import json
 import pathlib
@@ -39,6 +40,7 @@ for command, config in jobs:
         print("  timing:", json.dumps(meta["timing"]))
     else:
         print("  metrics:", json.dumps(meta["metrics"]))
+    print(f"  total_s: {meta['timing']['total_s']:.3f}")
     print("  files  :", sorted(p.name for p in out_dir.iterdir()))
 
 if failed:

@@ -3,12 +3,12 @@
 Subcommands: sample, compare, stationarity, convergence, hessian-error,
 bench.  Every command reads one JSON config, writes CSV data plus a meta.json
 summary into --out, and embeds the canonical config hash and seed in every
-file.  :func:`main` validates the document against the command's schema and
-checks --threads; the command then makes its own checks (times inside the
-schedule's range, the oracle's dimension, its chain's rules) before it
-computes anything, so a fault in a config exits 2 before any run.  Reruns
-with the same config and seed are byte-identical except for the meta.json
-"timing" object, regardless of --threads.
+file.  :func:`main` validates the document against the command's schema,
+reads a centers_csv beside the config file into it and checks --threads;
+each command then checks the document (times inside the schedule's range,
+the oracle's dimension, its chain's rules) before it computes anything, so
+a config fault exits 2 before any run.  Reruns with the same config and seed
+are byte-identical but for meta.json's "timing", regardless of --threads.
 
 Each command writes nothing: it returns its tables (CSV name -> comment
 notes, header, rows), metrics, the extra fields it computed, timing fields
@@ -17,10 +17,10 @@ seed and writes under --out.  Only after the command has returned and its
 metrics are all finite does it make --out and write each table under the
 stamp ``# config_hash=<hash> seed=<seed>`` and then meta.json, so a failed
 run leaves --out untouched.  meta.json records the document as "config":
-validated, with its defaults filled in and --seed applied, it is the object
-the hash is taken over, and the same command runs it again to the same
-files.  :func:`main` times the whole invocation and turns a failure under
---assert into exit 4.
+validated, with its defaults filled in, a centers CSV read in and --seed
+applied, it is the object the hash is taken over, and the same command reruns
+it anywhere to the same files.  :func:`main` times the whole invocation and
+turns a failure under --assert into exit 4.
 
 Exit codes: 0 success, 2 invalid config, 3 numeric or I/O failure while
 running, 4 threshold violated under --assert.
@@ -43,6 +43,7 @@ from .config import (
     build_oracle,
     build_schedule,
     config_hash,
+    read_centers_csv,
     validate_config,
 )
 from .diagnostics import (
@@ -433,7 +434,7 @@ def main(argv=None) -> int:
             raise ConfigError(str(exc)) from exc
         except ValueError as exc:  # a JSONDecodeError, or bytes that are not UTF-8
             raise ConfigError(f"not valid JSON: {exc}") from exc
-        validate_config(doc, COMMAND_SCHEMAS[args.command])
+        read_centers_csv(validate_config(doc, COMMAND_SCHEMAS[args.command]), Path(args.config).parent)
         seed = _seed(args.command, doc, args.seed)
         if args.threads < 1:
             raise ConfigError("--threads must be >= 1")

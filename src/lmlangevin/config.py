@@ -11,9 +11,9 @@ default is required, only a key whose default is null accepts null, and an
 optional key that has no value to fill in writes nothing.  Validation
 writes each default into the document, so an omitted key and the same
 key spelled out at its default give one effective config; it also writes
-every number as a float, so ``20`` and ``20.0`` hash alike.  A canonical hash
-of that effective config is embedded in every output file, which makes rerun
-comparisons trivial.
+every number as a float, so ``20`` and ``20.0`` hash alike.  Then
+:func:`read_centers_csv` writes a centers file's rows in place of its path, and
+a canonical hash of that effective config goes into every output file.
 """
 
 from __future__ import annotations
@@ -22,6 +22,8 @@ import copy
 import hashlib
 import inspect
 import json
+import warnings
+from pathlib import Path
 
 import numpy as np
 
@@ -33,6 +35,7 @@ __all__ = [
     "ConfigError",
     "validate_config",
     "config_hash",
+    "read_centers_csv",
     "build_schedule",
     "build_oracle",
     "COMMAND_SCHEMAS",
@@ -126,6 +129,26 @@ def validate_config(value, schema: dict, path: str = "config"):
 def config_hash(cfg: dict) -> str:
     """First 16 hex chars of the sha256 of the canonical serialization: sorted keys, no whitespace."""
     return hashlib.sha256(json.dumps(cfg, sort_keys=True, separators=(",", ":")).encode("utf-8")).hexdigest()[:16]
+
+
+def read_centers_csv(doc: dict, base: Path) -> dict:
+    """Put the rows of a validated document's ``centers_csv`` in its place as inline ``centers``; return doc.
+
+    A relative path resolves against ``base``, the config file's directory.  The rows are validated as inline
+    centers are, so the CSV and inline spellings of one mixture hash alike and the document reruns anywhere.
+    """
+    block = doc.get("oracle")
+    if block is not None and ("centers" in block) == ("centers_csv" in block):
+        raise ConfigError("config.oracle: exactly one of 'centers' or 'centers_csv' is required")
+    if block is not None and "centers_csv" in block:
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # a file with no rows warns; validation reports it below
+                rows = np.loadtxt(Path(base, block.pop("centers_csv")), delimiter=",", ndmin=2).tolist()
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"config.oracle: cannot read centers_csv: {exc}") from exc
+        block["centers"] = validate_config(rows, _ORACLE_SCHEMA["keys"]["centers"], "config.oracle: centers_csv")
+    return doc
 
 
 # ---------------------------------------------------------------------------
@@ -362,17 +385,9 @@ def build_schedule(block: dict) -> NoiseSchedule:
 
 
 def build_oracle(block: dict, schedule: NoiseSchedule) -> GaussianMixtureOracle:
-    if ("centers" in block) == ("centers_csv" in block):
-        raise ConfigError("config.oracle: exactly one of 'centers' or 'centers_csv' is required")
-    weights = block.get("weights")
     try:
-        if "centers_csv" in block:
-            return GaussianMixtureOracle.from_csv(block["centers_csv"], schedule, weights=weights)
         if len({len(row) for row in block["centers"]}) != 1:
             raise ValueError("centers rows must all have the same length")
-        return GaussianMixtureOracle(block["centers"], weights, schedule)
-    except OSError as exc:
-        raise ConfigError(f"config.oracle: cannot read centers_csv: {exc}") from exc
+        return GaussianMixtureOracle(block["centers"], block.get("weights"), schedule)
     except ValueError as exc:
         raise ConfigError(f"config.oracle: {exc}") from exc
-

@@ -130,12 +130,6 @@ class GaussianMixtureOracle:
         self._log_w = np.log(self.weights)
         self._levels: dict[float, tuple[float, float]] = {}
 
-    @classmethod
-    def from_csv(cls, path, schedule: NoiseSchedule, weights=None) -> "GaussianMixtureOracle":
-        """Load centers from a CSV file, one row per center; uniform weights by default."""
-        centers = np.loadtxt(path, delimiter=",", ndmin=2)
-        return cls(centers, weights, schedule)
-
     @property
     def dim(self) -> int:
         return self.centers.shape[1]

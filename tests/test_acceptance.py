@@ -9,6 +9,8 @@ extra score evaluations, and the guided update needs O(d) memory, not a dense
 d x d curvature.  It also reports the arithmetic ratio of the guided update to
 a bare solver update, which is not gated: next to an axpy, with no score
 evaluation on either side, that ratio is a fixed multiple above 1 by design.
+Beside check 7, an unnumbered test measures the solvers' order exactly on
+Gaussian data, where one chain's gain has a closed form.
 """
 
 from __future__ import annotations
@@ -289,6 +291,48 @@ def test_criterion_7_solver_order(report) -> None:
         f"multistep2 slope={order2_slope:.2f}, single-center err={worst_exact:.2e}, {elapsed:.1f}s",
     )
     assert ok
+
+
+class _GaussianData:
+    """Exact ScoreProvider for data N(0, s^2 I): eps = sigma x / (alpha^2 s^2 + sigma^2)."""
+
+    dim = 1
+    s = 0.5
+
+    def __init__(self, schedule):
+        self.schedule = schedule
+
+    def v(self, t) -> float:
+        """Variance of the diffused data at time t."""
+        alpha, sigma = self.schedule.alpha_sigma(t)
+        return alpha * alpha * self.s * self.s + sigma * sigma
+
+    def eps(self, x, t):
+        return self.schedule.alpha_sigma(t)[1] * x / self.v(t)
+
+
+def test_solver_order_on_gaussian_data(capfd) -> None:
+    # Beside criterion 7: on Gaussian data the probability-flow ODE scales x by sqrt(v(t_min) / v(t_max)),
+    # so one chain gives each solver's error exactly, with no reference run and no sampling noise.
+    ns = np.array([40, 80, 160, 320])
+    lines = []
+    for schedule in (NoiseSchedule.vp_linear(), NoiseSchedule.ve(), NoiseSchedule.cosine()):
+        data = _GaussianData(schedule)
+        for order in (1, 2):
+            errs = []
+            for n in ns:
+                run = lml_sample(SamplerConfig(n_steps=int(n), solver_order=order, schedule=schedule), data)
+                gain = run.final_states[0, 0] / run.states[0][0, 0]
+                exact = np.sqrt(data.v(run.grid.level_time(0)) / data.v(run.grid.level_time(int(n))))
+                errs.append(abs(gain / exact - 1.0))
+            slope = float(-np.polyfit(np.log(ns), np.log(errs), 1)[0])
+            lines.append(f"{schedule.kind} o{order} slope={slope:.3f}")
+            if order == 1:
+                assert 0.95 <= slope <= 1.05, lines[-1]
+            else:
+                assert np.all(np.diff(errs) < 0.0), f"{lines[-1]}: errors {errs}"
+    with capfd.disabled():
+        print("\nGaussian-data solver order, N in 40..320: " + ", ".join(lines), file=sys.stderr, flush=True)
 
 
 def test_criterion_8_guided_quality_dominance(tmp_path, report) -> None:

@@ -246,24 +246,100 @@ def test_schedule_keys_follow_the_kind(tmp_path, capsys) -> None:
 
 
 def test_centers_csv_is_the_inline_centers(tmp_path) -> None:
+    # The CSV is read into the document before it is hashed, so its spelling and the inline one are one config.
     inline = _sample_doc()
     (tmp_path / "centers.csv").write_text("1.0,0.0\n-1.0,0.0\n")
-    from_csv = dict(inline, oracle={"centers_csv": str(tmp_path / "centers.csv")})
+    from_csv = dict(inline, oracle={"centers_csv": str(tmp_path / "centers.csv")})  # an absolute path, as given
     outs = []
     for name, doc in (("inline", inline), ("csv", from_csv)):
         outs.append(tmp_path / name)
         assert main(["sample", "--config", _write(tmp_path, f"{name}.json", doc), "--out", str(outs[-1])]) == 0
-    # the same data, under each document's own config hash
-    a, b = ((out / "samples.csv").read_bytes().split(b"\n", 1) for out in outs)
-    assert a[1] == b[1]
+    # the same files under one config hash
+    assert (outs[0] / "samples.csv").read_bytes() == (outs[1] / "samples.csv").read_bytes()
     metas = [_meta(out) for out in outs]
-    configs = [meta.pop("config") for meta in metas]
-    for config in configs:
-        del config["oracle"]
-    assert configs[0] == configs[1]
     for meta in metas:
-        del meta["timing"], meta["config_hash"]
+        del meta["timing"]
     assert metas[0] == metas[1]
+    assert metas[1]["config"]["oracle"] == {"centers": [[1.0, 0.0], [-1.0, 0.0]]}
+    assert config_hash(metas[1]["config"]) == metas[1]["config_hash"]
+
+
+def _csv_config(tmp_path, rows: str, **oracle) -> str:
+    """A sample config in tmp_path/a that names the centers file beside it, c.csv, holding rows."""
+    (tmp_path / "a").mkdir(exist_ok=True)
+    (tmp_path / "a" / "c.csv").write_text(rows)
+    return _write(tmp_path / "a", "s.json", dict(_sample_doc(), oracle={"centers_csv": "c.csv", **oracle}))
+
+
+def test_centers_csv_resolves_beside_its_config(tmp_path, monkeypatch) -> None:
+    _csv_config(tmp_path, "1,0\n-1,0\n")
+    (tmp_path / "b").mkdir()
+    monkeypatch.chdir(tmp_path / "b")
+    assert main(["sample", "--config", "../a/s.json", "--out", "out"]) == 0
+    inline = tmp_path / "inline"
+    assert main(["sample", "--config", _write(tmp_path, "inline.json", _sample_doc()), "--out", str(inline)]) == 0
+    assert (tmp_path / "b" / "out" / "samples.csv").read_bytes() == (inline / "samples.csv").read_bytes()
+
+
+def test_editing_the_centers_csv_moves_the_hash(tmp_path) -> None:
+    # One hash never stamps two different mixtures: it covers the centers, not the file's name.
+    path = tmp_path / "centers.csv"
+    doc = dict(_sample_doc(), oracle={"centers_csv": str(path)})
+    metas = []
+    for name, rows in (("near", "1,0\n-1,0\n"), ("far", "3,0\n-3,0\n")):
+        path.write_text(rows)
+        out = tmp_path / name
+        assert main(["sample", "--config", _write(tmp_path, f"{name}.json", doc), "--out", str(out)]) == 0
+        metas.append(_meta(out))
+    assert metas[0]["config_hash"] != metas[1]["config_hash"]
+    assert metas[1]["config"]["oracle"] == {"centers": [[3.0, 0.0], [-3.0, 0.0]]}
+
+
+def test_centers_csv_meta_config_reruns_without_the_file(tmp_path, monkeypatch) -> None:
+    monkeypatch.chdir(tmp_path)
+    _csv_config(tmp_path, "1,0\n-1,0\n", weights=[3, 1])
+    first = tmp_path / "first"
+    assert main(["sample", "--config", "a/s.json", "--out", str(first)]) == 0
+    (tmp_path / "a" / "c.csv").unlink()
+    (tmp_path / "elsewhere").mkdir()
+    monkeypatch.chdir(tmp_path / "elsewhere")
+    rerun = tmp_path / "rerun"
+    config = _write(tmp_path / "elsewhere", "config.json", _meta(first)["config"])
+    assert main(["sample", "--config", config, "--out", str(rerun)]) == 0
+    assert (first / "samples.csv").read_bytes() == (rerun / "samples.csv").read_bytes()
+    metas = [_meta(out) for out in (first, rerun)]
+    for meta in metas:
+        del meta["timing"]
+    assert metas[0] == metas[1]
+
+
+def test_centers_csv_rows_and_weights(tmp_path, monkeypatch) -> None:
+    # The oracle a centers_csv config builds: the rows as given, uniform weights by default, given weights normalised.
+    built = []
+
+    def spy(block, schedule):
+        built.append(build_oracle(block, schedule))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_oracle", spy)
+    for name, weights in (("uniform", {}), ("given", {"weights": [3.0, 1.0]})):
+        out = tmp_path / name
+        assert main(["sample", "--config", _csv_config(tmp_path, "1,0\n-1,0.5\n", **weights), "--out", str(out)]) == 0
+        assert _meta(out)["config"]["oracle"] == {"centers": [[1.0, 0.0], [-1.0, 0.5]], **weights}
+    np.testing.assert_array_equal(built[0].centers, [[1.0, 0.0], [-1.0, 0.5]])
+    np.testing.assert_array_equal(built[0].weights, [0.5, 0.5])
+    np.testing.assert_array_equal(built[1].weights, [0.75, 0.25])
+
+
+def test_centers_csv_with_no_rows_is_config_error(tmp_path, capsys) -> None:
+    # An empty or comment-only file is a config error; numpy's warning about it, an error here, does not escape.
+    for name, rows in (("empty", ""), ("comments", "# no centers\n")):
+        (tmp_path / f"{name}.csv").write_text(rows)
+        doc = dict(_sample_doc(), oracle={"centers_csv": str(tmp_path / f"{name}.csv")})
+        out = tmp_path / name
+        assert main(["sample", "--config", _write(tmp_path, f"{name}.json", doc), "--out", str(out)]) == 2
+        assert "config error: config.oracle: centers_csv: needs at least 1 entries" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_huge_integer_is_config_error(tmp_path, capsys) -> None:

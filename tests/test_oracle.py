@@ -596,16 +596,6 @@ def test_marginal_helpers_require_1d() -> None:
         orc.marginal_cdf(np.array([0.0]), 0.5)
 
 
-def test_from_csv(tmp_path) -> None:
-    p = tmp_path / "centers.csv"
-    p.write_text("1.0,0.0\n-1.0,0.5\n")
-    orc = GaussianMixtureOracle.from_csv(p, NoiseSchedule.vp_linear())
-    np.testing.assert_allclose(orc.centers, [[1.0, 0.0], [-1.0, 0.5]])
-    np.testing.assert_allclose(orc.weights, [0.5, 0.5])
-    orc2 = GaussianMixtureOracle.from_csv(p, NoiseSchedule.vp_linear(), weights=[3.0, 1.0])
-    np.testing.assert_allclose(orc2.weights, [0.75, 0.25])
-
-
 def test_weights_default_and_normalization() -> None:
     sch = NoiseSchedule.vp_linear()
     orc = GaussianMixtureOracle([[0.0], [1.0], [2.0]], None, sch)
